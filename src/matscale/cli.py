@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -17,7 +18,6 @@ import numpy as np
 from . import complexity as cx
 from . import costs, curation, io, regression, spectra
 from .lattice import Cluster, SymmetryGroup, correlation_matrix
-from .polyfeatures import enumerate_monomials, feature_matrix
 
 
 class ConfigError(Exception):
@@ -153,41 +153,73 @@ def cmd_similarity(args):
     }
 
 
-def cmd_ce_fit(args):
-    configs_path = _require_file(args.configs)
-    clusters_path = _require_file(args.clusters)
-    group_path = _require_file(args.group)
+def _parse_ce_fit_flags(args) -> list[int]:
+    """Validate every numeric ce-fit flag; return the parsed --degree list."""
     try:
         degrees = [int(d) for d in args.degree.split(",")]
     except ValueError:
         raise ConfigError(f"--degree expects integers like 1,2,3: {args.degree!r}")
+    if min(degrees) < 1:
+        raise ConfigError(f"--degree values must be >= 1: {args.degree!r}")
+    if args.max_features is not None and args.max_features < 0:
+        raise ConfigError(f"--max-features must be >= 0, got {args.max_features}")
+    if args.plateau_window is not None and args.plateau_window < 1:
+        raise ConfigError(f"--plateau-window must be >= 1, got {args.plateau_window}")
+    for flag, value in (("--tol", args.tol), ("--plateau-eps", args.plateau_eps)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ConfigError(f"{flag} must be a finite number >= 0, got {value}")
+    return degrees
+
+
+def _read_clusters(path: Path) -> list[Cluster]:
+    clusters = []
+    for k, sites in enumerate(io.read_index_lists(path)):
+        try:
+            clusters.append(Cluster(sites))
+        except ValueError as exc:
+            raise ValueError(f"{path}: entry {k}: {exc}") from None
+    return clusters
+
+
+def _read_group(path: Path) -> SymmetryGroup:
+    permutations = io.read_index_lists(path)
+    try:
+        return SymmetryGroup(permutations)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def cmd_ce_fit(args):
+    degrees = _parse_ce_fit_flags(args)
+    configs_path = _require_file(args.configs)
+    clusters_path = _require_file(args.clusters)
+    group_path = _require_file(args.group)
     outdir = _outdir(args)
 
     ids, occupations, targets = io.read_ce_configs(configs_path)
-    clusters = [Cluster(sites) for sites in io.read_index_lists(clusters_path)]
-    group = SymmetryGroup(io.read_index_lists(group_path))
+    clusters = _read_clusters(clusters_path)
+    group = _read_group(group_path)
 
-    traces = regression.compare_feature_spaces(
-        occupations, targets, clusters, group, degrees,
-        max_features=args.max_features, tol=args.tol,
+    base = correlation_matrix(occupations, clusters, group)
+    fits = regression.fit_feature_spaces(
+        base, targets, degrees, max_features=args.max_features, tol=args.tol,
     )
+    traces = {d: trace for d, (trace, _) in fits.items()}
 
     trace_path = outdir / "fit_trace.csv"
     io.write_trace_csv(trace_path, traces)
     outputs = [str(trace_path)]
     summary = {"degrees": {}, "outputs": outputs}
-    base = correlation_matrix(occupations, clusters, group)
-    for d in sorted(traces):
-        final = traces[d].final
-        fm = enumerate_monomials(base.shape[1], d)
-        predicted = final.model.predict(feature_matrix(base, fm))
+    for d in sorted(fits):
+        trace, features = fits[d]
+        predicted = trace.final.model.predict(features)
         pred_path = outdir / f"predictions_d{d}.csv"
         io.write_predictions_csv(pred_path, ids, targets, predicted)
         outputs.append(str(pred_path))
-        entry = {"n_features": final.n_features, "rmse": final.rmse}
+        entry = {"n_features": trace.final.n_features, "rmse": trace.final.rmse}
         if args.plateau_window is not None:
             entry["plateau"] = regression.plateau_detect(
-                traces[d], args.plateau_window, args.plateau_eps
+                trace, args.plateau_window, args.plateau_eps
             )
         summary["degrees"][str(d)] = entry
     return summary

@@ -186,7 +186,10 @@ def write_matrix(path_csv, path_manifest, m: SimilarityMatrix) -> None:
 
 
 def read_ce_configs(path) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """CE training CSV: entry_id, whitespace-separated +/-1 occupations, target."""
+    """CE training CSV: entry_id, whitespace-separated +/-1 occupations, target.
+
+    A malformed row raises ValueError naming the file and the row's line.
+    """
     ids, occupations, targets = [], [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -196,9 +199,22 @@ def read_ce_configs(path) -> tuple[list[str], np.ndarray, np.ndarray]:
         for row in reader:
             if not row:
                 continue
+            where = f"{path}: line {reader.line_num}"
+            if len(row) != 3:
+                raise ValueError(
+                    f"{where}: expected 3 columns (entry_id, occupations, "
+                    f"target), got {len(row)}: {row!r}"
+                )
+            try:
+                occupation = [int(tok) for tok in row[1].split()]
+                target = float(row[2])
+            except ValueError:
+                raise ValueError(
+                    f"{where}: bad occupations or target: {row!r}"
+                ) from None
             ids.append(row[0])
-            occupations.append([int(tok) for tok in row[1].split()])
-            targets.append(float(row[2]))
+            occupations.append(occupation)
+            targets.append(target)
     if not ids:
         raise ValueError(f"{path}: no data rows")
     lengths = {len(o) for o in occupations}
@@ -208,12 +224,24 @@ def read_ce_configs(path) -> tuple[list[str], np.ndarray, np.ndarray]:
 
 
 def read_index_lists(path) -> list[list[int]]:
-    """JSON list of index lists (clusters or group permutations)."""
+    """JSON list of index lists (clusters or group permutations).
+
+    Every entry must be a list of JSON integers; anything else raises
+    ValueError naming the file and the entry.
+    """
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(data, list):
         raise ValueError(f"{path}: expected a JSON list of index lists")
-    return [[int(i) for i in sub] for sub in data]
+    for k, sub in enumerate(data):
+        if not isinstance(sub, list) or not all(
+            type(i) is int for i in sub  # bool is an int subclass; reject it
+        ):
+            raise ValueError(f"{path}: entry {k} is not a list of integers: {sub!r}")
+    return data
 
 
 def write_trace_csv(path, traces: dict) -> None:

@@ -35,33 +35,81 @@ class Cluster:
         return len(self.sites)
 
 
+def _row_keys(rows) -> np.ndarray:
+    """One fixed-width byte key per row of an (m, n) matrix with entries in [0, n).
+
+    Entries are stored big-endian in the narrowest unsigned type that holds
+    n - 1, so equal rows give equal keys and the keys sort (memcmp order) in
+    the lexicographic order of the rows.
+    """
+    rows = np.asarray(rows)
+    n = rows.shape[1]
+    if n == 0:  # numpy cannot view rows as zero-width keys
+        return np.zeros(rows.shape[0], dtype="V1")
+    dtype = np.min_scalar_type(n - 1).newbyteorder(">")
+    rows = np.ascontiguousarray(rows, dtype=dtype)
+    return rows.view(np.dtype((np.void, n * rows.itemsize))).ravel()
+
+
+def _contains(sorted_keys: np.ndarray, rows) -> np.ndarray:
+    """For each row, whether its key is in the sorted key array."""
+    keys = _row_keys(rows)  # present iff it has a non-empty equal range
+    return np.searchsorted(sorted_keys, keys, "left") < np.searchsorted(
+        sorted_keys, keys, "right"
+    )
+
+
+def _check_bijections(perms: np.ndarray) -> None:
+    n = perms.shape[1]
+    bad = np.any(np.sort(perms, axis=1) != np.arange(n), axis=1)
+    if bad.any():
+        p = perms[np.argmax(bad)]
+        raise ValueError(f"not a bijection on {n} sites: {p.tolist()}")
+
+
+def _as_permutation_rows(permutations) -> np.ndarray:
+    try:
+        perms = np.asarray(permutations, dtype=np.int64)
+    except ValueError:  # ragged rows: name the first one that differs
+        sizes = [np.size(p) for p in permutations]
+        k = next((k for k, m in enumerate(sizes) if m != sizes[0]), None)
+        if k is None:
+            raise
+        raise ValueError(
+            f"permutation {k} has {sizes[k]} entries "
+            f"but permutation 0 has {sizes[0]}"
+        ) from None
+    if perms.ndim != 2 or perms.shape[0] < 1:
+        raise ValueError("permutations must be a non-empty list of index lists")
+    return perms
+
+
 class SymmetryGroup:
     """Explicit site-permutation group.
 
-    Permutations map site i to perm[i]. Construction verifies, by brute
-    force, that every element is a bijection, the identity is present,
-    and the set is closed under composition.
+    Permutations map site i to perm[i]. Construction verifies that every
+    element is a bijection, that the identity is present, and that the set
+    is closed under composition. The closure check composes one element p
+    with the whole set at a time (p[perms], |G| x n) and looks the results
+    up among the sorted row keys of the set, so it costs |G| vectorized
+    passes rather than |G|^2 Python-level compositions.
     """
 
     def __init__(self, permutations: Sequence[Sequence[int]]):
-        perms = np.asarray(permutations, dtype=int)
-        if perms.ndim != 2 or perms.shape[0] < 1:
-            raise ValueError("permutations must be a non-empty list of index lists")
+        perms = _as_permutation_rows(permutations)
         n = perms.shape[1]
-        identity = np.arange(n)
-        for p in perms:
-            if not np.array_equal(np.sort(p), identity):
-                raise ValueError(f"not a bijection on {n} sites: {p.tolist()}")
-        elems = {tuple(p) for p in perms}
-        if tuple(identity) not in elems:
+        _check_bijections(perms)
+        keys = np.sort(_row_keys(perms))
+        if not _contains(keys, np.arange(n)[None, :])[0]:
             raise ValueError("group must contain the identity permutation")
         for p in perms:
-            for q in perms:
-                if tuple(p[q]) not in elems:  # (p o q)[i] = p[q[i]]
-                    raise ValueError(
-                        f"group not closed under composition: "
-                        f"{p.tolist()} o {q.tolist()}"
-                    )
+            closed = _contains(keys, p[perms])  # row q is p o q: p[q[i]]
+            if not closed.all():
+                q = perms[np.argmin(closed)]
+                raise ValueError(
+                    f"group not closed under composition: "
+                    f"{p.tolist()} o {q.tolist()}"
+                )
         self.permutations = perms
         self.n_sites = n
 
@@ -80,23 +128,25 @@ class SymmetryGroup:
 
     @classmethod
     def generate(cls, generators: Sequence[Sequence[int]]) -> "SymmetryGroup":
-        """Closure of the given generator permutations (brute-force BFS)."""
-        gens = [tuple(int(i) for i in g) for g in generators]
-        if not gens:
+        """Closure of the given generator permutations, elements sorted.
+
+        Breadth-first: each round composes every generator with every
+        element found in the previous round (g[e]) and keeps the rows whose
+        keys are new.
+        """
+        if not len(generators):
             raise ValueError("need at least one generator")
-        n = len(gens[0])
-        elems = {tuple(range(n))}
-        frontier = list(elems)
-        while frontier:
-            new = []
-            for e in frontier:
-                for g in gens:
-                    composed = tuple(g[e[i]] for i in range(n))
-                    if composed not in elems:
-                        elems.add(composed)
-                        new.append(composed)
-            frontier = new
-        return cls(sorted(elems))
+        gens = _as_permutation_rows(generators)
+        _check_bijections(gens)
+        n = gens.shape[1]
+        elems = frontier = np.arange(n)[None, :]
+        while len(frontier):
+            composed = gens[:, frontier].reshape(len(gens) * len(frontier), n)
+            _, first = np.unique(_row_keys(composed), return_index=True)
+            composed = composed[first]
+            frontier = composed[~_contains(np.sort(_row_keys(elems)), composed)]
+            elems = np.concatenate([elems, frontier])
+        return cls(elems[np.argsort(_row_keys(elems), kind="stable")])
 
 
 def as_occupations(s) -> np.ndarray:
@@ -131,13 +181,18 @@ def cluster_function(c: Cluster, s) -> int:
     return out
 
 
-def orbit(c: Cluster, g: SymmetryGroup) -> set[Cluster]:
-    """Distinct images of the cluster under every group element."""
+def _orbit_sites(c: Cluster, g: SymmetryGroup) -> np.ndarray:
+    """Distinct images of the cluster as sorted site rows, in ascending order."""
     if c.sites and c.sites[-1] >= g.n_sites:
         raise ValueError(
             f"cluster touches site {c.sites[-1]} but group acts on {g.n_sites} sites"
         )
-    return {Cluster(sorted(p[list(c.sites)])) for p in g.permutations}
+    return np.unique(np.sort(g.permutations[:, list(c.sites)], axis=1), axis=0)
+
+
+def orbit(c: Cluster, g: SymmetryGroup) -> set[Cluster]:
+    """Distinct images of the cluster under every group element."""
+    return {Cluster(sites) for sites in _orbit_sites(c, g)}
 
 
 def correlation(c: Cluster, g: SymmetryGroup, s) -> float:
@@ -149,28 +204,28 @@ def correlation(c: Cluster, g: SymmetryGroup, s) -> float:
     s = as_occupations(s)
     if s.size != g.n_sites:
         raise ValueError(f"config has {s.size} sites but group acts on {g.n_sites}")
-    orb = sorted(orbit(c, g), key=lambda cl: cl.sites)
-    total = sum(cluster_function(cl, s) for cl in orb)  # exact integer sum
-    return total / len(orb)
+    return float(correlation_matrix([s], [c], g)[0, 0])
 
 
 def correlation_matrix(
     configs: Sequence, clusters: Sequence[Cluster], g: SymmetryGroup
 ) -> np.ndarray:
-    """Row per configuration, column per cluster."""
+    """Row per configuration, column per cluster: the `correlation` of each pair.
+
+    One gather-product per cluster: the occupations at every orbit member's
+    sites are multiplied and summed over the orbit in exact int64, then
+    divided by the orbit size, so every entry is the correctly rounded
+    quotient of two integers. The empty cluster gives a column of ones, and
+    an empty configuration list gives shape (0, len(clusters)).
+    """
     rows = [as_occupations(s) for s in configs]
     if any(r.size != g.n_sites for r in rows):
         raise ValueError("all configurations must match the group's site count")
-    # Precompute orbit site-index arrays once per cluster.
-    orbit_indices = []
-    for c in clusters:
-        orb = sorted(orbit(c, g), key=lambda cl: cl.sites)
-        orbit_indices.append([np.array(cl.sites, dtype=int) for cl in orb])
+    S = np.array(rows, dtype=np.int64).reshape(len(rows), g.n_sites)
     out = np.empty((len(rows), len(clusters)))
-    for i, s in enumerate(rows):
-        for j, idx_list in enumerate(orbit_indices):
-            total = sum(int(np.prod(s[idx])) if idx.size else 1 for idx in idx_list)
-            out[i, j] = total / len(idx_list)
+    for j, c in enumerate(clusters):
+        members = _orbit_sites(c, g)
+        out[:, j] = S[:, members].prod(axis=2).sum(axis=1) / len(members)
     return out
 
 

@@ -149,6 +149,33 @@ def plateau_detect(trace: FitTrace, window: int, eps: float) -> Optional[int]:
     return None
 
 
+def fit_feature_spaces(
+    base,
+    targets,
+    degrees: Sequence[int],
+    max_features: Optional[int] = None,
+    tol: float = 1e-12,
+) -> dict[int, tuple[FitTrace, np.ndarray]]:
+    """OMP trace and feature matrix of each degree's monomial expansion of base.
+
+    base is the (n, p) correlation matrix; degree d expands it through every
+    monomial of degree 1..d, so degree 1 fits the bare correlations. The
+    feature matrix is returned with the trace so callers can predict without
+    rebuilding it.
+    """
+    base = np.asarray(base, dtype=float)
+    y = np.asarray(targets, dtype=float)
+    n, p = base.shape
+    fits = {}
+    for d in degrees:
+        F = feature_matrix(base, enumerate_monomials(p, d))
+        cap = min(n - 1, F.shape[1])
+        if max_features is not None:
+            cap = min(cap, max_features)
+        fits[d] = (omp_fit(F, y, cap, tol), F)
+    return fits
+
+
 def compare_feature_spaces(
     configs: Sequence,
     targets,
@@ -164,14 +191,5 @@ def compare_feature_spaces(
     expand the same correlations through their monomials.
     """
     base = correlation_matrix(configs, clusters, group)
-    y = np.asarray(targets, dtype=float)
-    n, p = base.shape
-    traces = {}
-    for d in degrees:
-        fm = enumerate_monomials(p, d)
-        F = feature_matrix(base, fm)
-        cap = min(n - 1, F.shape[1])
-        if max_features is not None:
-            cap = min(cap, max_features)
-        traces[d] = omp_fit(F, y, cap, tol)
-    return traces
+    fits = fit_feature_spaces(base, targets, degrees, max_features, tol)
+    return {d: trace for d, (trace, _) in fits.items()}

@@ -284,3 +284,52 @@ def test_module_error_exit_code_one(tmp_path, capsys):
     )
     assert code == 1
     assert stderr
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--tol", "nan"], "--tol"),
+    (["--tol=-1e-9"], "--tol"),
+    (["--tol", "inf"], "--tol"),
+    (["--plateau-window", "2", "--plateau-eps", "nan"], "--plateau-eps"),
+    (["--plateau-window", "2", "--plateau-eps=-0.1"], "--plateau-eps"),
+    (["--degree", "0"], "--degree"),
+    (["--degree=1,-2"], "--degree"),
+    (["--max-features", "-1"], "--max-features"),
+    (["--plateau-window", "0"], "--plateau-window"),
+])
+def test_ce_fit_bad_flags_exit_two_before_reading(ce_inputs, tmp_path, capsys,
+                                                  flags, message):
+    configs, clusters, group = ce_inputs
+    configs.write_text("entry_id,occupations,target\nbroken\n")  # never read
+    out = tmp_path / "ceout"
+    code, stdout, stderr = run_cli(
+        capsys, "ce-fit", "--configs", str(configs), "--clusters", str(clusters),
+        "--group", str(group), "--output-dir", str(out), *flags,
+    )
+    assert (code, stdout) == (2, "")
+    assert message in stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target, text, message", [
+    ("configs", "entry_id,occupations,target\nc0,1 1 1 1 1 1,0\nc1,1 1\n",
+     "line 3: expected 3 columns"),
+    ("group", "[[0, 1, 2, 3, 4, 5], 1]", "entry 1 is not a list of integers"),
+    ("clusters", "[[0], 1]", "entry 1 is not a list of integers"),
+    ("clusters", "[[0], [2, 1]]", "entry 1: sites must be strictly ascending"),
+    ("group", "[[0, 1, 2, 3, 4, 5], [1, 0, 2, 3]]",
+     "permutation 1 has 4 entries but permutation 0 has 6"),
+    ("group", "[[1, 0, 2, 3, 4, 5]]", "identity"),
+])
+def test_ce_fit_bad_input_names_file(ce_inputs, tmp_path, capsys,
+                                     target, text, message):
+    paths = dict(zip(("configs", "clusters", "group"), ce_inputs))
+    paths[target].write_text(text)
+    code, stdout, stderr = run_cli(
+        capsys, "ce-fit", "--configs", str(paths["configs"]),
+        "--clusters", str(paths["clusters"]), "--group", str(paths["group"]),
+        "--output-dir", str(tmp_path / "ceout"),
+    )
+    assert (code, stdout) == (1, "")
+    assert f"{paths[target]}: " in stderr
+    assert message in stderr

@@ -120,10 +120,41 @@ def test_ce_configs_inconsistent_lengths_rejected(tmp_path):
         io.read_ce_configs(path)
 
 
+@pytest.mark.parametrize("row, message", [
+    ("c2,1 -1 1", "line 3: expected 3 columns"),           # target missing
+    ("c2", "line 3: expected 3 columns"),
+    ("c2,1 x 1,0.5", "line 3: bad occupations or target"),
+    ("c2,1 -1 1,high", "line 3: bad occupations or target"),
+])
+def test_ce_configs_bad_row_names_file_and_line(tmp_path, row, message):
+    path = tmp_path / "configs.csv"
+    path.write_text(f"entry_id,occupations,target\nc1,1 -1 1,0.5\n{row}\n")
+    with pytest.raises(ValueError, match=message) as exc:
+        io.read_ce_configs(path)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
 def test_index_lists(tmp_path):
     path = tmp_path / "clusters.json"
     path.write_text("[[], [0], [0, 1]]")
     assert io.read_index_lists(path) == [[], [0], [0, 1]]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[[0, 1, 2, 3], 1]", "entry 1 is not a list of integers"),
+    ('[[0], [1, "2"]]', "entry 1 is not a list of integers"),
+    ("[[0.5]]", "entry 0 is not a list of integers"),
+    ("[[true]]", "entry 0 is not a list of integers"),
+    ("[[0], null]", "entry 1 is not a list of integers"),
+    ("[[0], [1]", "invalid JSON"),
+    ('{"0": [0]}', "expected a JSON list"),
+])
+def test_index_lists_bad_entry_names_file(tmp_path, text, message):
+    path = tmp_path / "group.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message) as exc:
+        io.read_index_lists(path)
+    assert str(exc.value).startswith(f"{path}: ")
 
 
 def test_atomic_write_replaces_whole_file(tmp_path):

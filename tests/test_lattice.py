@@ -236,3 +236,178 @@ def test_orbit_always_contains_cluster(n, data):
         st.sets(st.integers(0, n - 1), min_size=k, max_size=k))))
     c = Cluster(sites)
     assert c in orbit(c, g)
+
+
+# --- vectorized kernels against the scalar loops they replaced ---------------
+
+def brute_force_group_error(permutations):
+    """Brute-force group validation: the first error message, or None."""
+    perms = np.asarray(permutations, dtype=int)
+    n = perms.shape[1]
+    identity = np.arange(n)
+    for p in perms:
+        if not np.array_equal(np.sort(p), identity):
+            return f"not a bijection on {n} sites: {p.tolist()}"
+    elems = {tuple(p) for p in perms}
+    if tuple(identity) not in elems:
+        return "group must contain the identity permutation"
+    for p in perms:
+        for q in perms:
+            if tuple(p[q]) not in elems:
+                return (f"group not closed under composition: "
+                        f"{p.tolist()} o {q.tolist()}")
+    return None
+
+
+def tuple_bfs_generate(generators):
+    """Tuple BFS closure of the generators, as a sorted list of tuples."""
+    gens = [tuple(int(i) for i in g) for g in generators]
+    n = len(gens[0])
+    elems = {tuple(range(n))}
+    frontier = list(elems)
+    while frontier:
+        new = []
+        for e in frontier:
+            for g in gens:
+                composed = tuple(g[e[i]] for i in range(n))
+                if composed not in elems:
+                    elems.add(composed)
+                    new.append(composed)
+        frontier = new
+    return sorted(elems)
+
+
+def loop_correlation_matrix(configs, clusters, g):
+    """Per-configuration, per-orbit-member loop with exact integer sums."""
+    orbit_indices = []
+    for c in clusters:
+        orb = sorted({tuple(sorted(p[list(c.sites)])) for p in g.permutations})
+        orbit_indices.append([np.array(sites, dtype=int) for sites in orb])
+    out = np.empty((len(configs), len(clusters)))
+    for i, s in enumerate(configs):
+        s = np.asarray(s)
+        for j, idx_list in enumerate(orbit_indices):
+            total = sum(int(np.prod(s[idx])) if idx.size else 1 for idx in idx_list)
+            out[i, j] = total / len(idx_list)
+    return out
+
+
+def rotation(n, k=1):
+    return np.roll(np.arange(n), -k).tolist()
+
+
+def reflection(n):
+    return ((-np.arange(n)) % n).tolist()
+
+
+@st.composite
+def groups(draw):
+    """Cyclic, dihedral, or a product of two cyclic/dihedral factors."""
+    kind = draw(st.sampled_from(["cyclic", "dihedral", "product"]))
+    if kind == "cyclic":
+        return SymmetryGroup.cyclic(draw(st.integers(1, 7)))
+    if kind == "dihedral":
+        n = draw(st.integers(1, 7))
+        return SymmetryGroup.generate([rotation(n), reflection(n)])
+    a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    gens = [rotation(a) + list(range(a, a + b)),
+            list(range(a)) + [a + i for i in rotation(b)]]
+    if draw(st.booleans()):
+        gens.append(reflection(a) + list(range(a, a + b)))
+    return SymmetryGroup.generate(gens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(groups(), st.data())
+def test_correlation_matrix_equals_scalar_loop(g, data):
+    n = g.n_sites
+    clusters = data.draw(st.lists(
+        st.sets(st.integers(0, n - 1), max_size=min(n, 4)).map(
+            lambda s: Cluster(sorted(s))),
+        max_size=5))
+    clusters.append(Cluster(()))
+    configs = data.draw(st.lists(
+        st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n), max_size=6))
+    got = correlation_matrix(configs, clusters, g)
+    want = loop_correlation_matrix(configs, clusters, g)
+    assert got.shape == want.shape == (len(configs), len(clusters))
+    assert (got == want).all()
+
+
+@st.composite
+def permutation_sets(draw):
+    """Small row sets: a generated group, shuffled, with an element dropped,
+    the identity removed or added, or a row made a non-bijection."""
+    n = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=2))
+    perms = draw(st.permutations([list(e) for e in tuple_bfs_generate(gens)]))
+    change = draw(st.sampled_from(["none", "drop", "extra", "bad_row"]))
+    if change == "drop" and len(perms) > 1:
+        del perms[draw(st.integers(0, len(perms) - 1))]
+    elif change == "extra":
+        perms.append(draw(st.permutations(range(n))))
+    elif change == "bad_row":
+        bad = draw(st.lists(st.integers(-1, n), min_size=n, max_size=n))
+        perms[draw(st.integers(0, len(perms) - 1))] = bad
+    return perms
+
+
+@settings(max_examples=300, deadline=None)
+@given(permutation_sets())
+def test_group_check_matches_brute_force(perms):
+    expected = brute_force_group_error(perms)
+    if expected is None:
+        assert len(SymmetryGroup(perms)) == len(perms)
+    else:
+        with pytest.raises(ValueError) as exc:
+            SymmetryGroup(perms)
+        assert str(exc.value) == expected
+
+
+@pytest.mark.parametrize("perms", [
+    [[1, 0, 2], [0, 2, 1]],                        # missing the identity
+    [[0, 1, 2], [0, 0, 1]],                        # not a bijection
+    [[0, 1, 2], [1, 2, 0], [0, 2, 1], [2, 0, 1]],  # not closed
+    [[0, 1, 2, 3], [1, 0, 3, 2], [1, 2, 3, 0]],    # not closed, first at p = row 1
+])
+def test_group_check_messages_match_brute_force(perms):
+    with pytest.raises(ValueError) as exc:
+        SymmetryGroup(perms)
+    assert str(exc.value) == brute_force_group_error(perms)
+
+
+def test_group_rejects_ragged_rows_naming_the_entry():
+    with pytest.raises(ValueError, match="permutation 2 has 2 entries"):
+        SymmetryGroup([[0, 1, 2], [1, 2, 0], [0, 1]])
+
+
+def test_zero_site_group_is_accepted():
+    g = SymmetryGroup([[]])
+    assert (len(g), g.n_sites) == (1, 0)
+    assert SymmetryGroup.generate([[]]).permutations.shape == (1, 0)
+
+
+def test_correlation_matrix_of_no_configs():
+    g = SymmetryGroup.cyclic(4)
+    m = correlation_matrix([], [Cluster(()), Cluster((0,)), Cluster((0, 1))], g)
+    assert m.shape == (0, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_generate_equals_tuple_bfs(n, data):
+    gens = data.draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+    got = SymmetryGroup.generate(gens).permutations.tolist()
+    assert got == [list(e) for e in tuple_bfs_generate(gens)]
+
+
+def test_generate_dihedral_on_many_sites_equals_tuple_bfs():
+    gens = [rotation(64), reflection(64)]
+    g = SymmetryGroup.generate(gens)
+    assert len(g) == 128
+    assert g.permutations.tolist() == [list(e) for e in tuple_bfs_generate(gens)]
+
+
+def test_generate_rejects_a_non_bijective_generator():
+    with pytest.raises(ValueError, match="not a bijection"):
+        SymmetryGroup.generate([[1, 1, 0]])

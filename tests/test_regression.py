@@ -8,6 +8,7 @@ from matscale.regression import (
     FitTrace,
     TracePoint,
     compare_feature_spaces,
+    fit_feature_spaces,
     least_squares,
     omp_fit,
     plateau_detect,
@@ -240,3 +241,22 @@ def test_degree_one_trace_equals_bare_correlations():
     via = compare_feature_spaces(configs, y, clusters, g, degrees=[1],
                                  max_features=2)[1]
     assert [p.rmse for p in via.points] == [p.rmse for p in direct.points]
+
+
+def test_fit_feature_spaces_returns_each_degrees_features():
+    from matscale.lattice import correlation_matrix
+    from matscale.polyfeatures import enumerate_monomials, feature_matrix
+
+    g = SymmetryGroup.cyclic(5)
+    clusters = [Cluster((0,)), Cluster((0, 1)), Cluster((0, 2))]
+    rng = np.random.default_rng(10)
+    configs = rng.choice([-1, 1], size=(15, 5))
+    y = rng.normal(size=15)
+    base = correlation_matrix(configs, clusters, g)
+    fits = fit_feature_spaces(base, y, [2, 1], max_features=4)
+    traces = compare_feature_spaces(configs, y, clusters, g, [2, 1], max_features=4)
+    assert list(fits) == list(traces) == [2, 1]
+    for d, (trace, F) in fits.items():
+        assert np.array_equal(F, feature_matrix(base, enumerate_monomials(3, d)))
+        assert [p.rmse for p in trace.points] == [p.rmse for p in traces[d].points]
+        assert trace.final.model.selected == traces[d].final.model.selected
