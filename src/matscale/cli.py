@@ -109,41 +109,40 @@ def cmd_curate(args):
     return summary
 
 
-def cmd_similarity(args):
-    spectra_dir = _require_file(args.spectra)
+def _parse_similarity_flags(args) -> tuple[tuple[float, float], tuple[int, int]]:
+    """Validate every similarity flag; return the parsed (window, grid)."""
     try:
         lo, hi = (float(x) for x in args.window.split(","))
     except ValueError:
         raise ConfigError(f"--window expects lo,hi, got {args.window!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ConfigError(f"--window needs finite lo < hi, got {args.window!r}")
     try:
         ne, nd = (int(x) for x in args.grid.lower().split("x"))
     except ValueError:
         raise ConfigError(f"--grid expects NExND, got {args.grid!r}") from None
+    if ne < 1 or nd < 1:
+        raise ConfigError(f"--grid dimensions must be >= 1, got {args.grid!r}")
+    if args.h_max is not None and not (math.isfinite(args.h_max) and args.h_max >= 0):
+        raise ConfigError(f"--h-max must be a finite number >= 0, got {args.h_max}")
+    return (lo, hi), (ne, nd)
+
+
+def cmd_similarity(args):
+    window, grid = _parse_similarity_flags(args)
+    spectra_dir = _require_file(args.spectra)
     outdir = _outdir(args)
 
     items = io.read_spectra_dir(spectra_dir)
-    fps = spectra.fingerprint_set(
-        [s for s, _ in items],
-        window=(lo, hi),
-        grid=(ne, nd),
-        mode=args.mode,
-        h_max=args.h_max,
-    )
-    matrix = spectra.similarity_matrix(
-        list(zip(fps, [m for _, m in items])), n_workers=args.threads
-    )
+    fps = spectra.fingerprint_set([s for s, _ in items], window, grid, args.mode, args.h_max)
+    matrix = spectra.similarity_matrix(list(zip(fps, [m for _, m in items])))
     if args.sort:
         matrix = spectra.sort_by_settings(matrix)
 
     csv_path = outdir / "similarity_matrix.csv"
     manifest_path = outdir / "similarity_manifest.json"
     io.write_matrix(csv_path, manifest_path, matrix)
-    off_diag = [
-        matrix.values[i, j]
-        for i in range(matrix.n)
-        for j in range(matrix.n)
-        if i != j
-    ]
+    off_diag = matrix.values[~np.eye(matrix.n, dtype=bool)].tolist()
     return {
         "n_spectra": matrix.n,
         "sorted": bool(args.sort),
@@ -248,24 +247,30 @@ def cmd_complexity(args):
 
 
 def _parse_sisso(text: str) -> cx.SissoSpec:
-    rung = dimension = None
+    values = {}
     bias = False
     for token in text.split(","):
         token = token.strip()
+        key, sep, value = token.partition("=")
         if token == "bias":
             bias = True
-        elif token.startswith("rung="):
-            rung = int(token[5:])
-        elif token.startswith("dim="):
-            dimension = int(token[4:])
+        elif sep and key in ("rung", "dim"):
+            try:
+                values[key] = int(value)
+            except ValueError:
+                raise ConfigError(f"--sisso {token!r} is not an integer") from None
         else:
             raise ConfigError(f"bad --sisso token {token!r} in {text!r}")
-    if rung is None or dimension is None:
+    if set(values) != {"rung", "dim"}:
         raise ConfigError(f"--sisso needs rung=R,dim=D[,bias], got {text!r}")
-    return cx.SissoSpec(rung=rung, dimension=dimension, has_bias=bias)
+    return cx.SissoSpec(rung=values["rung"], dimension=values["dim"], has_bias=bias)
 
 
 def cmd_estimate(args):
+    for name in ("mb_per_run", "t_batch", "t_grad", "hours", "price"):
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
     if args.kind == "workflow":
         spec = costs.WorkflowSpec(
             n_structures=args.structures,
@@ -308,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
         "fitting, and infrastructure cost estimation.",
     )
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads (results are thread-count independent)")
+                        help="accepted for compatibility and unused: the similarity "
+                        "fill is serial")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("curate", help="dedup identities, splits, histograms")
@@ -395,16 +401,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(_join_window_flag(list(argv)))
     try:
         result = args.func(args)
+        if not isinstance(result, str):
+            result = json.dumps(result, allow_nan=False)
     except ConfigError as exc:
         print(f"matscale: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OverflowError, OSError, KeyError) as exc:
         print(f"matscale: {exc}", file=sys.stderr)
         return 1
-    if isinstance(result, str):
-        print(result)
-    else:
-        print(json.dumps(result))
+    print(result)
     return 0
 
 

@@ -88,13 +88,7 @@ def evaluate_features(x, fm: FeatureMap) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (fm.p,):
         raise ValueError(f"expected a vector of {fm.p} features, got shape {x.shape}")
-    out = np.empty(len(fm.monomials))
-    for m_i, m in enumerate(fm.monomials):
-        v = 1.0
-        for i, e in m.exponents:
-            v *= x[i] ** e
-        out[m_i] = v
-    return out
+    return feature_matrix(x[None, :], fm)[0]
 
 
 def feature_matrix(X, fm: FeatureMap) -> np.ndarray:

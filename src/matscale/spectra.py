@@ -2,13 +2,14 @@
 
 Spectra are discretized on an energy window around the Fermi level. In
 raster mode each energy bin becomes a column of bits growing from zero up
-to the binned DOS height; in vector mode the per-bin integrals are kept as
-reals. Similarity is the Tanimoto coefficient of the flattened data.
+to the binned DOS height, stored as the column heights; in vector mode the
+per-bin integrals are kept as reals. Similarity is the Tanimoto coefficient
+of the bit rasters or the vectors.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 from typing import Hashable, Optional, Sequence
 
@@ -81,12 +82,29 @@ class CalcMetadata:
 
 @dataclass
 class Fingerprint:
-    """Discretized spectrum: bit raster (bool, n_energy x n_dos) or real vector."""
+    """Discretized spectrum: raster column heights (n_energy int64 in
+    [0, n_dos], column j has its lowest data[j] bits set) or a real vector."""
 
     window: tuple[float, float]
     grid: tuple[int, int]
     mode: str
     data: np.ndarray
+
+    def __post_init__(self):
+        if self.mode == "raster":
+            n_energy, n_dos = self.grid
+            h = np.asarray(self.data)
+            if (h.shape != (n_energy,) or h.dtype.kind not in "iu"
+                    or np.any((h < 0) | (h > n_dos))):
+                raise ValueError(f"raster data must be {n_energy} integer column heights "
+                                 f"in [0, {n_dos}], got {h.dtype} of shape {h.shape}")
+            self.data = h.astype(np.int64)
+
+    def to_raster(self) -> np.ndarray:
+        """The (n_energy, n_dos) bool bit raster of a raster fingerprint."""
+        if self.mode != "raster":
+            raise ValueError("only raster fingerprints have a bit raster")
+        return np.arange(self.grid[1]) < self.data[:, None]
 
     def same_config(self, other: "Fingerprint") -> bool:
         return (
@@ -130,8 +148,8 @@ def bin_heights(
 ) -> np.ndarray:
     """Per-bin trapezoidal DOS integrals on the Fermi-shifted window."""
     lo, hi = window
-    if not lo < hi:
-        raise ValueError(f"window must satisfy lo < hi, got {window}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"window must be finite with lo < hi, got {window}")
     if n_energy_bins < 1:
         raise ValueError("need at least one energy bin")
     shifted = spectrum.energies - spectrum.fermi_energy
@@ -142,6 +160,26 @@ def bin_heights(
         )
     edges = np.linspace(lo, hi, n_energy_bins + 1)
     return _bin_integrals(shifted, spectrum.dos, edges)
+
+
+def _from_heights(heights, window, grid, mode, h_max) -> Fingerprint:
+    """The fingerprint of one spectrum's bin heights; rasters scale by h_max."""
+    n_energy, n_dos = grid
+    if n_energy < 1 or n_dos < 1:
+        raise ValueError(f"grid dimensions must be >= 1, got {grid}")
+    if mode not in ("raster", "vector"):
+        raise ValueError(f"mode must be 'raster' or 'vector', got {mode!r}")
+    if mode == "vector":
+        return Fingerprint(tuple(window), (n_energy, n_dos), mode, heights)
+    if h_max is None:
+        h_max = float(heights.max())
+    if not (math.isfinite(h_max) and h_max >= 0):
+        raise ValueError(f"h_max must be finite and non-negative, got {h_max}")
+    n_bits = np.zeros(n_energy, dtype=np.int64)
+    if h_max > 0:
+        clamped = np.clip(heights, 0.0, h_max)
+        n_bits = np.minimum((n_dos * clamped / h_max).astype(np.int64), n_dos)
+    return Fingerprint(tuple(window), (n_energy, n_dos), mode, n_bits)
 
 
 def make_fingerprint(
@@ -158,27 +196,8 @@ def make_fingerprint(
     fingerprint_set() to share the set-wide default (max bin height over
     the compared spectra).
     """
-    n_energy, n_dos = grid
-    if n_energy < 1 or n_dos < 1:
-        raise ValueError(f"grid dimensions must be >= 1, got {grid}")
-    if mode not in ("raster", "vector"):
-        raise ValueError(f"mode must be 'raster' or 'vector', got {mode!r}")
-    heights = bin_heights(spectrum, window, n_energy)
-
-    if mode == "vector":
-        return Fingerprint(tuple(window), (n_energy, n_dos), mode, heights)
-
-    if h_max is None:
-        h_max = float(heights.max())
-    if h_max < 0:
-        raise ValueError("h_max must be non-negative")
-    raster = np.zeros((n_energy, n_dos), dtype=bool)
-    if h_max > 0:
-        clamped = np.clip(heights, 0.0, h_max)
-        n_bits = np.minimum((n_dos * clamped / h_max).astype(int), n_dos)
-        for j, k in enumerate(n_bits):
-            raster[j, :k] = True
-    return Fingerprint(tuple(window), (n_energy, n_dos), mode, raster)
+    heights = bin_heights(spectrum, window, grid[0])
+    return _from_heights(heights, window, grid, mode, h_max)
 
 
 def fingerprint_set(
@@ -195,28 +214,27 @@ def fingerprint_set(
     """
     if not spectra:
         raise ValueError("no spectra given")
-    if mode == "raster" and h_max is None:
-        all_heights = [bin_heights(s, window, grid[0]) for s in spectra]
+    all_heights = [bin_heights(s, window, grid[0]) for s in spectra]
+    if h_max is None:
         h_max = float(max(h.max() for h in all_heights))
-    return [make_fingerprint(s, window, grid, mode, h_max) for s in spectra]
+    return [_from_heights(h, window, grid, mode, h_max) for h in all_heights]
 
 
 def tanimoto(f1: Fingerprint, f2: Fingerprint) -> float:
     """Tanimoto coefficient <a,b> / (<a,a> + <b,b> - <a,b>) in [0, 1].
 
+    Raster columns share min(k, k') bits, so <a,b> sums the height minima.
     Both-all-zero fingerprints compare as 1.0 (defined limit).
     """
     if not f1.same_config(f2):
         raise ValueError("fingerprints have mismatched window/grid/mode")
+    a = f1.data.ravel()
+    b = f2.data.ravel()
     if f1.mode == "raster":
-        a = f1.data.ravel()
-        b = f2.data.ravel()
-        ab = int(np.count_nonzero(a & b))
-        aa = int(np.count_nonzero(a))
-        bb = int(np.count_nonzero(b))
+        ab = int(np.minimum(a, b).sum())
+        aa = int(a.sum())
+        bb = int(b.sum())
     else:
-        a = f1.data.ravel()
-        b = f2.data.ravel()
         ab = float(np.dot(a, b))
         aa = float(np.dot(a, a))
         bb = float(np.dot(b, b))
@@ -227,13 +245,13 @@ def tanimoto(f1: Fingerprint, f2: Fingerprint) -> float:
 
 
 def similarity_matrix(
-    items: Sequence[tuple[Fingerprint, CalcMetadata]], n_workers: int = 1
+    items: Sequence[tuple[Fingerprint, CalcMetadata]],
 ) -> SimilarityMatrix:
     """Pairwise Tanimoto matrix; ordering is the identity permutation.
 
-    The fill may be split across worker threads by row; every cell is
-    computed by the same scalar routine, so the result is bit-identical
-    for any worker count.
+    Every cell equals tanimoto() of its pair bit for bit: raster inner
+    products are exact int64 sums of minima, and vector ones are the same
+    per-pair np.dot (a matrix product would round differently).
     """
     if not items:
         raise ValueError("need at least one (fingerprint, metadata) item")
@@ -244,18 +262,18 @@ def similarity_matrix(
             raise ValueError("all fingerprints must share window/grid/mode")
 
     n = len(fps)
+    data = np.stack([fp.data.ravel() for fp in fps])
+    raster = fps[0].mode == "raster"
+    self_terms = data.sum(axis=1) if raster else np.array([np.dot(r, r) for r in data])
     values = np.ones((n, n))
-
-    def fill_row(i: int):
-        for j in range(i + 1, n):
-            values[i, j] = values[j, i] = tanimoto(fps[i], fps[j])
-
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(fill_row, range(n)))
-    else:
-        for i in range(n):
-            fill_row(i)
+    for i in range(n - 1):
+        if raster:
+            ab = np.minimum(data[i], data[i + 1:]).sum(axis=1)
+        else:
+            ab = np.array([np.dot(data[i], r) for r in data[i + 1:]])
+        denom = self_terms[i] + self_terms[i + 1:] - ab
+        values[i, i + 1:] = values[i + 1:, i] = np.divide(
+            ab, denom, out=np.ones(n - 1 - i), where=denom != 0)
     return SimilarityMatrix(values=values, ordering=list(range(n)), labels=labels)
 
 

@@ -205,11 +205,8 @@ def _random_fingerprint_set(rng):
     items = []
     for _ in range(n_items):
         heights = rng.integers(0, n_d + 1, size=n_e)
-        raster = np.zeros((n_e, n_d), dtype=bool)
-        for j, k in enumerate(heights):
-            raster[j, :k] = True
         fp = Fingerprint(window=(-10.0, 10.0), grid=(n_e, n_d), mode="raster",
-                         data=raster)
+                         data=heights)
         md = CalcMetadata(
             xc=str(rng.choice(["LDA", "PBE", "SCAN"])),
             n_kpt=int(rng.integers(1, 64)),

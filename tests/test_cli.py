@@ -333,3 +333,55 @@ def test_ce_fit_bad_input_names_file(ce_inputs, tmp_path, capsys,
     assert (code, stdout) == (1, "")
     assert f"{paths[target]}: " in stderr
     assert message in stderr
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--h-max", "nan"], "--h-max"),
+    (["--h-max", "inf"], "--h-max"),
+    (["--h-max=-1"], "--h-max"),
+    (["--window=-inf,inf"], "--window"),
+    (["--window", "5,1"], "--window"),
+    (["--window", "nan,1"], "--window"),
+    (["--grid", "0x4"], "--grid"),
+    (["--grid", "8x0"], "--grid"),
+])
+def test_similarity_bad_flags_exit_two_before_reading(tmp_path, capsys, flags,
+                                                      message):
+    out = tmp_path / "simout"
+    code, stdout, stderr = run_cli(
+        capsys, "similarity", "--spectra", str(tmp_path / "missing"),
+        "--output-dir", str(out), *flags,
+    )
+    assert (code, stdout) == (2, "")
+    assert message in stderr  # the flag, not the missing input, is reported
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["estimate", "training", "--steps", "10", "--t-batch", "nan",
+      "--t-grad", "0.1"], "--t-batch"),
+    (["estimate", "training", "--steps", "10", "--t-batch", "0.1",
+      "--t-grad", "inf"], "--t-grad"),
+    (["estimate", "nas", "--archs", "10", "--hours", "inf", "--price", "3"],
+     "--hours"),
+    (["estimate", "nas", "--archs", "10", "--hours", "2", "--price", "nan"],
+     "--price"),
+    (["estimate", "workflow", "--structures", "1", "--settings", "1",
+      "--files-per-run", "1", "--mb-per-run", "inf"], "--mb-per-run"),
+    (["complexity", "--sisso", "rung=x,dim=2"], "'rung=x'"),
+    (["complexity", "--sisso", "rung=1,dim=2.5"], "'dim=2.5'"),
+])
+def test_non_finite_or_non_integer_flags_exit_two(capsys, argv, message):
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert message in stderr
+
+
+def test_stdout_is_strict_json_even_on_overflow(capsys):
+    # finite inputs whose product overflows must not print Infinity
+    code, stdout, stderr = run_cli(
+        capsys, "estimate", "training", "--steps", "10", "--t-batch", "1e308",
+        "--t-grad", "1e308",
+    )
+    assert (code, stdout) == (1, "")
+    assert "JSON" in stderr

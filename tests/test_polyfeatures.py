@@ -105,6 +105,30 @@ def test_feature_matrix_matches_rowwise_evaluation():
         assert np.allclose(F[i], evaluate_features(X[i], fm))
 
 
+def _evaluate_features_loop(x, fm):
+    """The scalar per-monomial loop evaluate_features used to run, kept as an oracle."""
+    out = np.empty(len(fm.monomials))
+    for m_i, m in enumerate(fm.monomials):
+        v = 1.0
+        for i, e in m.exponents:
+            v *= x[i] ** e
+        out[m_i] = v
+    return out
+
+
+def test_evaluate_features_matches_scalar_loop_within_2_ulp():
+    # the array power and the scalar power may round apart by an ulp or two
+    rng = np.random.default_rng(17)
+    for _ in range(3000):
+        p, d = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        fm = enumerate_monomials(p, d)
+        x = rng.uniform(-1, 1, p)
+        x[rng.random(p) < 0.1] = rng.choice([-1.0, 0.0, 1.0])
+        np.testing.assert_array_max_ulp(
+            evaluate_features(x, fm), _evaluate_features_loop(x, fm), maxulp=2
+        )
+
+
 def test_json_round_trip():
     fm = enumerate_monomials(3, 2)
     back = FeatureMap.from_json(fm.to_json())

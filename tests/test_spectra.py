@@ -62,7 +62,7 @@ def test_triangular_peak_heights_by_hand():
     fv = make_fingerprint(s, window=(0, 4), grid=(4, 4), mode="vector")
     assert np.allclose(fv.data, [0.0, 1.0, 1.0, 0.0])
     fr = make_fingerprint(s, window=(0, 4), grid=(4, 4), mode="raster", h_max=1.0)
-    assert fr.data.sum(axis=1).tolist() == [0, 4, 4, 0]
+    assert fr.to_raster().sum(axis=1).tolist() == [0, 4, 4, 0]
 
 
 def test_fingerprint_window_must_overlap():
@@ -83,11 +83,72 @@ def test_fingerprint_invariant_under_rigid_shift():
         assert np.array_equal(fa.data, fb.data)
 
 
+def test_raster_fingerprint_stores_column_heights():
+    rng = np.random.default_rng(5)
+    s = Spectrum(np.linspace(-10, 10, 200), rng.uniform(0, 3, 200), 0.0)
+    fp = make_fingerprint(s, grid=(32, 16), mode="raster", h_max=None)
+    assert fp.data.shape == (32,) and fp.data.dtype == np.int64
+    assert fp.to_raster().shape == (32, 16)
+    assert fp.to_raster().sum(axis=1).tolist() == fp.data.tolist()
+
+
+@pytest.mark.parametrize("data", [
+    np.zeros((4, 3), dtype=bool),          # an old-style bit raster
+    np.zeros(4, dtype=bool),
+    np.array([0.0, 1.0, 2.0, 3.0]),        # floats, even integral ones
+    np.array([0, 1, 2]),                   # wrong length
+    np.array([0, 1, 2, 4]),                # taller than n_dos
+    np.array([0, -1, 2, 3]),
+])
+def test_raster_fingerprint_rejects_bad_heights(data):
+    with pytest.raises(ValueError, match="column heights"):
+        Fingerprint((-10.0, 10.0), (4, 3), "raster", data)
+
+
+def test_to_raster_needs_raster_mode():
+    with pytest.raises(ValueError):
+        vector_fp([1.0, 2.0]).to_raster()
+
+
+@pytest.mark.parametrize("h_max", [float("nan"), float("inf"), -1.0])
+def test_raster_rejects_bad_h_max(h_max):
+    s = Spectrum([0.0, 1.0, 2.0], [0.5, 1.5, 0.5], 1.0)
+    with pytest.raises(ValueError, match="h_max"):
+        make_fingerprint(s, window=(-1, 1), grid=(4, 4), mode="raster", h_max=h_max)
+    with pytest.raises(ValueError, match="h_max"):
+        fingerprint_set([s], window=(-1, 1), grid=(4, 4), mode="raster", h_max=h_max)
+
+
+@pytest.mark.parametrize("window", [
+    (float("-inf"), float("inf")), (float("nan"), 1.0), (-1.0, float("inf")), (1.0, -1.0),
+])
+def test_fingerprint_rejects_bad_window(window):
+    s = Spectrum([0.0, 1.0, 2.0], [0.5, 1.5, 0.5], 1.0)
+    with pytest.raises(ValueError, match="window"):
+        make_fingerprint(s, window=window, grid=(4, 4), mode="vector")
+
+
+def test_fingerprint_set_bins_each_spectrum_once(monkeypatch):
+    from matscale import spectra
+
+    calls = []
+    original = spectra.bin_heights
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(spectra, "bin_heights", counting)
+    s = Spectrum([0.0, 1.0, 2.0], [0.5, 1.5, 0.5], 1.0)
+    fingerprint_set([s, s, s], window=(-1, 1), grid=(4, 4), mode="raster")
+    assert len(calls) == 3
+
+
 def test_raster_columns_are_contiguous_runs():
     rng = np.random.default_rng(5)
     s = Spectrum(np.linspace(-10, 10, 200), rng.uniform(0, 3, 200), 0.0)
     fp = make_fingerprint(s, grid=(32, 16), mode="raster", h_max=None)
-    for column in fp.data:
+    for column in fp.to_raster():
         k = int(column.sum())
         assert column[:k].all() and not column[k:].any()
 
@@ -159,13 +220,49 @@ def test_matrix_matches_pairwise_tanimoto():
             assert m.values[i, j] == expected
 
 
-def test_matrix_thread_count_does_not_change_values():
-    rng = np.random.default_rng(11)
-    fps = [vector_fp(rng.uniform(0, 1, 8)) for _ in range(7)]
-    items = [(fp, meta()) for fp in fps]
-    serial = similarity_matrix(items, n_workers=1)
-    threaded = similarity_matrix(items, n_workers=4)
-    assert np.array_equal(serial.values, threaded.values)
+def _pairwise_fill(items):
+    """The per-pair tanimoto fill similarity_matrix used to run, kept as an oracle."""
+    fps = [fp for fp, _ in items]
+    n = len(fps)
+    values = np.ones((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            values[i, j] = values[j, i] = tanimoto(fps[i], fps[j])
+    return values
+
+
+@st.composite
+def fingerprint_items(draw):
+    n = draw(st.integers(1, 7))
+    n_e, n_d = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        # all-zero columns are likely, all-zero rasters possible
+        cols = st.integers(0, n_d) | st.just(0)
+        fps = [
+            Fingerprint((-10.0, 10.0), (n_e, n_d), "raster",
+                        np.array(draw(st.lists(cols, min_size=n_e, max_size=n_e))))
+            for _ in range(n)
+        ]
+    else:
+        vals = st.floats(0, 10, allow_nan=False) | st.just(0.0)
+        fps = [vector_fp(draw(st.lists(vals, min_size=n_e, max_size=n_e)))
+               for _ in range(n)]
+    return [(fp, meta()) for fp in fps]
+
+
+@settings(max_examples=150)
+@given(fingerprint_items())
+def test_matrix_equals_pairwise_tanimoto_fill(items):
+    assert np.array_equal(similarity_matrix(items).values, _pairwise_fill(items))
+
+
+def test_matrix_all_zero_fingerprints_compare_as_one():
+    zero = Fingerprint((-10.0, 10.0), (3, 4), "raster", np.zeros(3, dtype=int))
+    other = Fingerprint((-10.0, 10.0), (3, 4), "raster", np.array([1, 0, 4]))
+    m = similarity_matrix([(zero, meta()), (zero, meta()), (other, meta())])
+    assert m.values.tolist() == [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    mv = similarity_matrix([(vector_fp([0.0, 0.0]), meta())] * 2)
+    assert mv.values.tolist() == [[1.0, 1.0], [1.0, 1.0]]
 
 
 # --- sort_by_settings -------------------------------------------------------
@@ -273,5 +370,5 @@ def test_fingerprint_set_shares_normalization():
     strong = Spectrum([0.0, 1.0, 2.0], [0.0, 4.0, 0.0], 0.0)
     fps = fingerprint_set([weak, strong], window=(0, 2), grid=(2, 8), mode="raster")
     # shared h_max comes from the strong spectrum, so the weak raster is shorter
-    assert fps[0].data.sum() < fps[1].data.sum()
-    assert fps[1].data.sum(axis=1).max() == 8
+    assert fps[0].to_raster().sum() < fps[1].to_raster().sum()
+    assert fps[1].to_raster().sum(axis=1).max() == 8
