@@ -29,9 +29,12 @@ def _parse_fractions(text: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise ConfigError(f"--split needs three comma-separated fractions: {text!r}")
     try:
-        return tuple(float(p) for p in parts)
+        fractions = tuple(float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"bad fraction in --split: {text!r}") from None
+    if not all(math.isfinite(f) for f in fractions):
+        raise ConfigError(f"--split fractions must be finite: {text!r}")
+    return fractions
 
 
 def _parse_hist_spec(text: str) -> tuple[str, float, float, int]:
@@ -123,8 +126,8 @@ def _parse_similarity_flags(args) -> tuple[tuple[float, float], tuple[int, int]]
         raise ConfigError(f"--grid expects NExND, got {args.grid!r}") from None
     if ne < 1 or nd < 1:
         raise ConfigError(f"--grid dimensions must be >= 1, got {args.grid!r}")
-    if args.h_max is not None and not (math.isfinite(args.h_max) and args.h_max >= 0):
-        raise ConfigError(f"--h-max must be a finite number >= 0, got {args.h_max}")
+    if args.h_max is not None and not (math.isfinite(args.h_max) and args.h_max > 0):
+        raise ConfigError(f"--h-max must be a finite number > 0, got {args.h_max}")
     return (lo, hi), (ne, nd)
 
 

@@ -1,14 +1,16 @@
 """Structure identities, dataset overlap, grouped splits, and histograms.
 
 A structure's identity is its canonical formula concatenated with its
-spacegroup number (e.g. ``Mg2F4_136``). Splits are assigned per identity
-group, never per entry, so duplicate structures can never straddle a
+spacegroup number (e.g. ``Mg2F4_136``); it is computed once, when the
+``Structure`` is built. Splits are assigned per identity group, never per
+entry, so duplicate structures can never straddle a
 train/validation/test boundary.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
@@ -22,24 +24,34 @@ SPLIT_NAMES = ("train", "validation", "test")
 STRUCTURE_ID_RE = re.compile(r"^([A-Z][a-z]?[0-9]*)+_[0-9]{1,3}$")
 
 _FORMULA_TOKEN_RE = re.compile(r"([A-Z][a-z]?)([0-9]*)")
+_FORMULA_RE = re.compile(r"(?:[A-Z][a-z]?[0-9]*)+")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Structure:
-    """One database entry: composition, spacegroup, scalar properties."""
+    """One database entry: composition, spacegroup, scalar properties.
+
+    The record is frozen, and its identity (``structure_id``) is computed
+    once at construction and stored in ``identity``. Property values must
+    be finite numbers.
+    """
 
     entry_id: str
     composition: dict[str, int]
     spacegroup: int
     properties: dict[str, float] = field(default_factory=dict)
     source: str = ""
+    identity: str = field(init=False)
 
     def __post_init__(self):
-        validate_composition(self.composition)
-        if not isinstance(self.spacegroup, int) or not 1 <= self.spacegroup <= 230:
-            raise ValueError(
-                f"spacegroup must be an integer in [1, 230], got {self.spacegroup!r}"
-            )
+        formula = canonical_formula(self.composition)
+        sg = self.spacegroup
+        if not isinstance(sg, int) or isinstance(sg, bool) or not 1 <= sg <= 230:
+            raise ValueError(f"spacegroup must be an integer in [1, 230], got {sg!r}")
+        for name, value in self.properties.items():
+            if not math.isfinite(value):
+                raise ValueError(f"property {name!r} must be finite, got {value!r}")
+        object.__setattr__(self, "identity", f"{formula}_{sg}")
 
 
 @dataclass
@@ -64,7 +76,7 @@ def validate_composition(composition: Mapping[str, int]) -> None:
         raise ValueError("composition must be non-empty")
     for symbol, count in composition.items():
         electronegativity_key(symbol)  # raises on unknown symbols
-        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+        if type(count) is not int or count < 1:  # bool is an int subclass; reject it
             raise ValueError(
                 f"count for {symbol!r} must be a positive integer, got {count!r}"
             )
@@ -88,33 +100,26 @@ def parse_formula(formula: str) -> dict[str, int]:
 
     A missing count means 1. Repeated element tokens are summed.
     """
-    if not formula:
-        raise ValueError("empty formula string")
-    composition: dict[str, int] = {}
-    pos = 0
-    for match in _FORMULA_TOKEN_RE.finditer(formula):
-        if match.start() != pos:
-            break
-        sym, digits = match.groups()
-        composition[sym] = composition.get(sym, 0) + (int(digits) if digits else 1)
-        pos = match.end()
-    if pos != len(formula) or not composition:
+    if not isinstance(formula, str) or not _FORMULA_RE.fullmatch(formula):
         raise ValueError(f"cannot parse formula string: {formula!r}")
+    composition: dict[str, int] = {}
+    for sym, digits in _FORMULA_TOKEN_RE.findall(formula):
+        composition[sym] = composition.get(sym, 0) + (int(digits) if digits else 1)
     validate_composition(composition)
     return composition
 
 
 def structure_id(s: Structure) -> str:
     """Identity label: canonical formula + "_" + spacegroup number."""
-    return f"{canonical_formula(s.composition)}_{s.spacegroup}"
+    return s.identity
 
 
 def dataset_overlap(
     a: Sequence[Structure], b: Sequence[Structure]
 ) -> tuple[int, int, set[str]]:
     """Unique identity counts of both datasets and their common identities."""
-    ids_a = {structure_id(s) for s in a}
-    ids_b = {structure_id(s) for s in b}
+    ids_a = {s.identity for s in a}
+    ids_b = {s.identity for s in b}
     return len(ids_a), len(ids_b), ids_a & ids_b
 
 
@@ -165,12 +170,12 @@ def grouped_split(
         raise ValueError("entries must be non-empty")
     if len(fractions) != 3:
         raise ValueError("fractions must have exactly 3 components")
-    if any(f < 0 for f in fractions):
-        raise ValueError(f"fractions must be non-negative, got {fractions}")
+    if not all(math.isfinite(f) and f >= 0 for f in fractions):
+        raise ValueError(f"fractions must be finite and non-negative, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"fractions must sum to 1, got {fractions}")
 
-    label_of = {e.entry_id: structure_id(e) for e in entries}
+    label_of = {e.entry_id: e.identity for e in entries}
     labels = sorted(set(label_of.values()))
 
     shared = set(shared_ids) if shared_ids is not None else set()

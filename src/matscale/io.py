@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curation import Histogram, SplitAssignment, Structure, parse_formula, structure_id
+from .curation import Histogram, SplitAssignment, Structure, parse_formula
 from .spectra import CalcMetadata, SimilarityMatrix, Spectrum
 
 _RESERVED_COLUMNS = {"entry_id", "formula", "spacegroup", "source"}
@@ -34,89 +34,137 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def read_structures(path) -> list[Structure]:
+    """Read a structure table (CSV with a header row, or a JSON array).
+
+    Both formats feed ``_structure_from_row`` one mapping per row. A bad row
+    raises ValueError("<file>: row K: ..."), K counting data rows from 1.
+    """
     path = Path(path)
-    if path.suffix.lower() == ".json":
-        return _structures_from_json(path)
-    return _structures_from_csv(path)
-
-
-def _structures_from_csv(path: Path) -> list[Structure]:
+    rows = _json_rows(path) if path.suffix.lower() == ".json" else _csv_rows(path)
     entries = []
     seen = set()
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: empty CSV")
-        missing = {"entry_id", "formula", "spacegroup"} - set(reader.fieldnames)
-        if missing:
-            raise ValueError(f"{path}: missing required columns {sorted(missing)}")
-        prop_cols = [c for c in reader.fieldnames if c not in _RESERVED_COLUMNS]
-        for row in reader:
-            eid = row["entry_id"]
-            if eid in seen:
-                raise ValueError(f"{path}: duplicate entry_id {eid!r}")
-            seen.add(eid)
-            props = {
-                c: float(row[c]) for c in prop_cols if row[c] not in (None, "")
-            }
-            entries.append(
-                Structure(
-                    entry_id=eid,
-                    composition=parse_formula(row["formula"]),
-                    spacegroup=int(row["spacegroup"]),
-                    properties=props,
-                    source=row.get("source") or path.stem,
-                )
-            )
+    for k, row in enumerate(rows, 1):
+        try:
+            entry = _structure_from_row(row, path.stem)
+            if entry.entry_id in seen:
+                raise ValueError(f"duplicate entry_id {entry.entry_id!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {k}: {exc}") from None
+        seen.add(entry.entry_id)
+        entries.append(entry)
     if not entries:
         raise ValueError(f"{path}: no data rows")
     return entries
 
 
-def _structures_from_json(path: Path) -> list[Structure]:
+def _csv_rows(path: Path):
+    """CSV rows in the JSON record shape, properties nested (empty cell = missing)."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        try:
+            if reader.fieldnames is None:
+                raise ValueError(f"{path}: empty CSV")
+            if len(set(reader.fieldnames)) != len(reader.fieldnames):
+                raise ValueError(f"{path}: duplicate column names in {reader.fieldnames}")
+            missing = {"entry_id", "formula", "spacegroup"} - set(reader.fieldnames)
+            if missing:
+                raise ValueError(f"{path}: missing required columns {sorted(missing)}")
+            prop_cols = [c for c in reader.fieldnames if c not in _RESERVED_COLUMNS]
+            for row in reader:
+                row["properties"] = {c: v for c in prop_cols if (v := row.pop(c)) != ""}
+                yield row
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _json_rows(path: Path) -> list:
     with open(path) as fh:
-        records = json.load(fh)
-    if not isinstance(records, list) or not records:
-        raise ValueError(f"{path}: expected a non-empty JSON array")
-    entries = []
-    seen = set()
-    for rec in records:
-        eid = rec["entry_id"]
-        if eid in seen:
-            raise ValueError(f"{path}: duplicate entry_id {eid!r}")
-        seen.add(eid)
-        if "composition" in rec:
-            composition = {str(k): int(v) for k, v in rec["composition"].items()}
-        else:
-            composition = parse_formula(rec["formula"])
-        entries.append(
-            Structure(
-                entry_id=eid,
-                composition=composition,
-                spacegroup=int(rec["spacegroup"]),
-                properties={k: float(v) for k, v in rec.get("properties", {}).items()},
-                source=rec.get("source") or path.stem,
-            )
-        )
-    return entries
+        try:
+            records = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(records, list):
+        raise ValueError(f"{path}: expected a JSON array of objects")
+    return records
+
+
+def _structure_from_row(row, default_source: str) -> Structure:
+    """The one decoder of a structure row (a CSV row or a JSON object)."""
+    if not isinstance(row, dict):
+        raise ValueError(f"expected an object, got {row!r}")
+    if None in row:  # csv.DictReader files fields beyond the header under None
+        raise ValueError(f"{len(row[None])} more field(s) than the header")
+    entry_id = _required(row, "entry_id")
+    if not isinstance(entry_id, str):
+        raise ValueError(f"entry_id must be a string, got {entry_id!r}")
+    if "composition" in row:
+        counts = row["composition"]
+        if not isinstance(counts, dict):
+            raise ValueError(f"composition must be an object, got {counts!r}")
+        composition = {sym: _integer(n, f"count of {sym!r}") for sym, n in counts.items()}
+    else:
+        composition = parse_formula(_required(row, "formula"))
+    props = row.get("properties", {})
+    if not isinstance(props, dict):
+        raise ValueError(f"properties must be an object, got {props!r}")
+    return Structure(
+        entry_id=entry_id,
+        composition=composition,
+        spacegroup=_integer(_required(row, "spacegroup"), "spacegroup"),
+        properties={name: _number(v, f"property {name!r}") for name, v in props.items()},
+        source=row.get("source") or default_source,
+    )
+
+
+def _required(row: dict, key: str):
+    # None is a JSON null or, from csv.DictReader, a field the row lacks
+    value = row.get(key)
+    if value is None:
+        raise ValueError(f"no value for {key!r}")
+    return value
+
+
+def _integer(value, what: str) -> int:
+    """An int, an integral float or a decimal string; never a bool."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, float) and value.is_integer():
+        return int(value)
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _number(value, what: str) -> float:
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{what} must be a number, got {value!r}")
+
+
+def _write_csv(path, header: Sequence[str], rows) -> None:
+    buf = _io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    atomic_write_text(path, buf.getvalue())
 
 
 def write_split_csv(path, entries: Sequence[Structure], split: SplitAssignment) -> None:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["entry_id", "structure_id", "split"])
-    for e in entries:
-        writer.writerow([e.entry_id, structure_id(e), split.assignment[e.entry_id]])
-    atomic_write_text(path, buf.getvalue())
+    _write_csv(path, ["entry_id", "structure_id", "split"],
+               ([e.entry_id, e.identity, split.assignment[e.entry_id]] for e in entries))
 
 
 def write_histogram_csv(path, hist: Histogram) -> None:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["bin_lo", "bin_hi", "count"])
-    for lo, hi, count in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts):
-        writer.writerow([f"{lo:.17g}", f"{hi:.17g}", int(count)])
-    atomic_write_text(path, buf.getvalue())
+    edges = hist.bin_edges
+    _write_csv(path, ["bin_lo", "bin_hi", "count"],
+               ([f"{lo:.17g}", f"{hi:.17g}", int(count)]
+                for lo, hi, count in zip(edges[:-1], edges[1:], hist.counts)))
 
 
 def read_spectra_dir(path) -> list[tuple[Spectrum, CalcMetadata]]:
@@ -129,22 +177,33 @@ def read_spectra_dir(path) -> list[tuple[Spectrum, CalcMetadata]]:
     for csv_path in csv_files:
         sidecar = csv_path.with_suffix(".json")
         if not sidecar.exists():
-            raise ValueError(f"missing metadata sidecar for {csv_path.name}")
-        with open(sidecar) as fh:
-            meta = json.load(fh)
+            raise ValueError(f"{csv_path}: missing metadata sidecar {sidecar.name}")
+        fermi_energy, metadata = _read_sidecar(sidecar)
         energies, dos = _read_two_column_csv(csv_path)
-        spectrum = Spectrum(
-            energies=energies, dos=dos, fermi_energy=float(meta["fermi_energy"])
-        )
-        metadata = CalcMetadata(
+        try:
+            spectrum = Spectrum(energies, dos, fermi_energy, source=str(csv_path))
+        except ValueError as exc:
+            raise ValueError(f"{csv_path}: {exc}") from None
+        out.append((spectrum, metadata))
+    return out
+
+
+def _read_sidecar(path: Path) -> tuple[float, CalcMetadata]:
+    """(fermi_energy, metadata) of a spectrum's JSON sidecar; errors name the file."""
+    try:
+        with open(path) as fh:
+            meta = json.load(fh)
+        return float(meta["fermi_energy"]), CalcMetadata(
             xc=str(meta["xc"]),
             n_kpt=int(meta["n_kpt"]),
             n_basis=int(meta["n_basis"]),
             settings_tier=str(meta["settings_tier"]),
             relativistic=str(meta["relativistic"]),
         )
-        out.append((spectrum, metadata))
-    return out
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _read_two_column_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
@@ -246,19 +305,11 @@ def read_index_lists(path) -> list[list[int]]:
 
 def write_trace_csv(path, traces: dict) -> None:
     """FitTrace table: one row per (degree, n_features, rmse)."""
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["degree", "n_features", "rmse"])
-    for degree in sorted(traces):
-        for pt in traces[degree].points:
-            writer.writerow([degree, pt.n_features, f"{pt.rmse:.17g}"])
-    atomic_write_text(path, buf.getvalue())
+    _write_csv(path, ["degree", "n_features", "rmse"],
+               ([degree, pt.n_features, f"{pt.rmse:.17g}"]
+                for degree in sorted(traces) for pt in traces[degree].points))
 
 
 def write_predictions_csv(path, ids: Sequence[str], targets, predicted) -> None:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["entry_id", "target", "predicted"])
-    for eid, t, p in zip(ids, targets, predicted):
-        writer.writerow([eid, f"{t:.17g}", f"{p:.17g}"])
-    atomic_write_text(path, buf.getvalue())
+    _write_csv(path, ["entry_id", "target", "predicted"],
+               ([eid, f"{t:.17g}", f"{p:.17g}"] for eid, t, p in zip(ids, targets, predicted)))

@@ -25,11 +25,13 @@ _REL_RANK = {"ZORA": 0, "atomic_ZORA": 1, "none": 2}
 
 @dataclass
 class Spectrum:
-    """A DOS curve: energies (eV, strictly ascending), dos (states/eV >= 0)."""
+    """A DOS curve: energies (eV, strictly ascending), dos (states/eV >= 0);
+    ``source`` names the file it was read from, for error messages."""
 
     energies: np.ndarray
     dos: np.ndarray
     fermi_energy: float
+    source: str = ""
 
     def __post_init__(self):
         self.energies = np.asarray(self.energies, dtype=float)
@@ -42,7 +44,8 @@ class Spectrum:
             raise ValueError("energies must be strictly ascending")
         if not np.all(self.dos >= 0):
             raise ValueError("dos values must be non-negative")
-        if not (np.all(np.isfinite(self.energies)) and np.all(np.isfinite(self.dos))):
+        if not (np.all(np.isfinite(self.energies)) and np.all(np.isfinite(self.dos))
+                and math.isfinite(self.fermi_energy)):
             raise ValueError("spectrum contains non-finite values")
 
 
@@ -152,14 +155,20 @@ def bin_heights(
         raise ValueError(f"window must be finite with lo < hi, got {window}")
     if n_energy_bins < 1:
         raise ValueError("need at least one energy bin")
+    where = f"{spectrum.source}: " if spectrum.source else ""
     shifted = spectrum.energies - spectrum.fermi_energy
     if shifted[-1] <= lo or shifted[0] >= hi:
         raise ValueError(
-            f"window {window} does not overlap the spectrum range "
+            f"{where}window {window} does not overlap the spectrum range "
             f"[{shifted[0]:g}, {shifted[-1]:g}] after Fermi shift"
         )
     edges = np.linspace(lo, hi, n_energy_bins + 1)
-    return _bin_integrals(shifted, spectrum.dos, edges)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        heights = _bin_integrals(shifted, spectrum.dos, edges)
+    if not np.all(np.isfinite(heights)):
+        raise ValueError(f"{where}a DOS bin integral in window {window} overflows "
+                         "to a non-finite value")
+    return heights
 
 
 def _from_heights(heights, window, grid, mode, h_max) -> Fingerprint:

@@ -100,6 +100,44 @@ def test_curate_missing_input_is_config_error(tmp_path, capsys):
     assert not out.exists() or not list(out.iterdir())  # no partial outputs
 
 
+@pytest.mark.parametrize("name, text, where", [
+    ("bad.json", '[{"entry_id": "a", "formula": "MgF2", "spacegroup": null}]', "row 1"),
+    ("bad.csv", "entry_id,formula,spacegroup\na,MgF2\n", "row 1"),
+    ("bad.csv", "entry_id,formula,spacegroup\na,MgF2,12,3\n", "row 1"),
+    ("bad.json", '[{"formula": "MgF2", "spacegroup": 12}]', "row 1"),
+    ("bad.csv", "entry_id,formula,spacegroup\na,H1,1\nb,MgF2,x\n", "row 2"),
+    ("bad.json", '[{"entry_id": "a", "composition": {"Mg": 2.5, "F": true}, '
+     '"spacegroup": 12.7}]', "row 1"),
+    ("bad.csv", "entry_id,formula,spacegroup,formation_energy\na,MgF2,12,low\n", "row 1"),
+    ("bad.csv", "entry_id,formula,spacegroup,formation_energy\na,MgF2,12,nan\n", "row 1"),
+])
+def test_curate_bad_row_exits_one_naming_file_and_row(tmp_path, capsys, name, text,
+                                                       where):
+    bad = tmp_path / name
+    bad.write_text(text)
+    out = tmp_path / "out"
+    code, stdout, stderr = run_cli(
+        capsys, "curate", "--input", str(bad), "--hist", "formation_energy:-4:0:4",
+        "--output-dir", str(out),
+    )
+    assert (code, stdout) == (1, "")
+    assert stderr.startswith(f"matscale: {bad}: {where}: ")
+    assert "Traceback" not in stderr
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("split", ["0.5,0.5,nan", "nan,0.5,0.5", "0.5,inf,0"])
+def test_curate_non_finite_split_exits_two(curate_inputs, tmp_path, capsys, split):
+    a, _ = curate_inputs
+    out = tmp_path / "out"
+    code, stdout, stderr = run_cli(
+        capsys, "curate", "--input", str(a), "--split", split, "--output-dir", str(out),
+    )
+    assert (code, stdout) == (2, "")
+    assert "--split" in stderr
+    assert not out.exists()
+
+
 @pytest.fixture
 def spectra_dir(tmp_path):
     sdir = tmp_path / "spectra"
@@ -152,6 +190,28 @@ def test_similarity_threads_flag_same_output(spectra_dir, tmp_path, capsys):
         assert code == 0
         outputs.append((out / "similarity_matrix.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("mode", ["raster", "vector"])
+def test_similarity_overflowing_dos_fails_before_writing(tmp_path, capsys, mode):
+    sdir = tmp_path / "spectra"
+    sdir.mkdir()
+    for name in ("calc_a", "calc_b"):
+        (sdir / f"{name}.csv").write_text(
+            "energy,dos\n-2,0\n-0.5,1e308\n0,1e308\n0.5,1e308\n2,0\n")
+        (sdir / f"{name}.json").write_text(json.dumps({
+            "fermi_energy": 0.0, "xc": "LDA", "n_kpt": 4, "n_basis": 40,
+            "settings_tier": "light", "relativistic": "ZORA",
+        }))
+    out = tmp_path / "simout"
+    code, stdout, stderr = run_cli(
+        capsys, "similarity", "--spectra", str(sdir), "--window", "-1,1",
+        "--mode", mode, "--output-dir", str(out),
+    )
+    assert (code, stdout) == (1, "")
+    assert stderr.startswith(f"matscale: {sdir / 'calc_a.csv'}: ")
+    assert "overflows" in stderr
+    assert not (out / "similarity_matrix.csv").exists()
 
 
 @pytest.fixture
@@ -344,6 +404,7 @@ def test_ce_fit_bad_input_names_file(ce_inputs, tmp_path, capsys,
     (["--window", "nan,1"], "--window"),
     (["--grid", "0x4"], "--grid"),
     (["--grid", "8x0"], "--grid"),
+    (["--h-max", "0"], "--h-max"),
 ])
 def test_similarity_bad_flags_exit_two_before_reading(tmp_path, capsys, flags,
                                                       message):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,6 +75,29 @@ def test_structure_rejects_bad_spacegroup():
         make("a", {"H": 1}, 0)
     with pytest.raises(ValueError):
         make("a", {"H": 1}, 231)
+    with pytest.raises(ValueError):
+        make("a", {"H": 1}, True)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_structure_rejects_non_finite_property(value):
+    with pytest.raises(ValueError, match="property 'gap' must be finite"):
+        make("a", {"H": 1}, 1, {"gap": value})
+
+
+def test_structure_is_frozen_and_keeps_its_identity():
+    s = make("a", {"Mg": 2, "F": 4}, 136)
+    assert s.identity == structure_id(s) == "Mg2F4_136"
+    for name, value in (("spacegroup", 1), ("composition", {"H": 1}), ("identity", "H1_1")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, name, value)
+    assert structure_id(s) == "Mg2F4_136"
+
+
+def test_parse_formula_rejects_non_strings():
+    for bad in (None, 5, ["Mg"]):
+        with pytest.raises(ValueError, match="cannot parse formula"):
+            parse_formula(bad)
 
 
 _SYMBOLS = ["H", "O", "Ba", "Ti", "Mg", "F", "Sn", "K", "Rb", "N"]
@@ -179,6 +204,14 @@ def test_split_rejects_bad_fractions():
         grouped_split(entries, (0.5, 0.4, 0.2), seed=0)
     with pytest.raises(ValueError):
         grouped_split([], (1.0, 0.0, 0.0), seed=0)
+
+
+@pytest.mark.parametrize("fractions", [
+    (0.5, 0.5, float("nan")), (float("nan"), 0.5, 0.5), (0.5, float("inf"), 0.0),
+])
+def test_split_rejects_non_finite_fractions(fractions):
+    with pytest.raises(ValueError, match="finite"):
+        grouped_split(entries_with_ids(3), fractions, seed=0)
 
 
 @settings(max_examples=60, deadline=None)

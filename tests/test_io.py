@@ -1,10 +1,15 @@
+import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from matscale import io
-from matscale.curation import grouped_split
+from matscale import curation, io
+from matscale.curation import Structure, grouped_split, parse_formula
 from matscale.spectra import similarity_matrix, Fingerprint, CalcMetadata
 
 
@@ -163,3 +168,203 @@ def test_atomic_write_replaces_whole_file(tmp_path):
     io.atomic_write_text(target, "new contents")
     assert target.read_text() == "new contents"
     assert list(tmp_path.iterdir()) == [target]  # no stray temp files
+
+
+# --- structure rows: one decoder, errors name the file and the row ----------
+
+HEADER = "entry_id,formula,spacegroup,bandgap\n"
+
+
+@pytest.mark.parametrize("name, text, row, message", [
+    # JSON null spacegroup
+    ("t.json", '[{"entry_id": "a", "formula": "MgF2", "spacegroup": null}]',
+     1, "no value for 'spacegroup'"),
+    # CSV rows shorter and longer than the header
+    ("t.csv", "entry_id,formula,spacegroup\na,MgF2\n", 1, "no value for 'spacegroup'"),
+    ("t.csv", HEADER + "a,MgF2,12\n", 1, "property 'bandgap' must be a number, got None"),
+    ("t.csv", HEADER + "a,MgF2,12,1.0\nb,MgF2,12,1.0,7,8\n", 2,
+     "2 more field(s) than the header"),
+    # a missing required key
+    ("t.json", '[{"formula": "MgF2", "spacegroup": 12}]', 1, "no value for 'entry_id'"),
+    ("t.json", '[{"entry_id": "a", "spacegroup": 12}]', 1, "no value for 'formula'"),
+    ("t.json", '[{"entry_id": "a", "formula": "MgF2"}]', 1, "no value for 'spacegroup'"),
+    # a spacegroup that is not an integer
+    ("t.csv", HEADER + "a,MgF2,x,1.0\n", 1, "spacegroup must be an integer, got 'x'"),
+    ("t.json", '[{"entry_id": "a", "formula": "MgF2", "spacegroup": "x"}]',
+     1, "spacegroup must be an integer, got 'x'"),
+    ("t.csv", HEADER + "a,MgF2,12.7,1.0\n", 1, "spacegroup must be an integer, got '12.7'"),
+    ("t.json", '[{"entry_id": "a", "formula": "MgF2", "spacegroup": 12.7}]',
+     1, "spacegroup must be an integer, got 12.7"),
+    ("t.json", '[{"entry_id": "a", "formula": "MgF2", "spacegroup": true}]',
+     1, "spacegroup must be an integer, got True"),
+    # non-integral or boolean composition counts
+    ("t.json", '[{"entry_id": "a", "composition": {"Mg": 2.5, "F": 1}, "spacegroup": 12}]',
+     1, "count of 'Mg' must be an integer, got 2.5"),
+    ("t.json", '[{"entry_id": "a", "composition": {"Mg": 2, "F": true}, "spacegroup": 12}]',
+     1, "count of 'F' must be an integer, got True"),
+    # a property value that is not a number
+    ("t.csv", HEADER + "a,MgF2,12,high\n", 1, "property 'bandgap' must be a number, got 'high'"),
+    ("t.json", '[{"entry_id": "a", "formula": "MgF2", "spacegroup": 12, '
+     '"properties": {"bandgap": "high"}}]', 1, "property 'bandgap' must be a number"),
+    ("t.json", '[{"entry_id": "a", "formula": "MgF2", "spacegroup": 12, '
+     '"properties": {"bandgap": true}}]', 1, "property 'bandgap' must be a number"),
+    # a non-finite property value
+    ("t.csv", HEADER + "a,MgF2,12,nan\n", 1, "property 'bandgap' must be finite"),
+    ("t.csv", HEADER + "a,MgF2,12,-inf\n", 1, "property 'bandgap' must be finite"),
+    ("t.json", '[{"entry_id": "a", "formula": "MgF2", "spacegroup": 12, '
+     '"properties": {"bandgap": 1e400}}]', 1, "property 'bandgap' must be finite"),
+    # other shapes a row can take
+    ("t.json", '[{"entry_id": "a", "formula": "MgF2", "spacegroup": 12}, 5]',
+     2, "expected an object"),
+    ("t.json", '[{"entry_id": 5, "formula": "MgF2", "spacegroup": 12}]',
+     1, "entry_id must be a string"),
+    ("t.json", '[{"entry_id": "a", "formula": 5, "spacegroup": 12}]',
+     1, "cannot parse formula string: 5"),
+    ("t.csv", HEADER + "a,MgF2,12,1\na,MgF2,12,1\n", 2, "duplicate entry_id 'a'"),
+])
+def test_bad_structure_row_names_file_and_row(tmp_path, name, text, row, message):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        io.read_structures(path)
+    assert str(exc.value).startswith(f"{path}: row {row}: ")
+    assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("t.json", "[{", "invalid JSON"),
+    ("t.json", '{"entry_id": "a"}', "expected a JSON array"),
+    ("t.json", "[]", "no data rows"),
+    ("t.csv", "entry_id,formula,spacegroup,x,x\n", "duplicate column names"),
+    ("t.csv", b"entry_id,formula,spacegroup\na,MgF2,\xff\n", "can't decode"),
+    ("t.json", b'[{"entry_id": "a"}]\xff', "can't decode"),
+    ("t.csv", "entry_id,formula,spacegroup\na,MgF2," + "1" * 200_000 + "\n",
+     "field larger than field limit"),
+])
+def test_bad_structure_file_names_file(tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    with pytest.raises(ValueError, match=message) as exc:
+        io.read_structures(path)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
+def _seed_structures_from_csv(path):
+    """The reader before the shared row decoder; an oracle for valid input."""
+    entries = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        prop_cols = [c for c in reader.fieldnames
+                     if c not in {"entry_id", "formula", "spacegroup", "source"}]
+        for row in reader:
+            props = {c: float(row[c]) for c in prop_cols if row[c] not in (None, "")}
+            entries.append(Structure(
+                entry_id=row["entry_id"],
+                composition=parse_formula(row["formula"]),
+                spacegroup=int(row["spacegroup"]),
+                properties=props,
+                source=row.get("source") or path.stem,
+            ))
+    return entries
+
+
+def _seed_structures_from_json(path):
+    """The JSON reader before the shared row decoder; an oracle for valid input."""
+    entries = []
+    for rec in json.loads(path.read_text()):
+        if "composition" in rec:
+            composition = {str(k): int(v) for k, v in rec["composition"].items()}
+        else:
+            composition = parse_formula(rec["formula"])
+        entries.append(Structure(
+            entry_id=rec["entry_id"],
+            composition=composition,
+            spacegroup=int(rec["spacegroup"]),
+            properties={k: float(v) for k, v in rec.get("properties", {}).items()},
+            source=rec.get("source") or path.stem,
+        ))
+    return entries
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_row = st.tuples(
+    st.dictionaries(st.sampled_from(["H", "O", "Mg", "F", "Ba", "Ti", "Kr"]),
+                    st.integers(1, 12), min_size=1, max_size=4),
+    st.integers(1, 230),
+    st.dictionaries(st.sampled_from(["e_form", "gap"]), _finite, max_size=2),
+    st.sampled_from([None, "MP", "OQMD"]),
+    st.booleans(),  # JSON form: composition map (True) or formula string
+)
+
+
+def _formula(composition):
+    return "".join(f"{sym}{n}" for sym, n in composition.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(_row, min_size=1, max_size=8))
+def test_csv_and_json_forms_decode_to_equal_structures(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path, json_path = Path(tmp) / "t.csv", Path(tmp) / "t.json"
+        with open(csv_path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["entry_id", "formula", "spacegroup", "source", "e_form", "gap"])
+            for k, (comp, sg, props, source, _) in enumerate(rows):
+                writer.writerow([f"r{k}", _formula(comp), sg, source or "",
+                                 *(repr(props[c]) if c in props else ""
+                                   for c in ("e_form", "gap"))])
+        records = []
+        for k, (comp, sg, props, source, as_map) in enumerate(rows):
+            rec = {"entry_id": f"r{k}", "spacegroup": sg, "properties": props}
+            rec.update({"composition": comp} if as_map else {"formula": _formula(comp)})
+            if source is not None:
+                rec["source"] = source
+            records.append(rec)
+        json_path.write_text(json.dumps(records))
+
+        from_csv = io.read_structures(csv_path)
+        assert from_csv == io.read_structures(json_path)
+        assert from_csv == _seed_structures_from_csv(csv_path)
+        assert from_csv == _seed_structures_from_json(json_path)
+
+
+def test_curate_path_builds_each_identity_once(tmp_path, monkeypatch):
+    calls = []
+    original = curation.canonical_formula
+    monkeypatch.setattr(curation, "canonical_formula",
+                        lambda comp: calls.append(1) or original(comp))
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text(STRUCTURES_CSV)
+    b.write_text("entry_id,formula,spacegroup\nb1,F4Mg2,136\nb2,KCl,225\n")
+    entries_a, entries_b = io.read_structures(a), io.read_structures(b)
+    _, _, shared = curation.dataset_overlap(entries_a, entries_b)
+    for path, entries in ((a, entries_a), (b, entries_b)):
+        split = grouped_split(entries, (0.5, 0.25, 0.25), seed=3, shared_ids=shared)
+        io.write_split_csv(tmp_path / f"{path.stem}_split.csv", entries, split)
+    assert shared == {"Mg2F4_136"}
+    assert len(calls) == len(entries_a) + len(entries_b) == 5
+
+
+# --- spectra directories: errors name the file ------------------------------
+
+SIDECAR = {"fermi_energy": 0.0, "xc": "LDA", "n_kpt": 4, "n_basis": 40,
+           "settings_tier": "light", "relativistic": "ZORA"}
+
+
+@pytest.mark.parametrize("csv_text, sidecar, where, message", [
+    ("0,1\n1,1\n", {k: v for k, v in SIDECAR.items() if k != "xc"},
+     "calc.json", "missing key 'xc'"),
+    ("0,1\n1,1\n", {**SIDECAR, "n_kpt": "x"}, "calc.json", "invalid literal"),
+    ("0,1\n1,1\n", {**SIDECAR, "n_kpt": None}, "calc.json", "NoneType"),
+    ("0,1\n1,1\n", {**SIDECAR, "relativistic": "full"}, "calc.json", "relativistic"),
+    ("0,1\n1,1\n", [1, 2], "calc.json", "list indices"),
+    ("1,1\n0,1\n", SIDECAR, "calc.csv", "strictly ascending"),
+    ("0,1\n1,-1\n", SIDECAR, "calc.csv", "non-negative"),
+    ("0,1\n1,1\n", {**SIDECAR, "fermi_energy": float("nan")}, "calc.csv", "non-finite"),
+])
+def test_spectra_dir_bad_file_is_named(tmp_path, csv_text, sidecar, where, message):
+    (tmp_path / "calc.csv").write_text(csv_text)
+    (tmp_path / "calc.json").write_text(json.dumps(sidecar))
+    with pytest.raises(ValueError, match=message) as exc:
+        io.read_spectra_dir(tmp_path)
+    assert str(exc.value).startswith(f"{tmp_path / where}: ")

@@ -7,6 +7,7 @@ from matscale.spectra import (
     CalcMetadata,
     Fingerprint,
     Spectrum,
+    bin_heights,
     block_stats,
     fingerprint_set,
     make_fingerprint,
@@ -35,6 +36,17 @@ def test_spectrum_rejects_bad_input():
         Spectrum([0.0, 0.0], [1.0, 1.0], 0.0)
     with pytest.raises(ValueError):
         Spectrum([0.0, 1.0], [1.0, -1.0], 0.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        Spectrum([0.0, 1.0], [1.0, 1.0], float("nan"))
+
+
+def test_bin_heights_rejects_overflowing_integrals():
+    s = Spectrum([-2.0, -0.5, 0.0, 0.5, 2.0], [0.0, 1e308, 1e308, 1e308, 0.0], 0.0,
+                 source="huge.csv")
+    with pytest.raises(ValueError, match="^huge.csv: .*overflows"):
+        bin_heights(s, (-1.0, 1.0), 4)
+    with pytest.raises(ValueError, match="overflows"):
+        fingerprint_set([s, s], (-1.0, 1.0), (4, 4), mode="vector")
 
 
 # --- make_fingerprint -------------------------------------------------------
