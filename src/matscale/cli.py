@@ -41,11 +41,13 @@ def _parse_hist_spec(text: str) -> tuple[str, float, float, int]:
     parts = text.split(":")
     if len(parts) != 4:
         raise ConfigError(f"--hist expects property:lo:hi:nbins, got {text!r}")
-    name, lo, hi, nbins = parts
     try:
-        return name, float(lo), float(hi), int(nbins)
+        name, lo, hi, nbins = parts[0], float(parts[1]), float(parts[2]), int(parts[3])
     except ValueError:
         raise ConfigError(f"bad --hist values: {text!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi and nbins >= 1):
+        raise ConfigError(f"--hist needs finite lo < hi and nbins >= 1, got {text!r}")
+    return name, lo, hi, nbins
 
 
 def _require_file(path: str) -> Path:

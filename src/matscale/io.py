@@ -176,9 +176,10 @@ def read_spectra_dir(path) -> list[tuple[Spectrum, CalcMetadata]]:
     out = []
     for csv_path in csv_files:
         sidecar = csv_path.with_suffix(".json")
-        if not sidecar.exists():
-            raise ValueError(f"{csv_path}: missing metadata sidecar {sidecar.name}")
-        fermi_energy, metadata = _read_sidecar(sidecar)
+        try:
+            fermi_energy, metadata = _read_sidecar(sidecar)
+        except FileNotFoundError:
+            raise ValueError(f"{csv_path}: missing metadata sidecar {sidecar.name}") from None
         energies, dos = _read_two_column_csv(csv_path)
         try:
             spectrum = Spectrum(energies, dos, fermi_energy, source=str(csv_path))
@@ -195,8 +196,8 @@ def _read_sidecar(path: Path) -> tuple[float, CalcMetadata]:
             meta = json.load(fh)
         return float(meta["fermi_energy"]), CalcMetadata(
             xc=str(meta["xc"]),
-            n_kpt=int(meta["n_kpt"]),
-            n_basis=int(meta["n_basis"]),
+            n_kpt=_sidecar_int(meta, "n_kpt"),
+            n_basis=_sidecar_int(meta, "n_basis"),
             settings_tier=str(meta["settings_tier"]),
             relativistic=str(meta["relativistic"]),
         )
@@ -206,26 +207,56 @@ def _read_sidecar(path: Path) -> tuple[float, CalcMetadata]:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _sidecar_int(meta: dict, key: str) -> int:
+    """int() of the value, but a bool or a non-integral float is an error."""
+    value = meta[key]
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+# One spectrum CSV line; a field may be quoted, fields past the second are ignored.
+_SPECTRUM_ROW = dict(delimiter=",", comments=None, quotechar='"', usecols=(0, 1), ndmin=2)
+
+
 def _read_two_column_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    rows = []
-    with open(path, newline="") as fh:
-        for i, row in enumerate(csv.reader(fh)):
-            if not row:
-                continue
-            try:
-                rows.append((float(row[0]), float(row[1])))
-            except ValueError:
-                if i == 0:
-                    continue  # header line
-                raise ValueError(f"{path}: bad data row {i + 1}: {row!r}") from None
-    if not rows:
+    """(energies, dos) of a spectrum CSV, parsed by one np.loadtxt call.
+
+    A first line that does not parse is a header. Empty lines are skipped.
+    A bad line raises ValueError("<file>: bad data row K: ..."), K counting
+    physical lines from 1.
+    """
+    try:
+        with open(path) as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    start = 1 if lines[0] and not _is_data_row(lines[0]) else 0
+    body = lines[start:]
+    if not any(body):
         raise ValueError(f"{path}: no numeric rows")
-    arr = np.array(rows)
-    return arr[:, 0], arr[:, 1]
+    try:
+        table = np.loadtxt(body, **_SPECTRUM_ROW)
+    except ValueError as exc:
+        # numpy's message counts rows, not lines: find the first line that fails alone
+        for k in range(start, len(lines)):
+            if lines[k] and not _is_data_row(lines[k]):
+                raise ValueError(f"{path}: bad data row {k + 1}: {lines[k]!r}") from None
+        raise ValueError(f"{path}: {exc}") from None
+    return table[:, 0], table[:, 1]
+
+
+def _is_data_row(line: str) -> bool:
+    try:
+        np.loadtxt([line], **_SPECTRUM_ROW)
+    except ValueError:
+        return False
+    return True
 
 
 def write_matrix(path_csv, path_manifest, m: SimilarityMatrix) -> None:
-    lines = [",".join(f"{v:.17g}" for v in row) for row in m.values]
+    row_format = ",".join(["%.17g"] * m.n)
+    lines = [row_format % tuple(row) for row in m.values.tolist()]
     atomic_write_text(path_csv, "\n".join(lines) + "\n")
     manifest = {
         "n": m.n,
@@ -252,28 +283,30 @@ def read_ce_configs(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     ids, occupations, targets = [], [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty CSV")
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}: line {reader.line_num}"
-            if len(row) != 3:
-                raise ValueError(
-                    f"{where}: expected 3 columns (entry_id, occupations, "
-                    f"target), got {len(row)}: {row!r}"
-                )
-            try:
-                occupation = [int(tok) for tok in row[1].split()]
-                target = float(row[2])
-            except ValueError:
-                raise ValueError(
-                    f"{where}: bad occupations or target: {row!r}"
-                ) from None
-            ids.append(row[0])
-            occupations.append(occupation)
-            targets.append(target)
+        try:
+            if next(reader, None) is None:
+                raise ValueError(f"{path}: empty CSV")
+            for row in reader:
+                if not row:
+                    continue
+                where = f"{path}: line {reader.line_num}"
+                if len(row) != 3:
+                    raise ValueError(
+                        f"{where}: expected 3 columns (entry_id, occupations, "
+                        f"target), got {len(row)}: {row!r}"
+                    )
+                try:
+                    occupation = [int(tok) for tok in row[1].split()]
+                    target = float(row[2])
+                except ValueError:
+                    raise ValueError(
+                        f"{where}: bad occupations or target: {row!r}"
+                    ) from None
+                ids.append(row[0])
+                occupations.append(occupation)
+                targets.append(target)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not ids:
         raise ValueError(f"{path}: no data rows")
     lengths = {len(o) for o in occupations}
@@ -291,7 +324,7 @@ def read_index_lists(path) -> list[list[int]]:
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             raise ValueError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(data, list):
         raise ValueError(f"{path}: expected a JSON list of index lists")

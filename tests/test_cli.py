@@ -126,6 +126,19 @@ def test_curate_bad_row_exits_one_naming_file_and_row(tmp_path, capsys, name, te
     assert not list(out.iterdir())
 
 
+@pytest.mark.parametrize("hist", ["e:0:nan:4", "e:-inf:0:4", "e:1:0:4", "e:1:1:4",
+                                  "e:0:1:0", "e:0:1:-2"])
+def test_curate_bad_hist_exits_two_before_reading(curate_inputs, tmp_path, capsys, hist):
+    a, _ = curate_inputs
+    out = tmp_path / "out"
+    code, stdout, stderr = run_cli(
+        capsys, "curate", "--input", str(a), "--hist", hist, "--output-dir", str(out),
+    )
+    assert (code, stdout) == (2, "")
+    assert "--hist" in stderr
+    assert not out.exists()  # no <stem>_split.csv either
+
+
 @pytest.mark.parametrize("split", ["0.5,0.5,nan", "nan,0.5,0.5", "0.5,inf,0"])
 def test_curate_non_finite_split_exits_two(curate_inputs, tmp_path, capsys, split):
     a, _ = curate_inputs
@@ -380,11 +393,13 @@ def test_ce_fit_bad_flags_exit_two_before_reading(ce_inputs, tmp_path, capsys,
     ("group", "[[0, 1, 2, 3, 4, 5], [1, 0, 2, 3]]",
      "permutation 1 has 4 entries but permutation 0 has 6"),
     ("group", "[[1, 0, 2, 3, 4, 5]]", "identity"),
+    ("configs", "entry_id,occupations,target\nc0,1 1 1 1 1 1,0\udcff\n",
+     "can't decode byte 0xff"),
 ])
 def test_ce_fit_bad_input_names_file(ce_inputs, tmp_path, capsys,
                                      target, text, message):
     paths = dict(zip(("configs", "clusters", "group"), ce_inputs))
-    paths[target].write_text(text)
+    paths[target].write_text(text, errors="surrogateescape")  # "\udcff" -> byte 0xff
     code, stdout, stderr = run_cli(
         capsys, "ce-fit", "--configs", str(paths["configs"]),
         "--clusters", str(paths["clusters"]), "--group", str(paths["group"]),

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from matscale import curation, io
 from matscale.curation import Structure, grouped_split, parse_formula
-from matscale.spectra import similarity_matrix, Fingerprint, CalcMetadata
+from matscale.spectra import similarity_matrix, Fingerprint, CalcMetadata, SimilarityMatrix
 
 
 STRUCTURES_CSV = """entry_id,formula,spacegroup,formation_energy,bandgap
@@ -130,10 +131,14 @@ def test_ce_configs_inconsistent_lengths_rejected(tmp_path):
     ("c2", "line 3: expected 3 columns"),
     ("c2,1 x 1,0.5", "line 3: bad occupations or target"),
     ("c2,1 -1 1,high", "line 3: bad occupations or target"),
+    ("c2,1 -1 1,0.5\udcff", "can't decode byte 0xff"),
+    ("c2,1 -1 1," + "1" * 200_000, "field larger than field limit"),
 ])
 def test_ce_configs_bad_row_names_file_and_line(tmp_path, row, message):
     path = tmp_path / "configs.csv"
-    path.write_text(f"entry_id,occupations,target\nc1,1 -1 1,0.5\n{row}\n")
+    # surrogateescape writes "\udcff" as the undecodable byte 0xff
+    path.write_text(f"entry_id,occupations,target\nc1,1 -1 1,0.5\n{row}\n",
+                    errors="surrogateescape")
     with pytest.raises(ValueError, match=message) as exc:
         io.read_ce_configs(path)
     assert str(exc.value).startswith(f"{path}: ")
@@ -153,10 +158,11 @@ def test_index_lists(tmp_path):
     ("[[0], null]", "entry 1 is not a list of integers"),
     ("[[0], [1]", "invalid JSON"),
     ('{"0": [0]}', "expected a JSON list"),
+    ("[[0]]\udcff", "can't decode byte 0xff"),
 ])
 def test_index_lists_bad_entry_names_file(tmp_path, text, message):
     path = tmp_path / "group.json"
-    path.write_text(text)
+    path.write_text(text, errors="surrogateescape")
     with pytest.raises(ValueError, match=message) as exc:
         io.read_index_lists(path)
     assert str(exc.value).startswith(f"{path}: ")
@@ -361,10 +367,103 @@ SIDECAR = {"fermi_energy": 0.0, "xc": "LDA", "n_kpt": 4, "n_basis": 40,
     ("1,1\n0,1\n", SIDECAR, "calc.csv", "strictly ascending"),
     ("0,1\n1,-1\n", SIDECAR, "calc.csv", "non-negative"),
     ("0,1\n1,1\n", {**SIDECAR, "fermi_energy": float("nan")}, "calc.csv", "non-finite"),
+    ("energy,dos\n0.0,1.0\n1.0\n", SIDECAR, "calc.csv", "bad data row 3: '1.0'"),
+    ("energy,dos\n0.0,1.0\n0.0,x\n", SIDECAR, "calc.csv", "bad data row 3: '0.0,x'"),
+    ("energy,dos\n", SIDECAR, "calc.csv", "no numeric rows"),
+    ("energy,dos\n0,1\n1,1\udcff\n", SIDECAR, "calc.csv", "can't decode byte 0xff"),
+    ("0,1\n1,1\n", {**SIDECAR, "n_kpt": 4.5}, "calc.json", "n_kpt must be an integer, got 4.5"),
+    ("0,1\n1,1\n", {**SIDECAR, "n_basis": True}, "calc.json",
+     "n_basis must be an integer, got True"),
 ])
 def test_spectra_dir_bad_file_is_named(tmp_path, csv_text, sidecar, where, message):
-    (tmp_path / "calc.csv").write_text(csv_text)
+    (tmp_path / "calc.csv").write_text(csv_text, errors="surrogateescape")
     (tmp_path / "calc.json").write_text(json.dumps(sidecar))
     with pytest.raises(ValueError, match=message) as exc:
         io.read_spectra_dir(tmp_path)
     assert str(exc.value).startswith(f"{tmp_path / where}: ")
+
+
+# --- spectrum CSV: one np.loadtxt parse, gated against the row loop ---------
+
+def _loop_read_two_column_csv(path):
+    """The csv.reader + float() row loop the reader replaced; an oracle."""
+    rows = []
+    with open(path, newline="") as fh:
+        for i, row in enumerate(csv.reader(fh)):
+            if not row:
+                continue
+            try:
+                rows.append((float(row[0]), float(row[1])))
+            except ValueError:
+                if i == 0:
+                    continue  # header line
+                raise ValueError(f"{path}: bad data row {i + 1}: {row!r}") from None
+    if not rows:
+        raise ValueError(f"{path}: no numeric rows")
+    arr = np.array(rows)
+    return arr[:, 0], arr[:, 1]
+
+
+def _outcome(read, path):
+    """Bit patterns of the two columns, or the error with its row number."""
+    try:
+        energies, dos = read(path)
+    except ValueError as exc:
+        message = str(exc)
+        assert message.startswith(f"{path}: ")
+        return "error", re.sub(r"(bad data row \d+): .*", r"\1", message)
+    return energies.view(np.uint64).tolist(), dos.view(np.uint64).tolist()
+
+
+_value = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.225073858507201e-308, 1e308, -1e308]),
+)
+_field = st.tuples(
+    _value,
+    st.booleans(),                       # quoted
+    st.sampled_from(["", " ", "  "]),    # before the field
+    st.sampled_from(["", " ", "\t"]),    # after the field
+)
+_extra = st.sampled_from(["x", "", "3.5", "a b", '"q,r"'])
+_data_line = st.builds(
+    lambda a, b, extras: ",".join(
+        [pre + (f'"{v!r}"' if quoted else repr(v)) + post
+         for v, quoted, pre, post in (a, b)] + extras),
+    _field, _field, st.lists(_extra, max_size=2))
+# lines both readers reject; a one-field numeric line made the loop raise
+# IndexError, so that case is pinned in test_spectra_dir_bad_file_is_named
+_bad_line = st.sampled_from(
+    ["0.0,x", "1.0,", ",1.0", " ", '"1,0",2', "nan(1),2", "#1,2", "1 2,3", ' "1",2'])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    header=st.sampled_from([None, "energy,dos", "E (eV),DOS (states/eV),note", "energy"]),
+    body=st.lists(st.one_of(_data_line, _data_line, st.just(""), _bad_line), max_size=8),
+    leading_blank=st.booleans(),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    final_newline=st.booleans(),
+)
+def test_spectrum_csv_reader_matches_row_loop(header, body, leading_blank, newline,
+                                              final_newline):
+    lines = ([""] if leading_blank else []) + ([header] if header else []) + body
+    text = newline.join(lines) + (newline if final_newline else "")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "calc.csv"
+        path.write_bytes(text.encode())
+        assert _outcome(io._read_two_column_csv, path) == \
+            _outcome(_loop_read_two_column_csv, path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 7))
+def test_write_matrix_bytes_match_per_value_format(data, n):
+    values = np.array(data.draw(st.lists(_value, min_size=n * n, max_size=n * n))).reshape(n, n)
+    md = CalcMetadata("LDA", 2, 10, "light", "ZORA")
+    m = SimilarityMatrix(values=values, ordering=list(range(n)), labels=[md] * n)
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path = Path(tmp) / "matrix.csv"
+        io.write_matrix(csv_path, Path(tmp) / "manifest.json", m)
+        expected = "\n".join(",".join(f"{v:.17g}" for v in row) for row in values) + "\n"
+        assert csv_path.read_bytes() == expected.encode()
