@@ -8,6 +8,7 @@ Submodules:
   regression   orthogonal matching pursuit and fit traces
   complexity   model-complexity descriptors
   costs        workflow storage and training/NAS budget estimators
+  io           file formats; structure_io holds the structure table decoder
   cli          the matscale command line
 """
 
@@ -15,6 +16,7 @@ __version__ = "0.1.0"
 
 from .curation import (
     Structure,
+    StructureTable,
     canonical_formula,
     dataset_overlap,
     grouped_split,

@@ -2,9 +2,10 @@
 
 A structure's identity is its canonical formula concatenated with its
 spacegroup number (e.g. ``Mg2F4_136``); it is computed once, when the
-``Structure`` is built. Splits are assigned per identity group, never per
-entry, so duplicate structures can never straddle a
-train/validation/test boundary.
+``Structure`` or the ``StructureTable`` is built. Splits are assigned per
+identity group, never per entry, so duplicate structures can never straddle
+a train/validation/test boundary. The curation functions accept a
+``StructureTable`` or any sequence of ``Structure`` and work on columns.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .elements import electronegativity_key
+from .elements import ELECTRONEGATIVITY_RANK
 
 SPLIT_NAMES = ("train", "validation", "test")
 
@@ -25,6 +26,9 @@ STRUCTURE_ID_RE = re.compile(r"^([A-Z][a-z]?[0-9]*)+_[0-9]{1,3}$")
 
 _FORMULA_TOKEN_RE = re.compile(r"([A-Z][a-z]?)([0-9]*)")
 _FORMULA_RE = re.compile(r"(?:[A-Z][a-z]?[0-9]*)+")
+# formulas one per line, and a space before each element token's capital
+_FORMULA_LINES_RE = re.compile(r"(?:(?:[A-Z][a-z]?[0-9]*)+\n)*(?:[A-Z][a-z]?[0-9]*)+")
+_SPACE_TOKENS = {code: " " + chr(code) for code in range(ord("A"), ord("Z") + 1)}
 
 
 @dataclass(frozen=True)
@@ -54,6 +58,80 @@ class Structure:
         object.__setattr__(self, "identity", f"{formula}_{sg}")
 
 
+class StructureTable(Sequence[Structure]):
+    """Structure entries held as columns, one per field.
+
+    ``table[k]`` and iteration build each ``Structure`` on demand; the
+    curation functions read the columns. A table equals any sequence of
+    equal structures. The table and its columns are read-only.
+    """
+
+    __slots__ = ("entry_ids", "identities", "compositions", "spacegroups", "properties",
+                 "sources")
+    entry_ids: tuple[str, ...]
+    identities: tuple[str, ...]
+    compositions: tuple  # per entry: a formula string or (symbol, count) pairs
+    spacegroups: np.ndarray  # int
+    properties: dict[str, np.ndarray]  # float64 per property, NaN = missing
+    sources: tuple
+
+    def __init__(self, entry_ids, identities, compositions, spacegroups, properties, sources):
+        columns = (entry_ids, identities, compositions, spacegroups, properties, sources)
+        for name, column in zip(self.__slots__, columns):
+            object.__setattr__(self, name, column)
+        for array in (spacegroups, *properties.values()):
+            array.flags.writeable = False
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"StructureTable is read-only: cannot set {name!r}")
+
+    @classmethod
+    def of(cls, entries: Sequence[Structure]) -> "StructureTable":
+        """The table itself, or a table holding the given structures."""
+        if isinstance(entries, cls):
+            return entries
+        names = dict.fromkeys(name for e in entries for name in e.properties)
+        return cls(
+            entry_ids=tuple(e.entry_id for e in entries),
+            identities=tuple(e.identity for e in entries),
+            compositions=tuple(e.composition for e in entries),
+            spacegroups=np.array([e.spacegroup for e in entries], dtype=int),
+            properties={
+                name: np.array([e.properties.get(name, np.nan) for e in entries], dtype=float)
+                for name in names
+            },
+            sources=tuple(e.source for e in entries),
+        )
+
+    def __len__(self) -> int:
+        return len(self.entry_ids)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        k = range(len(self))[k]  # negative indices; IndexError past the end
+        cell = self.compositions[k]
+        return Structure(
+            entry_id=self.entry_ids[k],
+            composition=parse_formula(cell) if isinstance(cell, str) else dict(cell),
+            spacegroup=int(self.spacegroups[k]),
+            properties={name: float(column[k]) for name, column in self.properties.items()
+                        if not math.isnan(column[k])},
+            source=self.sources[k],
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"StructureTable({len(self)} entries, properties={list(self.properties)})"
+
+
 @dataclass
 class SplitAssignment:
     """Entry-level split assignment produced by grouped_split."""
@@ -75,7 +153,8 @@ def validate_composition(composition: Mapping[str, int]) -> None:
     if not composition:
         raise ValueError("composition must be non-empty")
     for symbol, count in composition.items():
-        electronegativity_key(symbol)  # raises on unknown symbols
+        if symbol not in ELECTRONEGATIVITY_RANK:
+            raise ValueError(f"unknown element symbol: {symbol!r}")
         if type(count) is not int or count < 1:  # bool is an int subclass; reject it
             raise ValueError(
                 f"count for {symbol!r} must be a positive integer, got {count!r}"
@@ -91,7 +170,7 @@ def canonical_formula(composition: Mapping[str, int]) -> str:
     "Mg2F4", not "MgF2".
     """
     validate_composition(composition)
-    symbols = sorted(composition, key=electronegativity_key)
+    symbols = sorted(composition, key=ELECTRONEGATIVITY_RANK.__getitem__)
     return "".join(f"{sym}{composition[sym]}" for sym in symbols)
 
 
@@ -109,6 +188,36 @@ def parse_formula(formula: str) -> dict[str, int]:
     return composition
 
 
+def canonical_formulas(formulas: Iterable[str]) -> dict[str, str]:
+    """Canonical formula of each distinct formula string.
+
+    The strings are checked by one regular expression and split into
+    element tokens in one pass; each distinct sorted token multiset is then
+    canonicalised once, so a formula that lists the same tokens in another
+    order costs one lookup. Raises ValueError if any formula is bad, without
+    naming it: ``parse_formula`` and ``canonical_formula`` on each string
+    give the reason.
+    """
+    formulas = list(dict.fromkeys(formulas))
+    if not formulas:
+        return {}
+    lines = "\n".join(formulas)
+    if lines.count("\n") != len(formulas) - 1 or not _FORMULA_LINES_RE.fullmatch(lines):
+        raise ValueError("cannot parse every formula string")
+    tokens = map(str.split, lines.translate(_SPACE_TOKENS).split("\n"))
+    by_tokens: dict[tuple[str, ...], str] = {}
+    formula_of = {}
+    for formula, key in zip(formulas, map(tuple, map(sorted, tokens))):
+        if key not in by_tokens:
+            counts: dict[str, int] = {}
+            for token in key:
+                symbol = token.rstrip("0123456789")
+                counts[symbol] = counts.get(symbol, 0) + int(token[len(symbol):] or 1)
+            by_tokens[key] = canonical_formula(counts)
+        formula_of[formula] = by_tokens[key]
+    return formula_of
+
+
 def structure_id(s: Structure) -> str:
     """Identity label: canonical formula + "_" + spacegroup number."""
     return s.identity
@@ -118,38 +227,53 @@ def dataset_overlap(
     a: Sequence[Structure], b: Sequence[Structure]
 ) -> tuple[int, int, set[str]]:
     """Unique identity counts of both datasets and their common identities."""
-    ids_a = {s.identity for s in a}
-    ids_b = {s.identity for s in b}
+    ids_a = set(StructureTable.of(a).identities)
+    ids_b = set(StructureTable.of(b).identities)
     return len(ids_a), len(ids_b), ids_a & ids_b
 
 
-def _hash_split_of(label: str, seed: int, fractions: Sequence[float]) -> str:
+def _hash_split_of(label: str, seed: int, fractions: Sequence[float]) -> int:
     # Stable 64-bit hash of (label, seed); identical across platforms and runs.
     digest = hashlib.sha256(f"{label}\x1f{seed}".encode()).digest()
     u = int.from_bytes(digest[:8], "big") / 2.0**64
     if u < fractions[0]:
-        return "train"
+        return 0
     if u < fractions[0] + fractions[1]:
-        return "validation"
-    return "test"
+        return 1
+    return 2
 
 
 def _allocate_counts(
     n_free: int, fractions: Sequence[float], base: Sequence[int]
 ) -> list[int]:
     """Place n_free groups so that final per-split counts sit as close as
-    possible to the fraction targets, given pre-assigned base counts."""
+    possible to the fraction targets, given pre-assigned base counts.
+
+    This is the closed form of a greedy that adds one group at a time to
+    the split whose distance to its target drops most, the lowest split
+    on a tie. A split first takes every group that keeps it at or below its
+    target (each gains exactly 1), lowest split first. Then each split
+    still below its target may take one group that overshoots it, best gain
+    first. Whatever is left over can only come from targets summing below
+    the total by rounding; every gain is then -1 and it goes to the first
+    split.
+    """
     total = n_free + sum(base)
     targets = [total * f for f in fractions]
-    counts = list(base)
-    for _ in range(n_free):
-        gains = [
-            abs(counts[s] - targets[s]) - abs(counts[s] + 1 - targets[s])
-            for s in range(3)
-        ]
-        best = max(range(3), key=lambda s: (gains[s], -s))
-        counts[best] += 1
-    return [counts[s] - base[s] for s in range(3)]
+    quota = [0, 0, 0]
+    left = n_free
+    for s in range(3):
+        quota[s] = min(left, max(0, math.floor(targets[s]) - base[s]))
+        left -= quota[s]
+    counts = [b + q for b, q in zip(base, quota)]
+    overshoots = sorted(
+        (abs(counts[s] + 1 - targets[s]) - abs(counts[s] - targets[s]), s)
+        for s in range(3) if counts[s] < targets[s]
+    )
+    for _, s in overshoots[:left]:
+        quota[s] += 1
+    quota[0] += max(0, left - len(overshoots))
+    return quota
 
 
 def grouped_split(
@@ -166,7 +290,8 @@ def grouped_split(
     by a stable hash of (label, seed): two datasets run with the same seed
     put a shared identity in the same split on both sides.
     """
-    if not entries:
+    table = StructureTable.of(entries)
+    if not len(table):
         raise ValueError("entries must be non-empty")
     if len(fractions) != 3:
         raise ValueError("fractions must have exactly 3 components")
@@ -175,33 +300,28 @@ def grouped_split(
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"fractions must sum to 1, got {fractions}")
 
-    label_of = {e.entry_id: e.identity for e in entries}
-    labels = sorted(set(label_of.values()))
+    # one label per entry_id; a repeated entry_id keeps its last identity
+    label_of = dict(zip(table.entry_ids, table.identities))
+    labels, codes = np.unique(np.array(list(label_of.values())), return_inverse=True)
 
     shared = set(shared_ids) if shared_ids is not None else set()
-    split_of_label: dict[str, str] = {}
+    split_of_label = np.zeros(len(labels), dtype=np.intp)
     base = [0, 0, 0]
-    free_labels = []
-    for label in labels:
+    is_free = np.ones(len(labels), dtype=bool)
+    for k, label in enumerate(labels.tolist()):
         if label in shared:
             split = _hash_split_of(label, seed, fractions)
-            split_of_label[label] = split
-            base[SPLIT_NAMES.index(split)] += 1
-        else:
-            free_labels.append(label)
+            split_of_label[k] = split
+            base[split] += 1
+            is_free[k] = False
 
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(free_labels))
-    shuffled = [free_labels[i] for i in order]
+    free = np.flatnonzero(is_free)
+    shuffled = free[np.random.default_rng(seed).permutation(len(free))]
+    quota = _allocate_counts(len(free), fractions, base)
+    split_of_label[shuffled] = np.repeat([0, 1, 2], quota)
 
-    quota = _allocate_counts(len(free_labels), fractions, base)
-    cursor = 0
-    for split, n in zip(SPLIT_NAMES, quota):
-        for label in shuffled[cursor : cursor + n]:
-            split_of_label[label] = split
-        cursor += n
-
-    assignment = {eid: split_of_label[label] for eid, label in label_of.items()}
+    names = np.array(SPLIT_NAMES, dtype=object)[split_of_label[codes]]
+    assignment = dict(zip(label_of, names.tolist()))
     return SplitAssignment(assignment=assignment, seed=seed, fractions=tuple(fractions))
 
 
@@ -214,16 +334,16 @@ def property_histogram(
     missing the property and values outside the outermost edges are not
     binned; both counts are reported on the result.
     """
+    table = StructureTable.of(entries)
     edges = np.asarray(bin_edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2:
         raise ValueError("bin_edges must be a 1-D sequence of at least 2 edges")
     if not np.all(np.diff(edges) > 0):
         raise ValueError("bin_edges must be strictly ascending")
 
-    values = [
-        e.properties[property_name] for e in entries if property_name in e.properties
-    ]
-    n_missing = len(entries) - len(values)
+    column = table.properties.get(property_name, np.empty(0))
+    values = column[~np.isnan(column)]
+    n_missing = len(table) - len(values)
     counts, _ = np.histogram(values, bins=edges)
     n_out = len(values) - int(counts.sum())
     return Histogram(

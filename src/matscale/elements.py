@@ -49,3 +49,10 @@ def electronegativity_key(symbol: str) -> tuple[float, str]:
     except KeyError:
         raise ValueError(f"unknown element symbol: {symbol!r}") from None
     return (en if en is not None else float("-inf"), symbol)
+
+
+# symbol -> position in electronegativity_key order, for sorting many formulas
+ELECTRONEGATIVITY_RANK: dict[str, int] = {
+    symbol: rank
+    for rank, symbol in enumerate(sorted(PAULING_ELECTRONEGATIVITY, key=electronegativity_key))
+}

@@ -14,11 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .curation import Histogram, SplitAssignment, Structure, parse_formula
+from .curation import Histogram, SplitAssignment, Structure, StructureTable
 from .spectra import CalcMetadata, SimilarityMatrix, Spectrum
-
-_RESERVED_COLUMNS = {"entry_id", "formula", "spacegroup", "source"}
-
 
 def atomic_write_text(path, text: str) -> None:
     path = Path(path)
@@ -33,118 +30,17 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def read_structures(path) -> list[Structure]:
+def read_structures(path) -> StructureTable:
     """Read a structure table (CSV with a header row, or a JSON array).
 
-    Both formats feed ``_structure_from_row`` one mapping per row. A bad row
-    raises ValueError("<file>: row K: ..."), K counting data rows from 1.
+    A bad row raises ValueError("<file>: row K: ..."), K counting data rows
+    from 1; when several rows are bad, the first is named, with the first
+    failing check of that row. The decoder lives in ``structure_io``.
     """
-    path = Path(path)
-    rows = _json_rows(path) if path.suffix.lower() == ".json" else _csv_rows(path)
-    entries = []
-    seen = set()
-    for k, row in enumerate(rows, 1):
-        try:
-            entry = _structure_from_row(row, path.stem)
-            if entry.entry_id in seen:
-                raise ValueError(f"duplicate entry_id {entry.entry_id!r}")
-        except ValueError as exc:
-            raise ValueError(f"{path}: row {k}: {exc}") from None
-        seen.add(entry.entry_id)
-        entries.append(entry)
-    if not entries:
-        raise ValueError(f"{path}: no data rows")
-    return entries
+    # imported here, so that commands which read no structures never load it
+    from .structure_io import read_structure_table
 
-
-def _csv_rows(path: Path):
-    """CSV rows in the JSON record shape, properties nested (empty cell = missing)."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        try:
-            if reader.fieldnames is None:
-                raise ValueError(f"{path}: empty CSV")
-            if len(set(reader.fieldnames)) != len(reader.fieldnames):
-                raise ValueError(f"{path}: duplicate column names in {reader.fieldnames}")
-            missing = {"entry_id", "formula", "spacegroup"} - set(reader.fieldnames)
-            if missing:
-                raise ValueError(f"{path}: missing required columns {sorted(missing)}")
-            prop_cols = [c for c in reader.fieldnames if c not in _RESERVED_COLUMNS]
-            for row in reader:
-                row["properties"] = {c: v for c in prop_cols if (v := row.pop(c)) != ""}
-                yield row
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise ValueError(f"{path}: {exc}") from None
-
-
-def _json_rows(path: Path) -> list:
-    with open(path) as fh:
-        try:
-            records = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-            raise ValueError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(records, list):
-        raise ValueError(f"{path}: expected a JSON array of objects")
-    return records
-
-
-def _structure_from_row(row, default_source: str) -> Structure:
-    """The one decoder of a structure row (a CSV row or a JSON object)."""
-    if not isinstance(row, dict):
-        raise ValueError(f"expected an object, got {row!r}")
-    if None in row:  # csv.DictReader files fields beyond the header under None
-        raise ValueError(f"{len(row[None])} more field(s) than the header")
-    entry_id = _required(row, "entry_id")
-    if not isinstance(entry_id, str):
-        raise ValueError(f"entry_id must be a string, got {entry_id!r}")
-    if "composition" in row:
-        counts = row["composition"]
-        if not isinstance(counts, dict):
-            raise ValueError(f"composition must be an object, got {counts!r}")
-        composition = {sym: _integer(n, f"count of {sym!r}") for sym, n in counts.items()}
-    else:
-        composition = parse_formula(_required(row, "formula"))
-    props = row.get("properties", {})
-    if not isinstance(props, dict):
-        raise ValueError(f"properties must be an object, got {props!r}")
-    return Structure(
-        entry_id=entry_id,
-        composition=composition,
-        spacegroup=_integer(_required(row, "spacegroup"), "spacegroup"),
-        properties={name: _number(v, f"property {name!r}") for name, v in props.items()},
-        source=row.get("source") or default_source,
-    )
-
-
-def _required(row: dict, key: str):
-    # None is a JSON null or, from csv.DictReader, a field the row lacks
-    value = row.get(key)
-    if value is None:
-        raise ValueError(f"no value for {key!r}")
-    return value
-
-
-def _integer(value, what: str) -> int:
-    """An int, an integral float or a decimal string; never a bool."""
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    elif isinstance(value, float) and value.is_integer():
-        return int(value)
-    elif isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"{what} must be an integer, got {value!r}")
-
-
-def _number(value, what: str) -> float:
-    if not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise ValueError(f"{what} must be a number, got {value!r}")
+    return read_structure_table(Path(path))
 
 
 def _write_csv(path, header: Sequence[str], rows) -> None:
@@ -156,8 +52,10 @@ def _write_csv(path, header: Sequence[str], rows) -> None:
 
 
 def write_split_csv(path, entries: Sequence[Structure], split: SplitAssignment) -> None:
+    table = StructureTable.of(entries)
     _write_csv(path, ["entry_id", "structure_id", "split"],
-               ([e.entry_id, e.identity, split.assignment[e.entry_id]] for e in entries))
+               zip(table.entry_ids, table.identities,
+                   map(split.assignment.__getitem__, table.entry_ids)))
 
 
 def write_histogram_csv(path, hist: Histogram) -> None:
@@ -205,6 +103,8 @@ def _read_sidecar(path: Path) -> tuple[float, CalcMetadata]:
         raise ValueError(f"{path}: missing key {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: invalid JSON: nesting too deep") from None
 
 
 def _sidecar_int(meta: dict, key: str) -> int:
@@ -227,7 +127,7 @@ def _read_two_column_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
     physical lines from 1.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
@@ -326,6 +226,8 @@ def read_index_lists(path) -> list[list[int]]:
             data = json.load(fh)
         except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             raise ValueError(f"{path}: invalid JSON: {exc}") from None
+        except RecursionError:
+            raise ValueError(f"{path}: invalid JSON: nesting too deep") from None
     if not isinstance(data, list):
         raise ValueError(f"{path}: expected a JSON list of index lists")
     for k, sub in enumerate(data):

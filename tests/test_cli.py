@@ -410,6 +410,29 @@ def test_ce_fit_bad_input_names_file(ce_inputs, tmp_path, capsys,
     assert message in stderr
 
 
+@pytest.mark.parametrize("command, target", [
+    ("curate", "input"), ("ce-fit", "clusters"), ("similarity", "sidecar"),
+])
+def test_deeply_nested_json_exits_one_naming_file(ce_inputs, spectra_dir, tmp_path, capsys,
+                                                  command, target):
+    nested = "[" * 200_000
+    if command == "curate":
+        bad = tmp_path / "deep.json"
+        bad.write_text(nested)
+        argv = ["curate", "--input", str(bad)]
+    elif command == "ce-fit":
+        configs, bad, group = ce_inputs
+        bad.write_text(nested)
+        argv = ["ce-fit", "--configs", str(configs), "--clusters", str(bad), "--group", str(group)]
+    else:
+        bad = spectra_dir / "calc_b.json"
+        bad.write_text(nested)
+        argv = ["similarity", "--spectra", str(spectra_dir)]
+    code, stdout, stderr = run_cli(capsys, *argv, "--output-dir", str(tmp_path / "out"))
+    assert (code, stdout) == (1, "")
+    assert stderr == f"matscale: {bad}: invalid JSON: nesting too deep\n"
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--h-max", "nan"], "--h-max"),
     (["--h-max", "inf"], "--h-max"),

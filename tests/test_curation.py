@@ -2,11 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matscale.curation import (
     STRUCTURE_ID_RE,
+    _allocate_counts,
     Structure,
     canonical_formula,
     dataset_overlap,
@@ -233,6 +234,51 @@ def test_split_never_straddles_groups(specs, seed):
     for e in entries:
         by_label.setdefault(structure_id(e), set()).add(split.assignment[e.entry_id])
     assert all(len(splits) == 1 for splits in by_label.values())
+
+
+def _greedy_allocate_counts(n_free, fractions, base):
+    """The greedy loop _allocate_counts replaced: one group at a time to the
+    split whose distance to its target drops most, the lowest on a tie."""
+    total = n_free + sum(base)
+    targets = [total * f for f in fractions]
+    counts = list(base)
+    for _ in range(n_free):
+        gains = [
+            abs(counts[s] - targets[s]) - abs(counts[s] + 1 - targets[s])
+            for s in range(3)
+        ]
+        best = max(range(3), key=lambda s: (gains[s], -s))
+        counts[best] += 1
+    return [counts[s] - base[s] for s in range(3)]
+
+
+def _normalised(weights):
+    total = sum(weights)
+    return tuple(w / total for w in weights)
+
+
+_fractions = st.one_of(
+    st.sampled_from([(0.8, 0.1, 0.1), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.5, 0.5, 0.0),
+                     (1 / 3, 1 / 3, 1 / 3), (0.7, 0.2, 0.1), (0.6, 0.2, 0.2), (0.0, 0.3, 0.7),
+                     (0.5, 0.25, 0.25 - 5e-10), (0.1, 0.1, 0.8 + 5e-10)]),
+    st.tuples(*[st.one_of(st.just(0.0), st.floats(0.001, 1.0))] * 3)
+    .filter(lambda w: sum(w) > 0).map(_normalised),
+    st.tuples(*[st.integers(0, 10)] * 3).filter(lambda w: sum(w) > 0).map(_normalised),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    n_free=st.integers(0, 80),
+    fractions=_fractions,
+    base=st.lists(st.one_of(st.integers(0, 5), st.integers(0, 80)), min_size=3, max_size=3),
+)
+@example(n_free=5, fractions=(0.8, 0.1, 0.1), base=[0, 40, 0])  # shared groups overfill a split
+@example(n_free=0, fractions=(0.8, 0.1, 0.1), base=[3, 1, 0])
+@example(n_free=7, fractions=(0.0, 1.0, 0.0), base=[2, 0, 5])
+def test_allocate_counts_closed_form_matches_greedy(n_free, fractions, base):
+    assert _allocate_counts(n_free, fractions, base) == _greedy_allocate_counts(
+        n_free, fractions, base)
 
 
 # --- property_histogram -----------------------------------------------------

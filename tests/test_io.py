@@ -32,6 +32,20 @@ def test_read_structures_csv(tmp_path):
     assert entries[0].source == "data"
 
 
+@pytest.mark.parametrize("reader, text, expected", [
+    ("structures", "\ufeff" + STRUCTURES_CSV, ["s1", "s2", "s3"]),
+    ("spectrum", "\ufeff-1.0,0.5\n0.0,1.0\n1.0,2.0\n", [-1.0, 0.0, 1.0]),
+    ("spectrum", "\ufeffenergy,dos\n0.0,1.0\n1.0,2.0\n", [0.0, 1.0]),
+])
+def test_leading_byte_order_mark_is_skipped(tmp_path, reader, text, expected):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    if reader == "structures":
+        assert [e.entry_id for e in io.read_structures(path)] == expected
+    else:
+        assert io._read_two_column_csv(path)[0].tolist() == expected
+
+
 def test_read_structures_json(tmp_path):
     path = tmp_path / "data.json"
     records = [
@@ -159,6 +173,7 @@ def test_index_lists(tmp_path):
     ("[[0], [1]", "invalid JSON"),
     ('{"0": [0]}', "expected a JSON list"),
     ("[[0]]\udcff", "can't decode byte 0xff"),
+    ("[" * 200_000, "invalid JSON: nesting too deep"),
 ])
 def test_index_lists_bad_entry_names_file(tmp_path, text, message):
     path = tmp_path / "group.json"
@@ -227,6 +242,20 @@ HEADER = "entry_id,formula,spacegroup,bandgap\n"
     ("t.json", '[{"entry_id": "a", "formula": 5, "spacegroup": 12}]',
      1, "cannot parse formula string: 5"),
     ("t.csv", HEADER + "a,MgF2,12,1\na,MgF2,12,1\n", 2, "duplicate entry_id 'a'"),
+    # several bad cells: the first bad row wins, then the first check of that row
+    ("t.csv", HEADER + "a,MgF2,12,1\nb,Xx2,0,high\nc,Mg0,x,1\n", 2, "unknown element symbol: 'Xx'"),
+    ("t.csv", HEADER + "a,MgF2,x,high\n", 1, "spacegroup must be an integer, got 'x'"),
+    ("t.csv", HEADER + "a,MgF2,0,high\n", 1, "property 'bandgap' must be a number, got 'high'"),
+    ("t.csv", HEADER + "a,MgF2,0,nan\n", 1, "spacegroup must be an integer in [1, 230], got 0"),
+    ("t.csv", HEADER + 'a,"Mg\nF",12,1\n', 1, "cannot parse formula string: 'Mg\\nF'"),
+    ("t.json", '[{"entry_id": "a", "formula": "MgF2", "spacegroup": 12, '
+     '"properties": {"gap": 1.0, "e": 2.0}}, {"entry_id": "b", "formula": "MgF2", '
+     '"spacegroup": 12, "properties": {"e": "x", "gap": "y"}}]', 2,
+     "property 'e' must be a number, got 'x'"),
+    ("t.json", '[{"entry_id": "a", "composition": {"Xx": 1}, "spacegroup": 0}]', 1,
+     "unknown element symbol: 'Xx'"),
+    ("t.json", '[{"entry_id": "a", "composition": {"Xx": 1}, "spacegroup": 12, '
+     '"properties": {"e": "x"}}]', 1, "property 'e' must be a number, got 'x'"),
 ])
 def test_bad_structure_row_names_file_and_row(tmp_path, name, text, row, message):
     path = tmp_path / name
@@ -246,6 +275,7 @@ def test_bad_structure_row_names_file_and_row(tmp_path, name, text, row, message
     ("t.json", b'[{"entry_id": "a"}]\xff', "can't decode"),
     ("t.csv", "entry_id,formula,spacegroup\na,MgF2," + "1" * 200_000 + "\n",
      "field larger than field limit"),
+    ("t.json", "[" * 200_000, "invalid JSON: nesting too deep"),
 ])
 def test_bad_structure_file_names_file(tmp_path, name, text, message):
     path = tmp_path / name
@@ -335,6 +365,8 @@ def test_csv_and_json_forms_decode_to_equal_structures(rows):
 
 
 def test_curate_path_builds_each_identity_once(tmp_path, monkeypatch):
+    # one canonical_formula call per distinct composition of a file: a has
+    # Mg2F4 (twice) and BaTiO3, b has F4Mg2 (the composition of Mg2F4) and KCl
     calls = []
     original = curation.canonical_formula
     monkeypatch.setattr(curation, "canonical_formula",
@@ -348,7 +380,236 @@ def test_curate_path_builds_each_identity_once(tmp_path, monkeypatch):
         split = grouped_split(entries, (0.5, 0.25, 0.25), seed=3, shared_ids=shared)
         io.write_split_csv(tmp_path / f"{path.stem}_split.csv", entries, split)
     assert shared == {"Mg2F4_136"}
-    assert len(calls) == len(entries_a) + len(entries_b) == 5
+    assert len(entries_a) + len(entries_b) == 5
+    assert len(calls) == 4
+
+
+# --- the per-row structure decoder, kept as the oracle of the columnar one ---
+
+def _oracle_read_structures(path):
+    """read_structures as it was: one _structure_from_row call per row."""
+    path = Path(path)
+    rows = _oracle_json_rows(path) if path.suffix == ".json" else _oracle_csv_rows(path)
+    entries, seen = [], set()
+    for k, row in enumerate(rows, 1):
+        try:
+            entry = _structure_from_row(row, path.stem)
+            if entry.entry_id in seen:
+                raise ValueError(f"duplicate entry_id {entry.entry_id!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {k}: {exc}") from None
+        seen.add(entry.entry_id)
+        entries.append(entry)
+    if not entries:
+        raise ValueError(f"{path}: no data rows")
+    return entries
+
+
+def _oracle_csv_rows(path):
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.DictReader(fh)
+        prop_cols = [c for c in reader.fieldnames
+                     if c not in {"entry_id", "formula", "spacegroup", "source"}]
+        for row in reader:
+            row["properties"] = {c: v for c in prop_cols if (v := row.pop(c)) != ""}
+            yield row
+
+
+def _oracle_json_rows(path):
+    return json.loads(path.read_text())
+
+
+def _structure_from_row(row, default_source):
+    if not isinstance(row, dict):
+        raise ValueError(f"expected an object, got {row!r}")
+    if None in row:  # csv.DictReader files fields beyond the header under None
+        raise ValueError(f"{len(row[None])} more field(s) than the header")
+    entry_id = _required(row, "entry_id")
+    if not isinstance(entry_id, str):
+        raise ValueError(f"entry_id must be a string, got {entry_id!r}")
+    if "composition" in row:
+        counts = row["composition"]
+        if not isinstance(counts, dict):
+            raise ValueError(f"composition must be an object, got {counts!r}")
+        composition = {sym: _integer(n, f"count of {sym!r}") for sym, n in counts.items()}
+    else:
+        composition = parse_formula(_required(row, "formula"))
+    props = row.get("properties", {})
+    if not isinstance(props, dict):
+        raise ValueError(f"properties must be an object, got {props!r}")
+    return Structure(
+        entry_id=entry_id,
+        composition=composition,
+        spacegroup=_integer(_required(row, "spacegroup"), "spacegroup"),
+        properties={name: _number(v, f"property {name!r}") for name, v in props.items()},
+        source=row.get("source") or default_source,
+    )
+
+
+def _required(row, key):
+    value = row.get(key)
+    if value is None:
+        raise ValueError(f"no value for {key!r}")
+    return value
+
+
+def _integer(value, what):
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, float) and value.is_integer():
+        return int(value)
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _number(value, what):
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{what} must be a number, got {value!r}")
+
+
+def _decoded(read, path):
+    """Structures, identities and property values, or the error message."""
+    try:
+        entries = read(path)
+    except ValueError as exc:
+        return str(exc)
+    table = curation.StructureTable.of(entries)
+    properties = {name: [None if np.isnan(v) else v for v in column.tolist()]
+                  for name, column in table.properties.items()}
+    return (list(entries), list(table.identities),
+            {name: column for name, column in properties.items() if any(v is not None for v in column)})
+
+
+_SYMBOLS = ["H", "O", "Mg", "F", "Ba", "Ti", "Kr", "He"]
+_tokens = st.lists(st.tuples(st.sampled_from(_SYMBOLS), st.integers(1, 12), st.booleans()),
+                   min_size=1, max_size=4)
+_good_formula = _tokens.map(lambda ts: "".join(s + ("" if n == 1 and bare else str(n))
+                                               for s, n, bare in ts))
+_bad_formula = st.sampled_from(["", "Xx2", "Mg0", "2Mg", "mg", "Mg2F4 ", "Mg\nF", "H0H1",
+                                "Mg2Xx1Qq1", "Qq1Xx1", "Mg" + "9" * 5000, "Mg-1"])
+_sg_text = st.integers(1, 230).map(str)
+_prop_text = st.one_of(st.floats(-1e6, 1e6).map(repr), st.just(""))
+_ids = st.integers(0, 9).map(lambda i: f"e{i}")  # repeats make duplicate entry_ids
+_source = st.sampled_from(["", "MP"])
+# a row is clean, or wild: any field may be bad, and several may be
+_csv_row = st.one_of(
+    st.tuples(_ids, _good_formula, _sg_text, _prop_text, _prop_text, _source, st.just(0)),
+    st.tuples(
+        _ids,
+        st.one_of(_good_formula, _good_formula, _bad_formula),
+        st.one_of(_sg_text, st.sampled_from(["0", "231", "-3", "x", "12.7", " 12", "1_2", ""])),
+        st.one_of(_prop_text, st.sampled_from(["high", "nan", "-inf", "1e400", " 1.5", "1_0"])),
+        st.one_of(_prop_text, st.sampled_from(["high", "nan", "-inf", "1e400", " 1.5", "1_0"])),
+        _source,
+        # extra fields (> 0) or missing cells (< 0)
+        st.sampled_from([0, 0, 0, 0, 1, 2, -1, -3]),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(_csv_row, max_size=8), with_source=st.booleans(),
+       blank_line=st.booleans())
+def test_columnar_decoder_matches_row_decoder_on_csv(rows, with_source, blank_line):
+    header = ["entry_id", "formula", "spacegroup", "e_form", "gap"] + (["source"] if with_source else [])
+    lines = []
+    for entry_id, formula, sg, e_form, gap, source, shape in rows:
+        cells = [entry_id, formula, sg, e_form, gap] + ([source] if with_source else [])
+        cells = cells + ["7"] * shape if shape > 0 else cells[:len(cells) + shape]
+        lines.append(cells)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for k, cells in enumerate(lines):
+                if blank_line and k == 1:
+                    fh.write("\n")
+                writer.writerow(cells)
+        assert _decoded(io.read_structures, path) == _decoded(_oracle_read_structures, path)
+
+
+_missing = object()
+
+
+def _record(values):
+    return st.fixed_dictionaries(values).map(
+        lambda rec: {k: v for k, v in rec.items() if v is not _missing})
+
+
+_clean_properties = st.dictionaries(st.sampled_from(["e_form", "gap", "u"]),
+                                    st.floats(-1e6, 1e6), max_size=3)
+_clean_record = _record({
+    "entry_id": _ids,
+    "formula": _good_formula,
+    "composition": st.one_of(st.just(_missing), st.dictionaries(
+        st.sampled_from(_SYMBOLS), st.integers(1, 9), min_size=1, max_size=4)),
+    "spacegroup": st.integers(1, 230),
+    "properties": st.one_of(st.just(_missing), _clean_properties),
+    "source": st.sampled_from([_missing, None, "", "MP"]),
+})
+_count = st.one_of(st.integers(1, 9), st.sampled_from([2.0, "2", 2.5, True, 0, -1, None, [1]]))
+_wild_record = _record({
+    "entry_id": st.one_of(_ids, st.sampled_from([_missing, None, 5, ["e1"]])),
+    "formula": st.one_of(_good_formula, _good_formula, _bad_formula,
+                         st.sampled_from([_missing, None, 5, ["Mg"]])),
+    "composition": st.one_of(
+        st.just(_missing),
+        st.dictionaries(st.sampled_from(_SYMBOLS + ["Xx", "mg"]), _count, max_size=3),
+        st.sampled_from([5, None, "Mg2", []])),
+    "spacegroup": st.one_of(st.integers(1, 230), st.sampled_from(
+        [_missing, None, 12.0, 12.7, True, "12", "x", 0, 231, float("inf"), [12]])),
+    "properties": st.one_of(
+        st.just(_missing),
+        st.dictionaries(st.sampled_from(["e_form", "gap", "u"]),
+                        st.one_of(st.floats(-1e6, 1e6), st.sampled_from(
+                            [None, True, "1.5", "high", [1.0], float("nan"), float("inf"),
+                             10**400])),
+                        max_size=3),
+        st.sampled_from([5, None, []])),
+    "source": st.sampled_from([_missing, None, "", "MP", 5]),
+})
+_json_record = st.one_of(_clean_record, _clean_record, _clean_record, _wild_record,
+                         st.sampled_from([5, "x", None, []]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=st.lists(_json_record, max_size=8))
+def test_columnar_decoder_matches_row_decoder_on_json(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.json"
+        path.write_text(json.dumps(records))
+        assert _decoded(io.read_structures, path) == _decoded(_oracle_read_structures, path)
+
+
+def test_structure_table_is_a_read_only_sequence(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(STRUCTURES_CSV)
+    table = io.read_structures(path)
+    oracle = _oracle_read_structures(path)
+    assert isinstance(table, curation.StructureTable)
+    assert len(table) == 3 and table == oracle and oracle == table
+    assert table[-1] == oracle[-1] and table[1:] == oracle[1:]
+    assert table != oracle[:2] and table != "abc"
+    with pytest.raises(IndexError):
+        table[3]
+    assert table.entry_ids == ("s1", "s2", "s3")
+    assert table.identities == ("Mg2F4_136", "Ba1Ti1O3_221", "Mg2F4_136")
+    assert np.isnan(table.properties["bandgap"][1])
+    assert curation.StructureTable.of(table) is table
+    assert curation.StructureTable.of(oracle) == table
+    with pytest.raises(ValueError, match="read-only"):
+        table.properties["bandgap"][0] = 1.0
+    with pytest.raises(AttributeError, match="read-only"):
+        table.entry_ids = ()
 
 
 # --- spectra directories: errors name the file ------------------------------
@@ -374,10 +635,12 @@ SIDECAR = {"fermi_energy": 0.0, "xc": "LDA", "n_kpt": 4, "n_basis": 40,
     ("0,1\n1,1\n", {**SIDECAR, "n_kpt": 4.5}, "calc.json", "n_kpt must be an integer, got 4.5"),
     ("0,1\n1,1\n", {**SIDECAR, "n_basis": True}, "calc.json",
      "n_basis must be an integer, got True"),
+    ("0,1\n1,1\n", "[" * 200_000, "calc.json", "invalid JSON: nesting too deep"),
 ])
 def test_spectra_dir_bad_file_is_named(tmp_path, csv_text, sidecar, where, message):
     (tmp_path / "calc.csv").write_text(csv_text, errors="surrogateescape")
-    (tmp_path / "calc.json").write_text(json.dumps(sidecar))
+    # a string sidecar is the file's text; anything else is written as JSON
+    (tmp_path / "calc.json").write_text(sidecar if isinstance(sidecar, str) else json.dumps(sidecar))
     with pytest.raises(ValueError, match=message) as exc:
         io.read_spectra_dir(tmp_path)
     assert str(exc.value).startswith(f"{tmp_path / where}: ")
@@ -388,7 +651,7 @@ def test_spectra_dir_bad_file_is_named(tmp_path, csv_text, sidecar, where, messa
 def _loop_read_two_column_csv(path):
     """The csv.reader + float() row loop the reader replaced; an oracle."""
     rows = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for i, row in enumerate(csv.reader(fh)):
             if not row:
                 continue
@@ -444,11 +707,12 @@ _bad_line = st.sampled_from(
     leading_blank=st.booleans(),
     newline=st.sampled_from(["\n", "\r\n"]),
     final_newline=st.booleans(),
+    bom=st.booleans(),
 )
 def test_spectrum_csv_reader_matches_row_loop(header, body, leading_blank, newline,
-                                              final_newline):
+                                              final_newline, bom):
     lines = ([""] if leading_blank else []) + ([header] if header else []) + body
-    text = newline.join(lines) + (newline if final_newline else "")
+    text = ("\ufeff" if bom else "") + newline.join(lines) + (newline if final_newline else "")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "calc.csv"
         path.write_bytes(text.encode())
