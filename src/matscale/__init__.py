@@ -24,7 +24,7 @@ from .curation import (
     structure_id,
 )
 from .lattice import Cluster, SymmetryGroup, correlation, correlation_matrix, orbit
-from .polyfeatures import enumerate_monomials, evaluate_features, feature_count
+from .polyfeatures import enumerate_monomials, feature_count
 from .regression import compare_feature_spaces, omp_fit, plateau_detect, rmse
 from .spectra import (
     CalcMetadata,

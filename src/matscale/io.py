@@ -33,9 +33,11 @@ def atomic_write_text(path, text: str) -> None:
 def read_structures(path) -> StructureTable:
     """Read a structure table (CSV with a header row, or a JSON array).
 
-    A bad row raises ValueError("<file>: row K: ..."), K counting data rows
-    from 1; when several rows are bad, the first is named, with the first
-    failing check of that row. The decoder lives in ``structure_io``.
+    A clean file is decoded column by column. Any other file is decoded row
+    by row, and a bad row raises ValueError("<file>: row K: ..."), K
+    counting data rows from 1; when several rows are bad, the first is
+    named, with the first failing check of that row. The decoder lives in
+    ``structure_io``.
     """
     # imported here, so that commands which read no structures never load it
     from .structure_io import read_structure_table
@@ -90,7 +92,7 @@ def read_spectra_dir(path) -> list[tuple[Spectrum, CalcMetadata]]:
 def _read_sidecar(path: Path) -> tuple[float, CalcMetadata]:
     """(fermi_energy, metadata) of a spectrum's JSON sidecar; errors name the file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             meta = json.load(fh)
         return float(meta["fermi_energy"]), CalcMetadata(
             xc=str(meta["xc"]),
@@ -221,7 +223,7 @@ def read_index_lists(path) -> list[list[int]]:
     Every entry must be a list of JSON integers; anything else raises
     ValueError naming the file and the entry.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             data = json.load(fh)
         except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError

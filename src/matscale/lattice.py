@@ -2,19 +2,18 @@
 
 Occupations are +/-1 vectors over crystal sites. A cluster is a site
 subset; its cluster function is the product of the occupations it touches.
-Correlations average the cluster function over the symmetry orbit, and a
-model predicts a property as intercept + coefficients . features, where
-the features are correlations or monomials of correlations.
+Correlations average the cluster function over the symmetry orbit;
+``correlation_matrix`` gives them for many configurations at once. A model
+on the correlations, or on their monomials (``polyfeatures.feature_matrix``),
+is fitted by ``regression.omp_fit`` and predicts with ``OmpModel.predict``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from .polyfeatures import FeatureMap, evaluate_features
 
 
 @dataclass(frozen=True)
@@ -168,19 +167,6 @@ def apply_permutation(perm: Sequence[int], s) -> np.ndarray:
     return out
 
 
-def cluster_function(c: Cluster, s) -> int:
-    """Product of occupations over the cluster's sites; empty cluster -> 1."""
-    s = as_occupations(s)
-    if c.sites and c.sites[-1] >= s.size:
-        raise ValueError(
-            f"cluster touches site {c.sites[-1]} but config has {s.size} sites"
-        )
-    out = 1
-    for i in c.sites:
-        out *= int(s[i])
-    return out
-
-
 def _orbit_sites(c: Cluster, g: SymmetryGroup) -> np.ndarray:
     """Distinct images of the cluster as sorted site rows, in ascending order."""
     if c.sites and c.sites[-1] >= g.n_sites:
@@ -227,42 +213,3 @@ def correlation_matrix(
         members = _orbit_sites(c, g)
         out[:, j] = S[:, members].prod(axis=2).sum(axis=1) / len(members)
     return out
-
-
-@dataclass
-class CeModel:
-    """Sparse lattice model: correlations (or their monomials) times coefficients.
-
-    feature_map=None means the features are the bare correlations, one per
-    cluster; otherwise the correlations are expanded through the map's
-    monomials first.
-    """
-
-    clusters: list[Cluster]
-    coefficients: np.ndarray
-    intercept: float = 0.0
-    feature_map: Optional[FeatureMap] = None
-
-    def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=float)
-        q = (
-            len(self.feature_map.monomials)
-            if self.feature_map is not None
-            else len(self.clusters)
-        )
-        if self.coefficients.shape != (q,):
-            raise ValueError(
-                f"expected {q} coefficients, got {self.coefficients.shape}"
-            )
-        if self.feature_map is not None and self.feature_map.p != len(self.clusters):
-            raise ValueError(
-                f"feature map expects {self.feature_map.p} base correlations "
-                f"but model has {len(self.clusters)} clusters"
-            )
-
-
-def predict(model: CeModel, s, g: SymmetryGroup) -> float:
-    """intercept + coefficients . features for one configuration."""
-    x = correlation_matrix([s], model.clusters, g)[0]
-    feats = x if model.feature_map is None else evaluate_features(x, model.feature_map)
-    return float(model.intercept + np.dot(model.coefficients, feats))

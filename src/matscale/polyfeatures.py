@@ -83,14 +83,6 @@ def enumerate_monomials(p: int, d: int) -> FeatureMap:
     return FeatureMap(p=p, d=d, monomials=monomials)
 
 
-def evaluate_features(x, fm: FeatureMap) -> np.ndarray:
-    """Evaluate every monomial at the base feature vector x (length p)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (fm.p,):
-        raise ValueError(f"expected a vector of {fm.p} features, got shape {x.shape}")
-    return feature_matrix(x[None, :], fm)[0]
-
-
 def feature_matrix(X, fm: FeatureMap) -> np.ndarray:
     """Row-wise expansion of a base feature matrix (n, p) to (n, q)."""
     X = np.asarray(X, dtype=float)

@@ -1,81 +1,60 @@
 """The structure table reader behind ``io.read_structures``.
 
-A CSV file (``csv.reader``) or a JSON array of records becomes the same raw
-columns, which one decoder checks and converts column by column: each
-distinct formula string is parsed once and each distinct element-count
-multiset canonicalised once, spacegroups go through ``int`` and one range
-check, and each property becomes a float64 column with NaN where a row
-lacks it. The first bad row is reported, with the first failing check of
-that row, in the order ``_NOT_OBJECT`` ... ``_DUPLICATE_ID`` below.
+``_structure_from_row`` alone defines a valid structure row and the order
+of its checks. A file is decoded in one of two ways:
+
+- The column pass takes a clean file whole. A CSV's rows are transposed
+  to columns (a JSON array's records split into them); each distinct
+  formula string is parsed once and each distinct composition map
+  canonicalised once, spacegroups go through ``int`` and one range check,
+  and each property becomes a float64 column with NaN where a row lacks
+  it. It takes only cells that the row decoder takes to the same value,
+  and gives up on the first other cell without saying why.
+- The row path runs when the column pass gives up. The file's rows go
+  through ``_structure_from_row`` in order, and the first bad row raises
+  ``<file>: row K: ...``. A valid file with a cell the column pass does not
+  take (a JSON spacegroup ``12.0``, a composition count ``"2"``, a CSV row
+  without its trailing ``source`` cell) is decoded here, at per-row speed.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
 import json
+from itertools import zip_longest
 from pathlib import Path
-from typing import Callable, Sequence
 
 import numpy as np
 
-from .curation import StructureTable, canonical_formula, canonical_formulas, parse_formula
+from .curation import Structure, StructureTable, canonical_formula, canonical_formulas, parse_formula
 
 _RESERVED_COLUMNS = {"entry_id", "formula", "spacegroup", "source"}
 
 
 def read_structure_table(path: Path) -> StructureTable:
-    cells = _json_cells(path) if path.suffix.lower() == ".json" else _csv_cells(path)
-    return _decode_structures(path, cells)
+    if path.suffix.lower() == ".json":
+        rows = _json_records(path)
+        fields = _json_fields(rows, path.stem)
+    else:
+        header, columns = _csv_columns(path)
+        fields = _csv_fields(header, columns, path.stem)
+        rows = _csv_rows(header, columns)  # built only if the row path runs
+    if fields is not None:
+        try:
+            return _table(*fields)
+        except (ValueError, OverflowError):  # a cell the column pass does not take
+            pass
+    return _decode_rows(path, rows)
 
 
-# The checks of a structure row, in the order a row is checked.
-(_NOT_OBJECT, _EXTRA_FIELDS, _NO_ENTRY_ID, _ENTRY_ID_TYPE, _FORMULA, _PROPERTIES_TYPE,
- _NO_SPACEGROUP, _SPACEGROUP_TYPE, _PROPERTY_TYPE, _COMPOSITION, _SPACEGROUP_RANGE,
- _PROPERTY_FINITE, _DUPLICATE_ID) = range(13)
+# --- reading a file ----------------------------------------------------------
 
+def _csv_columns(path: Path) -> tuple[list[str], list[tuple]]:
+    """The header and the columns of a structure CSV; a blank line is not a row.
 
-class _FirstError:
-    """The error a structure file reports: the failing check with the lowest
-    (row, check, rank) key, rank being a property's position within its row.
-
-    Checks run column by column, and each keeps only its first failure.
-    ``rows(check)`` is how many leading rows a check must still look at.
+    A row shorter than the longest row is padded with None, which no CSV
+    cell can be.
     """
-
-    def __init__(self, n_rows: int):
-        self.n_rows = n_rows
-        self.key = None
-        self.message = ""
-
-    def add(self, row: int, check: int, message: str, rank: int = 0) -> None:
-        if self.key is None or (row, check, rank) < self.key:
-            self.key, self.message = (row, check, rank), message
-
-    def rows(self, check: int) -> int:
-        if self.key is None:
-            return self.n_rows
-        row, first, _ = self.key
-        return row + (check <= first)
-
-
-class _Cells:
-    """A structure file's raw cells, one sequence per field, row-aligned."""
-
-    def __init__(self, entry_ids: Sequence, compositions: Sequence, spacegroups: Sequence,
-                 properties: dict, sources: Sequence, rank: Callable[[int, str], int],
-                 errors: _FirstError):
-        self.entry_ids = entry_ids
-        self.compositions = compositions  # a formula cell, or (symbol, count) pairs of a JSON map
-        self.spacegroups = spacegroups
-        self.properties = properties  # name -> (rows that carry it, ascending; their cells)
-        self.sources = sources
-        self.rank = rank  # position of a property within a row
-        self.errors = errors
-
-
-def _csv_cells(path: Path) -> _Cells:
-    """The columns of a structure CSV; an empty property cell is missing."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -90,47 +69,29 @@ def _csv_cells(path: Path) -> _Cells:
             rows = list(reader)
     except (csv.Error, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: {exc}") from None
-    lengths = set(map(len, rows))
-    if 0 in lengths:  # a blank line is not a row
+    if not all(rows):
         rows = [row for row in rows if row]
-    errors = _FirstError(len(rows))
+    return header, list(zip_longest(*rows))
+
+
+def _csv_rows(header: list[str], columns: list[tuple]):
+    """The CSV's rows as ``csv.DictReader`` gives them, properties nested:
+    a field the row lacks is None, and fields past the header are listed
+    under the key None."""
     width = len(header)
-    if lengths - {0, width}:
-        for k, row in enumerate(rows):
-            if len(row) > width:
-                errors.add(k, _EXTRA_FIELDS, f"{len(row) - width} more field(s) than the header")
-                rows[k] = row[:width]
-            elif len(row) < width:  # the cells a short row lacks have no value
-                rows[k] = row + [None] * (width - len(row))
-    columns = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
-    prop_names = [c for c in header if c not in _RESERVED_COLUMNS]
-    properties = {}
-    for name in prop_names:
-        column = columns[name]
-        present = [k for k, v in enumerate(column) if v != ""]
-        properties[name] = (present, [column[k] for k in present])
-    sources = columns.get("source")
-    return _Cells(
-        entry_ids=columns["entry_id"],
-        compositions=columns["formula"],
-        spacegroups=columns["spacegroup"],
-        properties=properties,
-        sources=([v or path.stem for v in sources] if sources is not None
-                 else [path.stem] * len(rows)),
-        rank=lambda k, name: prop_names.index(name),
-        errors=errors,
-    )
+    prop_names = [name for name in header if name not in _RESERVED_COLUMNS]
+    for cells in zip(*columns):
+        row = dict.fromkeys(header)
+        row.update(zip(header, cells))
+        extra = [cell for cell in cells[width:] if cell is not None]
+        if extra:
+            row[None] = extra
+        row["properties"] = {name: v for name in prop_names if (v := row.pop(name)) != ""}
+        yield row
 
 
-def _json_cells(path: Path) -> _Cells:
-    """The same columns from a JSON array of records.
-
-    The checks only JSON can fail (a record, composition or properties that
-    is not an object, a composition count that is not an integer) are made
-    here; a row that fails one gets placeholder cells, which can fail only
-    later checks of that row.
-    """
-    with open(path) as fh:
+def _json_records(path: Path) -> list:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             records = json.load(fh)
         except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
@@ -139,169 +100,151 @@ def _json_cells(path: Path) -> _Cells:
             raise ValueError(f"{path}: invalid JSON: nesting too deep") from None
     if not isinstance(records, list):
         raise ValueError(f"{path}: expected a JSON array of objects")
-    errors = _FirstError(len(records))
+    return records
+
+
+# --- the column pass ---------------------------------------------------------
+
+def _csv_fields(header: list[str], columns: list[tuple], default_source: str):
+    """``_table``'s arguments for a CSV, or None if a row does not have
+    exactly the header's fields."""
+    # a short row's missing cells are None, and the last column holds them
+    if not columns or len(columns) != len(header) or None in columns[-1]:
+        return None
+    cells = dict(zip(header, columns))
+    properties = {name: cells[name] for name in header if name not in _RESERVED_COLUMNS}
+    sources = cells.get("source")
+    return (cells["entry_id"], cells["formula"], cells["spacegroup"], properties,
+            [v or default_source for v in sources] if sources is not None
+            else [default_source] * len(columns[0]))
+
+
+def _json_fields(records: list, default_source: str):
+    """``_table``'s arguments for a JSON array of records, or None if a
+    record, its composition or its properties has a shape the column pass
+    does not take: a composition is a map of int counts or a formula string,
+    and a property value is not "", which marks a record without it."""
     entry_ids, compositions, spacegroups, sources = [], [], [], []
-    properties: dict[str, tuple[list, list]] = {}
+    properties: dict[str, list] = {}
     for k, record in enumerate(records):
         if not isinstance(record, dict):
-            errors.add(k, _NOT_OBJECT, f"expected an object, got {record!r}")
-            record = {}
-        entry_ids.append(record.get("entry_id"))
-        cell = record.get("composition", record.get("formula"))
-        if "composition" in record:  # (symbol, count) pairs; () if the map is bad
-            try:
-                if not isinstance(cell, dict):
-                    raise ValueError(f"composition must be an object, got {cell!r}")
-                cell = tuple((sym, _integer(n, f"count of {sym!r}")) for sym, n in cell.items())
-            except ValueError as exc:
-                errors.add(k, _FORMULA, str(exc))
-                cell = ()
-        compositions.append(cell)
-        spacegroups.append(record.get("spacegroup"))
+            return None
+        if "composition" in record:
+            counts = record["composition"]
+            if not isinstance(counts, dict) or not all(type(n) is int for n in counts.values()):
+                return None
+            compositions.append(tuple(counts.items()))
+        elif isinstance(record.get("formula"), str):
+            compositions.append(record["formula"])
+        else:
+            return None
         props = record.get("properties", {})
         if not isinstance(props, dict):
-            errors.add(k, _PROPERTIES_TYPE, f"properties must be an object, got {props!r}")
-            props = {}
+            return None
         for name, value in props.items():
-            present, values = properties.setdefault(name, ([], []))
-            present.append(k)
-            values.append(value)
-        sources.append(record.get("source") or path.stem)
-    return _Cells(
-        entry_ids=entry_ids,
-        compositions=compositions,
-        spacegroups=spacegroups,
-        properties=properties,
-        sources=sources,
-        rank=lambda k, name: list(records[k]["properties"]).index(name),
-        errors=errors,
-    )
+            if value == "":
+                return None
+            if name not in properties:
+                properties[name] = [""] * len(records)
+            properties[name][k] = value
+        entry_ids.append(record.get("entry_id"))
+        spacegroups.append(record.get("spacegroup"))
+        sources.append(record.get("source") or default_source)
+    return entry_ids, compositions, spacegroups, properties, sources
 
 
-def _decode_structures(path: Path, cells: _Cells) -> StructureTable:
-    """Check and convert the raw columns; raise the file's first row error."""
-    errors = cells.errors
-    ids = cells.entry_ids[: errors.rows(_NO_ENTRY_ID)]
-    if not set(map(type, ids)) <= {str}:
-        k, value = next((k, v) for k, v in enumerate(ids) if not isinstance(v, str))
-        if value is None:
-            errors.add(k, _NO_ENTRY_ID, "no value for 'entry_id'")
-        else:
-            errors.add(k, _ENTRY_ID_TYPE, f"entry_id must be a string, got {value!r}")
-    formula_of = _canonical_formulas(cells.compositions[: errors.rows(_FORMULA)], errors)
-    spacegroups = _spacegroups(cells.spacegroups[: errors.rows(_NO_SPACEGROUP)], errors)
-    properties = {
-        name: _property_column(name, present, values, cells, errors)
-        for name, (present, values) in cells.properties.items()
-    }
-    ids = cells.entry_ids[: errors.rows(_DUPLICATE_ID)]
-    if len(set(ids)) != len(ids):
-        seen = set()
-        for k, entry_id in enumerate(ids):
-            if entry_id in seen:
-                errors.add(k, _DUPLICATE_ID, f"duplicate entry_id {entry_id!r}")
-                break
-            seen.add(entry_id)
-    if errors.key is not None:
-        raise ValueError(f"{path}: row {errors.key[0] + 1}: {errors.message}")
-    if not errors.n_rows:
-        raise ValueError(f"{path}: no data rows")
-    formulas = map(formula_of.__getitem__, cells.compositions)
+def _table(entry_ids, compositions, spacegroups, properties: dict, sources) -> StructureTable:
+    """The table of a file whose every cell the column pass takes; ValueError
+    or OverflowError on a cell it does not take. A property column holds ""
+    where a row lacks the property."""
+    n = len(entry_ids)
+    if not n or not set(map(type, entry_ids)) <= {str} or len(set(entry_ids)) != n:
+        raise ValueError
+    distinct = dict.fromkeys(compositions)  # formula strings and (symbol, count) pairs
+    formula_of = canonical_formulas(c for c in distinct if type(c) is str)
+    formula_of.update((c, canonical_formula(dict(c))) for c in distinct if type(c) is tuple)
+    if not set(map(type, spacegroups)) <= {str, int}:  # bools, floats and None: the row path
+        raise ValueError
+    spacegroups = list(map(int, spacegroups))
+    if not 1 <= min(spacegroups) <= max(spacegroups) <= 230:
+        raise ValueError
     return StructureTable(
-        entry_ids=tuple(cells.entry_ids),
-        identities=tuple(map("{}_{}".format, formulas, spacegroups)),
-        compositions=tuple(cells.compositions),
+        entry_ids=tuple(entry_ids),
+        identities=tuple(map("{}_{}".format, map(formula_of.__getitem__, compositions),
+                             spacegroups)),
+        compositions=tuple(compositions),
         spacegroups=np.array(spacegroups, dtype=int),
-        properties=properties,
-        sources=tuple(cells.sources),
+        properties={name: _property_column(column) for name, column in properties.items()},
+        sources=tuple(sources),
     )
 
 
-def _canonical_formulas(cells: Sequence, errors: _FirstError) -> dict:
-    """Canonical formula of each distinct composition cell.
-
-    When a cell is bad, cells are visited one at a time in order of first
-    appearance, so the first that fails is the first failing row.
-    """
-    if not set(map(type, cells)) <= {str, tuple}:  # a missing or non-string formula
-        k, cell = next((k, c) for k, c in enumerate(cells) if type(c) not in (str, tuple))
-        errors.add(k, _FORMULA, "no value for 'formula'" if cell is None
-                   else f"cannot parse formula string: {cell!r}")
-        cells = cells[:k]
-    distinct = dict.fromkeys(cells)
-    try:
-        formula_of = canonical_formulas(c for c in distinct if type(c) is str)
-        for pairs in (c for c in distinct if type(c) is tuple):
-            formula_of[pairs] = canonical_formula(dict(pairs))
-        return formula_of
-    except ValueError:
-        pass
-    for cell in distinct:
-        # a formula is checked with its row's other formula checks; a JSON
-        # map's composition only after the row's properties
-        try:
-            if isinstance(cell, str):
-                canonical_formula(parse_formula(cell))
-            else:
-                canonical_formula(dict(cell))
-        except ValueError as exc:
-            check = _FORMULA if isinstance(cell, str) else _COMPOSITION
-            errors.add(cells.index(cell), check, str(exc))
-            break
-    return {}
-
-
-def _spacegroups(cells: Sequence, errors: _FirstError) -> list[int]:
-    """Integer spacegroups in [1, 230]; the first bad cell is an error."""
-    try:
-        if not set(map(type, cells)) <= {str, int}:
-            raise ValueError  # bools, floats and missing cells take the checked path
-        values = list(map(int, cells))
-    except ValueError:
-        values = []
-        for k, cell in enumerate(cells):
-            try:
-                if cell is None:
-                    raise ValueError("no value for 'spacegroup'")
-                values.append(_integer(cell, "spacegroup"))
-            except ValueError as exc:
-                errors.add(k, _NO_SPACEGROUP if cell is None else _SPACEGROUP_TYPE, str(exc))
-                break
-    values = values[: errors.rows(_SPACEGROUP_RANGE)]
-    if values and not (1 <= min(values) and max(values) <= 230):
-        k, sg = next((k, sg) for k, sg in enumerate(values) if not 1 <= sg <= 230)
-        errors.add(k, _SPACEGROUP_RANGE, f"spacegroup must be an integer in [1, 230], got {sg!r}")
-    return values
-
-
-def _property_column(name: str, present: list, values: list, cells: _Cells,
-                     errors: _FirstError) -> np.ndarray:
-    """float64 column of one property, NaN where a row lacks it."""
-    n = bisect.bisect_left(present, errors.rows(_PROPERTY_TYPE))
-    present, values = present[:n], values[:n]
-    what = f"property {name!r}"
-    try:
-        if bool in set(map(type, values)):
-            raise TypeError  # float() takes bools; the checked path rejects them
-        floats = list(map(float, values))
-    except (TypeError, ValueError, OverflowError):
-        floats = []
-        for k, value in zip(present, values):
-            try:
-                floats.append(_number(value, what))
-            except ValueError as exc:
-                errors.add(k, _PROPERTY_TYPE, str(exc), cells.rank(k, name))
-                break
-        present = present[: len(floats)]
-    got = np.array(floats, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(got))
-    if bad.size:
-        k = present[bad[0]]
-        errors.add(k, _PROPERTY_FINITE, f"{what} must be finite, got {floats[bad[0]]!r}",
-                   cells.rank(k, name))
-    column = np.full(errors.n_rows, np.nan)
+def _property_column(cells) -> np.ndarray:
+    """float64 column of one property, NaN where a cell is ""."""
+    present = [k for k, v in enumerate(cells) if v != ""]
+    values = [cells[k] for k in present]
+    if not set(map(type, values)) <= {str, int, float}:  # bools, None: the row path
+        raise ValueError
+    got = np.array(list(map(float, values)), dtype=float)
+    if not np.isfinite(got).all():
+        raise ValueError
+    column = np.full(len(cells), np.nan)
     column[present] = got
     return column
+
+
+# --- the row path ------------------------------------------------------------
+
+def _decode_rows(path: Path, rows) -> StructureTable:
+    entries, seen = [], set()
+    for k, row in enumerate(rows, 1):
+        try:
+            entry = _structure_from_row(row, path.stem)
+            if entry.entry_id in seen:
+                raise ValueError(f"duplicate entry_id {entry.entry_id!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {k}: {exc}") from None
+        seen.add(entry.entry_id)
+        entries.append(entry)
+    if not entries:
+        raise ValueError(f"{path}: no data rows")
+    return StructureTable.of(entries)
+
+
+def _structure_from_row(row, default_source: str) -> Structure:
+    """The one decoder of a structure row (a CSV row or a JSON object)."""
+    if not isinstance(row, dict):
+        raise ValueError(f"expected an object, got {row!r}")
+    if None in row:  # fields beyond the header
+        raise ValueError(f"{len(row[None])} more field(s) than the header")
+    entry_id = _required(row, "entry_id")
+    if not isinstance(entry_id, str):
+        raise ValueError(f"entry_id must be a string, got {entry_id!r}")
+    if "composition" in row:
+        counts = row["composition"]
+        if not isinstance(counts, dict):
+            raise ValueError(f"composition must be an object, got {counts!r}")
+        composition = {sym: _integer(n, f"count of {sym!r}") for sym, n in counts.items()}
+    else:
+        composition = parse_formula(_required(row, "formula"))
+    props = row.get("properties", {})
+    if not isinstance(props, dict):
+        raise ValueError(f"properties must be an object, got {props!r}")
+    return Structure(
+        entry_id=entry_id,
+        composition=composition,
+        spacegroup=_integer(_required(row, "spacegroup"), "spacegroup"),
+        properties={name: _number(v, f"property {name!r}") for name, v in props.items()},
+        source=row.get("source") or default_source,
+    )
+
+
+def _required(row: dict, key: str):
+    # None is a JSON null or a CSV field the row lacks
+    value = row.get(key)
+    if value is None:
+        raise ValueError(f"no value for {key!r}")
+    return value
 
 
 def _integer(value, what: str) -> int:

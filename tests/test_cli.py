@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import matscale
 from matscale.cli import main
 
 
@@ -484,3 +489,14 @@ def test_stdout_is_strict_json_even_on_overflow(capsys):
     )
     assert (code, stdout) == (1, "")
     assert "JSON" in stderr
+
+
+def test_importing_the_cli_does_not_load_the_structure_decoder():
+    # commands that read no structure table must not pay to compile it
+    src = Path(matscale.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = "import sys, matscale.cli; print(sorted(m for m in sys.modules if 'structure_io' in m))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"

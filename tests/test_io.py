@@ -36,14 +36,24 @@ def test_read_structures_csv(tmp_path):
     ("structures", "\ufeff" + STRUCTURES_CSV, ["s1", "s2", "s3"]),
     ("spectrum", "\ufeff-1.0,0.5\n0.0,1.0\n1.0,2.0\n", [-1.0, 0.0, 1.0]),
     ("spectrum", "\ufeffenergy,dos\n0.0,1.0\n1.0,2.0\n", [0.0, 1.0]),
+    ("structures json", '\ufeff[{"entry_id": "j1", "formula": "MgF2", "spacegroup": 12}]',
+     ["j1"]),
+    ("index lists", "\ufeff[[], [0], [0, 1]]", [[], [0], [0, 1]]),
+    ("sidecar", '\ufeff{"fermi_energy": 0.5, "xc": "LDA", "n_kpt": 4, "n_basis": 40, '
+     '"settings_tier": "light", "relativistic": "ZORA"}', (0.5, "LDA")),
 ])
 def test_leading_byte_order_mark_is_skipped(tmp_path, reader, text, expected):
-    path = tmp_path / "t.csv"
+    path = tmp_path / ("t.csv" if reader in ("structures", "spectrum") else "t.json")
     path.write_bytes(text.encode())
-    if reader == "structures":
+    if reader.startswith("structures"):
         assert [e.entry_id for e in io.read_structures(path)] == expected
-    else:
+    elif reader == "spectrum":
         assert io._read_two_column_csv(path)[0].tolist() == expected
+    elif reader == "index lists":
+        assert io.read_index_lists(path) == expected
+    else:
+        fermi_energy, metadata = io._read_sidecar(path)
+        assert (fermi_energy, metadata.xc) == expected
 
 
 def test_read_structures_json(tmp_path):
@@ -256,6 +266,9 @@ HEADER = "entry_id,formula,spacegroup,bandgap\n"
      "unknown element symbol: 'Xx'"),
     ("t.json", '[{"entry_id": "a", "composition": {"Xx": 1}, "spacegroup": 12, '
      '"properties": {"e": "x"}}]', 1, "property 'e' must be a number, got 'x'"),
+    # an empty string is a CSV's missing cell, but a bad JSON value
+    ("t.json", '[{"entry_id": "a", "formula": "MgF2", "spacegroup": 12, '
+     '"properties": {"e": ""}}]', 1, "property 'e' must be a number, got ''"),
 ])
 def test_bad_structure_row_names_file_and_row(tmp_path, name, text, row, message):
     path = tmp_path / name
@@ -488,6 +501,12 @@ def _decoded(read, path):
             {name: column for name, column in properties.items() if any(v is not None for v in column)})
 
 
+def _read_table(path):
+    table = io.read_structures(path)
+    assert isinstance(table, curation.StructureTable)
+    return table
+
+
 _SYMBOLS = ["H", "O", "Mg", "F", "Ba", "Ti", "Kr", "He"]
 _tokens = st.lists(st.tuples(st.sampled_from(_SYMBOLS), st.integers(1, 12), st.booleans()),
                    min_size=1, max_size=4)
@@ -534,7 +553,7 @@ def test_columnar_decoder_matches_row_decoder_on_csv(rows, with_source, blank_li
                 if blank_line and k == 1:
                     fh.write("\n")
                 writer.writerow(cells)
-        assert _decoded(io.read_structures, path) == _decoded(_oracle_read_structures, path)
+        assert _decoded(_read_table, path) == _decoded(_oracle_read_structures, path)
 
 
 _missing = object()
@@ -587,7 +606,42 @@ def test_columnar_decoder_matches_row_decoder_on_json(records):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.json"
         path.write_text(json.dumps(records))
-        assert _decoded(io.read_structures, path) == _decoded(_oracle_read_structures, path)
+        assert _decoded(_read_table, path) == _decoded(_oracle_read_structures, path)
+
+
+_CLEAN_JSON = ('[{"entry_id": "a", "composition": {"Mg": 1, "F": 2}, "spacegroup": 12}, '
+               '{"entry_id": "b", "formula": "BaTiO3", "spacegroup": 221, '
+               '"properties": {"gap": 1.5}}]')
+
+
+@pytest.mark.parametrize("name, clean, text", [
+    # a JSON spacegroup 12.0
+    ("t.json", _CLEAN_JSON, _CLEAN_JSON.replace('"spacegroup": 12}', '"spacegroup": 12.0}')),
+    # JSON composition counts 2.0 and "2"
+    ("t.json", _CLEAN_JSON, _CLEAN_JSON.replace('"F": 2', '"F": 2.0')),
+    ("t.json", _CLEAN_JSON, _CLEAN_JSON.replace('"F": 2', '"F": "2"')),
+    # a CSV row that lacks only its trailing source cell
+    ("t.csv", "entry_id,formula,spacegroup,gap,source\na,MgF2,12,,\nb,BaTiO3,221,1.5,MP\n",
+     "entry_id,formula,spacegroup,gap,source\na,MgF2,12,\nb,BaTiO3,221,1.5,MP\n"),
+])
+def test_valid_file_only_the_row_path_takes(tmp_path, monkeypatch, name, clean, text):
+    from matscale import structure_io
+
+    rows = []
+    decode = structure_io._structure_from_row
+    monkeypatch.setattr(structure_io, "_structure_from_row",
+                        lambda row, source: rows.append(row) or decode(row, source))
+    (tmp_path / "clean").mkdir()  # the same file name, so the same default source
+    clean_path, path = tmp_path / "clean" / name, tmp_path / name
+    clean_path.write_text(clean)
+    path.write_text(text)
+    expected = io.read_structures(clean_path)
+    assert rows == []  # the column pass took the clean form
+    table = io.read_structures(path)
+    assert len(rows) == 2  # the row path decoded the other
+    assert isinstance(table, curation.StructureTable)
+    assert table == expected
+    assert table.identities == expected.identities
 
 
 def test_structure_table_is_a_read_only_sequence(tmp_path):

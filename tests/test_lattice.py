@@ -6,16 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matscale.lattice import (
-    CeModel,
     Cluster,
     SymmetryGroup,
     apply_permutation,
-    cluster_function,
     correlation,
     correlation_matrix,
     orbit,
-    predict,
 )
+from matscale.polyfeatures import enumerate_monomials, feature_matrix
+from matscale.regression import OmpModel
 
 
 def full_symmetric_group(n):
@@ -51,25 +50,31 @@ def test_group_generate_closure():
     assert len(SymmetryGroup.generate([[1, 0, 2], [0, 2, 1]])) == 6  # S3
 
 
-# --- cluster_function -------------------------------------------------------
+# --- cluster function -------------------------------------------------------
+# Under the identity group a cluster's orbit is the cluster alone, so its
+# correlation is its cluster function.
+
+def _cluster_function(c, s):
+    return correlation(c, SymmetryGroup.identity(len(s)), s)
+
 
 def test_cluster_function_empty_cluster():
-    assert cluster_function(Cluster(()), [1, -1, 1]) == 1
+    assert _cluster_function(Cluster(()), [1, -1, 1]) == 1
 
 
 def test_cluster_function_pair():
-    assert cluster_function(Cluster((0, 1)), [1, -1, 1]) == -1
+    assert _cluster_function(Cluster((0, 1)), [1, -1, 1]) == -1
 
 
 def test_cluster_function_triple_by_hand():
-    assert cluster_function(Cluster((0, 1, 2)), [-1, -1, 1]) == 1
+    assert _cluster_function(Cluster((0, 1, 2)), [-1, -1, 1]) == 1
 
 
 def test_cluster_function_rejects_out_of_range():
     with pytest.raises(ValueError):
-        cluster_function(Cluster((3,)), [1, -1])
+        _cluster_function(Cluster((3,)), [1, -1])
     with pytest.raises(ValueError):
-        cluster_function(Cluster((0,)), [1, 0, -1])
+        _cluster_function(Cluster((0,)), [1, 0, -1])
 
 
 # --- orbit ------------------------------------------------------------------
@@ -175,56 +180,49 @@ def test_matrix_empty_cluster_column_is_ones():
 
 
 # --- predict ----------------------------------------------------------------
+# A fitted model predicts intercept + coefficients . features, where the
+# features are a configuration's correlations or their monomials.
+
+def _predict(model, s, g, clusters, feature_map=None):
+    x = correlation_matrix([s], clusters, g)
+    feats = x if feature_map is None else feature_matrix(x, feature_map)
+    return float(model.predict(feats)[0])
+
 
 def test_predict_zero_coefficients_gives_intercept():
     g = SymmetryGroup.identity(3)
-    model = CeModel([Cluster((0,)), Cluster((1,))], [0.0, 0.0], intercept=1.5)
-    assert predict(model, [1, -1, 1], g) == 1.5
+    clusters = [Cluster((0,)), Cluster((1,))]
+    model = OmpModel([0, 1], np.array([0.0, 0.0]), intercept=1.5)
+    assert _predict(model, [1, -1, 1], g, clusters) == 1.5
 
 
 def test_predict_constant_term_model():
     g = SymmetryGroup.identity(2)
-    model = CeModel([Cluster(())], [2.0], intercept=0.0)
+    model = OmpModel([0], np.array([2.0]), intercept=0.0)
     for s in ([1, 1], [-1, 1], [-1, -1]):
-        assert predict(model, s, g) == 2.0
+        assert _predict(model, s, g, [Cluster(())]) == 2.0
 
 
 def test_predict_hand_dot_product():
     g = SymmetryGroup.identity(3)
-    model = CeModel(
-        [Cluster((0,)), Cluster((1, 2))], [2.0, -1.0], intercept=0.5
-    )
+    clusters = [Cluster((0,)), Cluster((1, 2))]
+    model = OmpModel([0, 1], np.array([2.0, -1.0]), intercept=0.5)
     # s = (-1, 1, -1): X = (-1, -1); 0.5 + 2*(-1) + (-1)*(-1) = -0.5
-    assert predict(model, [-1, 1, -1], g) == pytest.approx(-0.5)
-
-
-def test_predict_dimension_mismatch_rejected():
-    with pytest.raises(ValueError):
-        CeModel([Cluster((0,))], [1.0, 2.0])
+    assert _predict(model, [-1, 1, -1], g, clusters) == pytest.approx(-0.5)
 
 
 def test_predict_nonlinear_feature_map():
-    from matscale.polyfeatures import enumerate_monomials, evaluate_features
-
     g = SymmetryGroup.identity(3)
     clusters = [Cluster((0,)), Cluster((1,))]
     fm = enumerate_monomials(2, 2)  # X1, X2, X1^2, X1X2, X2^2
     coeffs = np.array([0.5, -1.0, 0.0, 2.0, 0.25])
-    model = CeModel(clusters, coeffs, intercept=1.0, feature_map=fm)
+    model = OmpModel(list(range(5)), coeffs, intercept=1.0)
     s = [-1, 1, 1]
-    x = correlation_matrix([s], clusters, g)[0]
-    expected = 1.0 + float(coeffs @ evaluate_features(x, fm))
-    assert predict(model, s, g) == pytest.approx(expected)
+    x = correlation_matrix([s], clusters, g)
+    expected = 1.0 + float(coeffs @ feature_matrix(x, fm)[0])
+    assert _predict(model, s, g, clusters, fm) == pytest.approx(expected)
     # x = (-1, 1): features (-1, 1, 1, -1, 1) -> 1 + (-0.5 -1 +0 -2 +0.25)
-    assert predict(model, s, g) == pytest.approx(-2.25)
-
-
-def test_nonlinear_model_requires_matching_base_count():
-    from matscale.polyfeatures import enumerate_monomials
-
-    fm = enumerate_monomials(3, 2)
-    with pytest.raises(ValueError, match="base correlations"):
-        CeModel([Cluster((0,)), Cluster((1,))], np.zeros(9), feature_map=fm)
+    assert _predict(model, s, g, clusters, fm) == pytest.approx(-2.25)
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from matscale.polyfeatures import (
     FeatureMap,
     enumerate_monomials,
-    evaluate_features,
     feature_count,
     feature_matrix,
 )
@@ -68,23 +67,23 @@ def test_count_overflow_is_explicit():
 
 def test_evaluate_all_ones():
     fm = enumerate_monomials(3, 3)
-    assert np.all(evaluate_features([1.0, 1.0, 1.0], fm) == 1.0)
+    assert np.all(feature_matrix([[1.0, 1.0, 1.0]], fm)[0] == 1.0)
 
 
 def test_evaluate_powers_by_hand():
     fm = enumerate_monomials(1, 3)
-    assert evaluate_features([2.0], fm).tolist() == [2.0, 4.0, 8.0]
+    assert feature_matrix([[2.0]], fm)[0].tolist() == [2.0, 4.0, 8.0]
 
 
 def test_evaluate_zero_propagates():
     fm = enumerate_monomials(1, 2)
-    assert evaluate_features([0.0], fm).tolist() == [0.0, 0.0]
+    assert feature_matrix([[0.0]], fm)[0].tolist() == [0.0, 0.0]
 
 
 def test_evaluate_rejects_wrong_length():
     fm = enumerate_monomials(2, 2)
     with pytest.raises(ValueError):
-        evaluate_features([1.0], fm)
+        feature_matrix([[1.0]], fm)
 
 
 @given(st.lists(st.floats(-3, 3, allow_nan=False), min_size=1, max_size=5),
@@ -92,7 +91,7 @@ def test_evaluate_rejects_wrong_length():
 def test_degree_one_block_reproduces_input(xs, d):
     x = np.array(xs)
     fm = enumerate_monomials(len(xs), d)
-    feats = evaluate_features(x, fm)
+    feats = feature_matrix(x[None, :], fm)[0]
     assert np.array_equal(feats[: len(xs)], x)
 
 
@@ -102,11 +101,11 @@ def test_feature_matrix_matches_rowwise_evaluation():
     fm = enumerate_monomials(3, 3)
     F = feature_matrix(X, fm)
     for i in range(6):
-        assert np.allclose(F[i], evaluate_features(X[i], fm))
+        assert np.allclose(F[i], feature_matrix(X[i : i + 1], fm)[0])
 
 
 def _evaluate_features_loop(x, fm):
-    """The scalar per-monomial loop evaluate_features used to run, kept as an oracle."""
+    """The scalar per-monomial loop that evaluated one row, kept as an oracle."""
     out = np.empty(len(fm.monomials))
     for m_i, m in enumerate(fm.monomials):
         v = 1.0
@@ -125,7 +124,7 @@ def test_evaluate_features_matches_scalar_loop_within_2_ulp():
         x = rng.uniform(-1, 1, p)
         x[rng.random(p) < 0.1] = rng.choice([-1.0, 0.0, 1.0])
         np.testing.assert_array_max_ulp(
-            evaluate_features(x, fm), _evaluate_features_loop(x, fm), maxulp=2
+            feature_matrix(x[None, :], fm)[0], _evaluate_features_loop(x, fm), maxulp=2
         )
 
 
