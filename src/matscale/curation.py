@@ -26,9 +26,23 @@ STRUCTURE_ID_RE = re.compile(r"^([A-Z][a-z]?[0-9]*)+_[0-9]{1,3}$")
 
 _FORMULA_TOKEN_RE = re.compile(r"([A-Z][a-z]?)([0-9]*)")
 _FORMULA_RE = re.compile(r"(?:[A-Z][a-z]?[0-9]*)+")
-# formulas one per line, and a space before each element token's capital
-_FORMULA_LINES_RE = re.compile(r"(?:(?:[A-Z][a-z]?[0-9]*)+\n)*(?:[A-Z][a-z]?[0-9]*)+")
-_SPACE_TOKENS = {code: " " + chr(code) for code in range(ord("A"), ord("Z") + 1)}
+# a count longer than this goes through parse_formula: 640 digits is the
+# lowest limit sys.set_int_max_str_digits accepts, so int() may refuse more
+_MAX_COPIED_DIGITS = 640
+
+
+def _symbol_rank_table() -> np.ndarray:
+    """Element rank by the codes of a symbol's capital and its lowercase
+    letter (0 if none); -1 where no element has that symbol. A newline
+    ranks after every element."""
+    table = np.full((128, 128), -1, dtype=np.int16)
+    for symbol, rank in ELECTRONEGATIVITY_RANK.items():
+        table[ord(symbol[0]), ord(symbol[1:] or "\0")] = rank
+    table[ord("\n"), 0] = len(ELECTRONEGATIVITY_RANK)
+    return table
+
+
+_SYMBOL_RANK = _symbol_rank_table()
 
 
 @dataclass(frozen=True)
@@ -191,31 +205,72 @@ def parse_formula(formula: str) -> dict[str, int]:
 def canonical_formulas(formulas: Iterable[str]) -> dict[str, str]:
     """Canonical formula of each distinct formula string.
 
-    The strings are checked by one regular expression and split into
-    element tokens in one pass; each distinct sorted token multiset is then
-    canonicalised once, so a formula that lists the same tokens in another
-    order costs one lookup. Raises ValueError if any formula is bad, without
-    naming it: ``parse_formula`` and ``canonical_formula`` on each string
-    give the reason.
+    numpy checks the joined strings byte by byte, splits them into element
+    tokens, orders each formula's tokens by electronegativity with one sort
+    and gathers their bytes into the canonical strings. A count is copied as
+    written, so no count is parsed. A formula whose count has a leading zero
+    (or more digits than ``int`` need accept), or that repeats a symbol,
+    goes through ``parse_formula`` and ``canonical_formula`` instead. Raises
+    ValueError if any formula is bad, without naming it: ``parse_formula``
+    and ``canonical_formula`` on each string give the reason.
     """
-    formulas = list(dict.fromkeys(formulas))
+    formulas = list(formulas)
     if not formulas:
         return {}
     lines = "\n".join(formulas)
-    if lines.count("\n") != len(formulas) - 1 or not _FORMULA_LINES_RE.fullmatch(lines):
+    if lines.count("\n") != len(formulas) - 1 or not lines.isascii():
         raise ValueError("cannot parse every formula string")
-    tokens = map(str.split, lines.translate(_SPACE_TOKENS).split("\n"))
-    by_tokens: dict[tuple[str, ...], str] = {}
-    formula_of = {}
-    for formula, key in zip(formulas, map(tuple, map(sorted, tokens))):
-        if key not in by_tokens:
-            counts: dict[str, int] = {}
-            for token in key:
-                symbol = token.rstrip("0123456789")
-                counts[symbol] = counts.get(symbol, 0) + int(token[len(symbol):] or 1)
-            by_tokens[key] = canonical_formula(counts)
-        formula_of[formula] = by_tokens[key]
+    # each formula is a line that a newline ends; a "1" follows, for bare symbols
+    text = np.frombuffer(f"{lines}\n1".encode("ascii"), dtype=np.uint8)
+    one = len(text) - 1
+    starts = _formula_tokens(text[:one])
+    # a token is an element symbol with its count, or a line end, which
+    # ranks after every element
+    lengths = np.diff(starts, append=one)
+    second = text[starts + 1]
+    two_letters = second >= ord("a")
+    rank = _SYMBOL_RANK[text[starts], np.where(two_letters, second, 0)]
+    if (rank < 0).any():
+        raise ValueError("unknown element symbol")
+    line_end = text[starts] == ord("\n")
+    n_digits = lengths - 1 - two_letters  # a line end has none
+    scalar = (n_digits > _MAX_COPIED_DIGITS) | (
+        (n_digits > 0) & (text[starts + 1 + two_letters] == ord("0")))
+    line = np.cumsum(line_end) - line_end
+    order = np.lexsort((rank, line))
+    line, rank = line[order], rank[order]
+    repeated = (line[1:] == line[:-1]) & (rank[1:] == rank[:-1])
+    scalar_lines = np.union1d(line[scalar[order]], line[1:][repeated])
+    # each token writes its bytes, then a bare symbol a "1"; the last line
+    # end is dropped
+    starts, lengths = starts[order], lengths[order]
+    bare = ((n_digits == 0) & ~line_end)[order]
+    out_lengths = lengths + bare
+    offsets = np.cumsum(out_lengths) - out_lengths
+    gather = np.repeat(starts - offsets, out_lengths)
+    gather += np.arange(len(gather))
+    gather[(offsets + lengths)[bare]] = one
+    formula_of = dict(zip(formulas, text[gather[:-1]].tobytes().decode("ascii").split("\n")))
+    for k in scalar_lines.tolist():
+        formula_of[formulas[k]] = canonical_formula(parse_formula(formulas[k]))
     return formula_of
+
+
+def _formula_tokens(text: np.ndarray) -> np.ndarray:
+    """Where each token of formula lines starts: at a capital letter or at
+    the newline that ends each line. ValueError if a line is not a formula,
+    ``([A-Z][a-z]?[0-9]*)+``."""
+    line_end = text == ord("\n")
+    upper = (text >= ord("A")) & (text <= ord("Z"))
+    lower = (text >= ord("a")) & (text <= ord("z"))
+    digit = (text >= ord("0")) & (text <= ord("9"))
+    # a line starts with a capital, a lowercase letter follows a capital,
+    # and a digit or a line end follows a letter or a digit
+    if not (upper[0] and (upper | lower | digit | line_end).all()
+            and not (lower[1:] & ~upper[:-1]).any()
+            and not ((digit[1:] | line_end[1:]) & line_end[:-1]).any()):
+        raise ValueError("cannot parse every formula string")
+    return np.flatnonzero(upper | line_end)
 
 
 def structure_id(s: Structure) -> str:

@@ -40,12 +40,15 @@ class Spectrum:
             raise ValueError("energies and dos must be 1-D arrays of equal length")
         if self.energies.size < 2:
             raise ValueError("spectrum needs at least 2 points")
-        if not np.all(np.diff(self.energies) > 0):
+        energies, dos = self.energies, self.dos
+        if not (energies[1:] > energies[:-1]).all():
             raise ValueError("energies must be strictly ascending")
-        if not np.all(self.dos >= 0):
+        if not dos.min() >= 0:  # a NaN is the minimum, and fails the test
             raise ValueError("dos values must be non-negative")
-        if not (np.all(np.isfinite(self.energies)) and np.all(np.isfinite(self.dos))
-                and math.isfinite(self.fermi_energy)):
+        # Ascending energies and non-negative dos hold no NaN, so only the
+        # energies' ends and the largest dos value can be infinite.
+        if not (math.isfinite(energies[0]) and math.isfinite(energies[-1])
+                and math.isfinite(dos.max()) and math.isfinite(self.fermi_energy)):
             raise ValueError("spectrum contains non-finite values")
 
 

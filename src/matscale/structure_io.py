@@ -20,6 +20,7 @@ of its checks. A file is decoded in one of two ways:
 from __future__ import annotations
 
 import csv
+import gc
 import json
 from itertools import zip_longest
 from pathlib import Path
@@ -55,6 +56,10 @@ def _csv_columns(path: Path) -> tuple[list[str], list[tuple]]:
     A row shorter than the longest row is padded with None, which no CSV
     cell can be.
     """
+    # The collector tracks every row list, and the passes that reading a
+    # large file triggers would take most of the parse.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -67,11 +72,14 @@ def _csv_columns(path: Path) -> tuple[list[str], list[tuple]]:
             if missing:
                 raise ValueError(f"{path}: missing required columns {sorted(missing)}")
             rows = list(reader)
+        if not all(rows):
+            rows = [row for row in rows if row]
+        return header, list(zip_longest(*rows))
     except (csv.Error, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if not all(rows):
-        rows = [row for row in rows if row]
-    return header, list(zip_longest(*rows))
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _csv_rows(header: list[str], columns: list[tuple]):
@@ -163,8 +171,8 @@ def _table(entry_ids, compositions, spacegroups, properties: dict, sources) -> S
     distinct = dict.fromkeys(compositions)  # formula strings and (symbol, count) pairs
     formula_of = canonical_formulas(c for c in distinct if type(c) is str)
     formula_of.update((c, canonical_formula(dict(c))) for c in distinct if type(c) is tuple)
-    if not set(map(type, spacegroups)) <= {str, int}:  # bools, floats and None: the row path
-        raise ValueError
+    if not set(map(type, spacegroups)) <= {str, int} or not _plain_cells(spacegroups):
+        raise ValueError  # bools, floats, None and "1_36": the row path
     spacegroups = list(map(int, spacegroups))
     if not 1 <= min(spacegroups) <= max(spacegroups) <= 230:
         raise ValueError
@@ -183,14 +191,22 @@ def _property_column(cells) -> np.ndarray:
     """float64 column of one property, NaN where a cell is ""."""
     present = [k for k, v in enumerate(cells) if v != ""]
     values = [cells[k] for k in present]
-    if not set(map(type, values)) <= {str, int, float}:  # bools, None: the row path
-        raise ValueError
+    if not set(map(type, values)) <= {str, int, float} or not _plain_cells(values):
+        raise ValueError  # bools, None and "1_0.5": the row path
     got = np.array(list(map(float, values)), dtype=float)
     if not np.isfinite(got).all():
         raise ValueError
     column = np.full(len(cells), np.nan)
     column[present] = got
     return column
+
+
+def _plain_cells(cells) -> bool:
+    """Whether every string cell is ``_plain``."""
+    try:
+        return _plain("".join(cells))
+    except TypeError:  # JSON numbers among the cells
+        return _plain("".join(c for c in cells if type(c) is str))
 
 
 # --- the row path ------------------------------------------------------------
@@ -251,7 +267,8 @@ def _integer(value, what: str) -> int:
     """An int, an integral float or a decimal string; never a bool."""
     if isinstance(value, str):
         try:
-            return int(value)
+            if _plain(value):
+                return int(value)
         except ValueError:
             pass
     elif isinstance(value, float) and value.is_integer():
@@ -262,9 +279,17 @@ def _integer(value, what: str) -> int:
 
 
 def _number(value, what: str) -> float:
-    if not isinstance(value, bool):
+    """An int, a float or a string ``float`` reads; never a bool."""
+    if not isinstance(value, bool) and (not isinstance(value, str) or _plain(value)):
         try:
             return float(value)
         except (TypeError, ValueError, OverflowError):
             pass
     raise ValueError(f"{what} must be a number, got {value!r}")
+
+
+def _plain(text: str) -> bool:
+    """Whether a number's text has no digit separator and no non-ASCII
+    character: ``int`` and ``float`` read ``1_36``, and 136 written in
+    Arabic-Indic digits, as 136."""
+    return text.isascii() and "_" not in text

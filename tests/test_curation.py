@@ -10,6 +10,7 @@ from matscale.curation import (
     _allocate_counts,
     Structure,
     canonical_formula,
+    canonical_formulas,
     dataset_overlap,
     grouped_split,
     parse_formula,
@@ -60,6 +61,52 @@ def test_parse_formula_roundtrip():
         parse_formula("2Mg")
     with pytest.raises(ValueError):
         parse_formula("")
+
+
+# --- canonical_formulas, against the scalar canonical_formula --------------
+
+_token = st.tuples(
+    # Co next to C and O, two symbols without an electronegativity, unknown ones
+    st.sampled_from(["C", "O", "Co", "H", "Mg", "F", "Ba", "He", "Og", "Xx", "J"]),
+    st.one_of(st.sampled_from(["", "", "1", "2", "12"]),
+              st.sampled_from(["0", "00", "01", "007", "10", str(2**63), str(2**64 + 1)]),
+              st.integers(0, 10**30).map(str)),
+).map("".join)
+_formula_text = st.one_of(
+    # token strings twice, so that most examples are formulas
+    st.lists(_token, min_size=1, max_size=5).map("".join),
+    st.lists(_token, min_size=1, max_size=5).map("".join),
+    st.sampled_from(["", "\n", "H\nO", "H2O\n", "\nH", "H\n\nO", "2H", "h2", "H2o", "Mgg",
+                     "Mg 2", "H_2", "M\u00e9", "H\u0662"]),
+    st.text(alphabet="CHOgo02\n \u00e9", max_size=8),
+)
+
+
+def _canonical_or_error(formula):
+    try:
+        return canonical_formula(parse_formula(formula))
+    except ValueError:
+        return ValueError
+
+
+@settings(max_examples=400, deadline=None)
+@given(formulas=st.lists(_formula_text, max_size=8))
+@example(formulas=["CoO", "COO", "OCo", "H2OH", "Mg01F2", "F2Mg01", "HeOg2"])
+@example(formulas=["H" + "9" * 25, "H0H2", "Mg2F4", "F4Mg2"])
+@example(formulas=["Mg2F4", "Mg0"])
+@example(formulas=["Mg2F4", "Xx"])
+@example(formulas=["Mg2F4", ""])
+@example(formulas=[])
+# int() may refuse a count this long, so it takes the scalar path
+@example(formulas=["Mg2F4", "O" + "7" * 640 + "H", "O" + "7" * 641 + "H"])
+@example(formulas=["Mg2F4", "O" + "7" * 5000 + "H"])
+def test_canonical_formulas_matches_scalar_oracle(formulas):
+    expected = {f: _canonical_or_error(f) for f in formulas}
+    if ValueError in expected.values():
+        with pytest.raises(ValueError):
+            canonical_formulas(formulas)
+    else:
+        assert canonical_formulas(formulas) == expected
 
 
 # --- structure_id -----------------------------------------------------------

@@ -269,10 +269,26 @@ HEADER = "entry_id,formula,spacegroup,bandgap\n"
     # an empty string is a CSV's missing cell, but a bad JSON value
     ("t.json", '[{"entry_id": "a", "formula": "MgF2", "spacegroup": 12, '
      '"properties": {"e": ""}}]', 1, "property 'e' must be a number, got ''"),
+    # digit separators and non-ASCII digits, which int() and float() would read
+    ("t.csv", HEADER + "a,MgF2,12,1\nb,MgF2,1_36,1\n", 2,
+     "spacegroup must be an integer, got '1_36'"),
+    ("t.csv", HEADER + "a,MgF2,\u0661\u0663\u0666,1\n", 1,
+     "spacegroup must be an integer, got '\u0661\u0663\u0666'"),
+    ("t.json", '[{"entry_id": "a", "formula": "MgF2", "spacegroup": "1_36"}]', 1,
+     "spacegroup must be an integer, got '1_36'"),
+    ("t.json", '[{"entry_id": "a", "composition": {"Mg": "1_0", "F": 2}, "spacegroup": 12}]',
+     1, "count of 'Mg' must be an integer, got '1_0'"),
+    ("t.csv", HEADER + "a,MgF2,12,1\nb,MgF2,12,1_0.5\n", 2,
+     "property 'bandgap' must be a number, got '1_0.5'"),
+    ("t.csv", HEADER + "a,MgF2,12,\u0661.5\n", 1,
+     "property 'bandgap' must be a number, got '\u0661.5'"),
+    ("t.json", '[{"entry_id": "a", "formula": "MgF2", "spacegroup": 12, '
+     '"properties": {"e": 1.5}}, {"entry_id": "b", "formula": "MgF2", "spacegroup": 12, '
+     '"properties": {"e": "1_0.5"}}]', 2, "property 'e' must be a number, got '1_0.5'"),
 ])
 def test_bad_structure_row_names_file_and_row(tmp_path, name, text, row, message):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError) as exc:
         io.read_structures(path)
     assert str(exc.value).startswith(f"{path}: row {row}: ")
@@ -377,24 +393,32 @@ def test_csv_and_json_forms_decode_to_equal_structures(rows):
         assert from_csv == _seed_structures_from_json(json_path)
 
 
-def test_curate_path_builds_each_identity_once(tmp_path, monkeypatch):
-    # one canonical_formula call per distinct composition of a file: a has
-    # Mg2F4 (twice) and BaTiO3, b has F4Mg2 (the composition of Mg2F4) and KCl
+@pytest.mark.parametrize("formulas_b, scalar", [
+    # clean formulas, in any token order: no scalar canonical_formula call
+    (["F4Mg2", "KCl"], []),
+    # a repeated symbol or a leading-zero count: one call per distinct string
+    (["H2OH", "Mg01F2", "H2OH", "F4Mg2", "Mg0001", "OHH"], ["H2OH", "Mg01F2", "Mg0001", "OHH"]),
+])
+def test_curate_path_makes_scalar_calls_only_for_unclean_formulas(tmp_path, monkeypatch,
+                                                                  formulas_b, scalar):
+    # a has Mg2F4 (twice) and BaTiO3; every b has F4Mg2, the composition of Mg2F4
     calls = []
     original = curation.canonical_formula
     monkeypatch.setattr(curation, "canonical_formula",
-                        lambda comp: calls.append(1) or original(comp))
+                        lambda comp: calls.append(comp) or original(comp))
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     a.write_text(STRUCTURES_CSV)
-    b.write_text("entry_id,formula,spacegroup\nb1,F4Mg2,136\nb2,KCl,225\n")
+    b.write_text("entry_id,formula,spacegroup\n"
+                 + "".join(f"b{k},{f},136\n" for k, f in enumerate(formulas_b)))
     entries_a, entries_b = io.read_structures(a), io.read_structures(b)
     _, _, shared = curation.dataset_overlap(entries_a, entries_b)
     for path, entries in ((a, entries_a), (b, entries_b)):
         split = grouped_split(entries, (0.5, 0.25, 0.25), seed=3, shared_ids=shared)
         io.write_split_csv(tmp_path / f"{path.stem}_split.csv", entries, split)
     assert shared == {"Mg2F4_136"}
-    assert len(entries_a) + len(entries_b) == 5
-    assert len(calls) == 4
+    assert calls == [parse_formula(f) for f in scalar]
+    assert entries_b.identities == tuple(
+        f"{original(parse_formula(f))}_136" for f in formulas_b)
 
 
 # --- the per-row structure decoder, kept as the oracle of the columnar one ---
@@ -469,7 +493,8 @@ def _required(row, key):
 def _integer(value, what):
     if isinstance(value, str):
         try:
-            return int(value)
+            if value.isascii() and "_" not in value:  # not "1_36" or "\u0661\u0663\u0666"
+                return int(value)
         except ValueError:
             pass
     elif isinstance(value, float) and value.is_integer():
@@ -480,7 +505,8 @@ def _integer(value, what):
 
 
 def _number(value, what):
-    if not isinstance(value, bool):
+    if not (isinstance(value, bool)
+            or isinstance(value, str) and not (value.isascii() and "_" not in value)):
         try:
             return float(value)
         except (TypeError, ValueError, OverflowError):
@@ -524,9 +550,12 @@ _csv_row = st.one_of(
     st.tuples(
         _ids,
         st.one_of(_good_formula, _good_formula, _bad_formula),
-        st.one_of(_sg_text, st.sampled_from(["0", "231", "-3", "x", "12.7", " 12", "1_2", ""])),
-        st.one_of(_prop_text, st.sampled_from(["high", "nan", "-inf", "1e400", " 1.5", "1_0"])),
-        st.one_of(_prop_text, st.sampled_from(["high", "nan", "-inf", "1e400", " 1.5", "1_0"])),
+        st.one_of(_sg_text, st.sampled_from(["0", "231", "-3", "x", "12.7", " 12", "1_2",
+                                             "\u0661\u0662", ""])),
+        st.one_of(_prop_text, st.sampled_from(["high", "nan", "-inf", "1e400", " 1.5", "1_0",
+                                               "\u0661.5"])),
+        st.one_of(_prop_text, st.sampled_from(["high", "nan", "-inf", "1e400", " 1.5", "1_0",
+                                               "\u0661.5"])),
         _source,
         # extra fields (> 0) or missing cells (< 0)
         st.sampled_from([0, 0, 0, 0, 1, 2, -1, -3]),
@@ -575,7 +604,8 @@ _clean_record = _record({
     "properties": st.one_of(st.just(_missing), _clean_properties),
     "source": st.sampled_from([_missing, None, "", "MP"]),
 })
-_count = st.one_of(st.integers(1, 9), st.sampled_from([2.0, "2", 2.5, True, 0, -1, None, [1]]))
+_count = st.one_of(st.integers(1, 9),
+                   st.sampled_from([2.0, "2", "1_0", 2.5, True, 0, -1, None, [1]]))
 _wild_record = _record({
     "entry_id": st.one_of(_ids, st.sampled_from([_missing, None, 5, ["e1"]])),
     "formula": st.one_of(_good_formula, _good_formula, _bad_formula,
@@ -585,12 +615,12 @@ _wild_record = _record({
         st.dictionaries(st.sampled_from(_SYMBOLS + ["Xx", "mg"]), _count, max_size=3),
         st.sampled_from([5, None, "Mg2", []])),
     "spacegroup": st.one_of(st.integers(1, 230), st.sampled_from(
-        [_missing, None, 12.0, 12.7, True, "12", "x", 0, 231, float("inf"), [12]])),
+        [_missing, None, 12.0, 12.7, True, "12", "x", "1_2", 0, 231, float("inf"), [12]])),
     "properties": st.one_of(
         st.just(_missing),
         st.dictionaries(st.sampled_from(["e_form", "gap", "u"]),
                         st.one_of(st.floats(-1e6, 1e6), st.sampled_from(
-                            [None, True, "1.5", "high", [1.0], float("nan"), float("inf"),
+                            [None, True, "1.5", "high", "1_0.5", [1.0], float("nan"), float("inf"),
                              10**400])),
                         max_size=3),
         st.sampled_from([5, None, []])),

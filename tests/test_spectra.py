@@ -40,6 +40,39 @@ def test_spectrum_rejects_bad_input():
         Spectrum([0.0, 1.0], [1.0, 1.0], float("nan"))
 
 
+def _spectrum_error(energies, dos, fermi_energy):
+    """The message of the first failing Spectrum check, each a full array pass."""
+    energies, dos = np.asarray(energies, dtype=float), np.asarray(dos, dtype=float)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        ascending = np.all(np.diff(energies) > 0)
+    if not ascending:
+        return "energies must be strictly ascending"
+    if not np.all(dos >= 0):
+        return "dos values must be non-negative"
+    if not (np.all(np.isfinite(energies)) and np.all(np.isfinite(dos))
+            and np.isfinite(fermi_energy)):
+        return "spectrum contains non-finite values"
+    return None
+
+
+_spectrum_value = st.one_of(
+    st.floats(-5, 5), st.sampled_from([0.0, -0.0, -1.0, np.nan, np.inf, -np.inf]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(energies=st.lists(_spectrum_value, min_size=2, max_size=6).map(sorted),
+       dos=st.lists(_spectrum_value, min_size=6, max_size=6),
+       fermi_energy=_spectrum_value)
+def test_spectrum_checks_fire_in_order(energies, dos, fermi_energy):
+    dos = dos[:len(energies)]
+    message = _spectrum_error(energies, dos, fermi_energy)
+    if message is None:
+        Spectrum(energies, dos, fermi_energy)
+    else:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Spectrum(energies, dos, fermi_energy)
+
+
 def test_bin_heights_rejects_overflowing_integrals():
     s = Spectrum([-2.0, -0.5, 0.0, 0.5, 2.0], [0.0, 1e308, 1e308, 1e308, 0.0], 0.0,
                  source="huge.csv")
