@@ -10,28 +10,53 @@ Submodules:
   costs        workflow storage and training/NAS budget estimators
   io           file formats; structure_io holds the structure table decoder
   cli          the matscale command line
+
+The names below are re-exported lazily (PEP 562): ``import matscale`` loads
+no submodule and no numpy, and ``matscale.omp_fit`` imports
+``matscale.regression`` on first use. The command line relies on this to
+choose its BLAS threads before numpy loads.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .curation import (
-    Structure,
-    StructureTable,
-    canonical_formula,
-    dataset_overlap,
-    grouped_split,
-    property_histogram,
-    structure_id,
-)
-from .lattice import Cluster, SymmetryGroup, correlation, correlation_matrix, orbit
-from .polyfeatures import enumerate_monomials, feature_count
-from .regression import compare_feature_spaces, omp_fit, plateau_detect, rmse
-from .spectra import (
-    CalcMetadata,
-    Spectrum,
-    block_stats,
-    make_fingerprint,
-    similarity_matrix,
-    sort_by_settings,
-    tanimoto,
-)
+_SUBMODULE = {
+    "curation": (
+        "Structure",
+        "StructureTable",
+        "canonical_formula",
+        "dataset_overlap",
+        "grouped_split",
+        "property_histogram",
+        "structure_id",
+    ),
+    "lattice": ("Cluster", "SymmetryGroup", "correlation", "correlation_matrix", "orbit"),
+    "polyfeatures": ("enumerate_monomials", "feature_count"),
+    "regression": ("compare_feature_spaces", "omp_fit", "plateau_detect", "rmse"),
+    "spectra": (
+        "CalcMetadata",
+        "Spectrum",
+        "block_stats",
+        "make_fingerprint",
+        "similarity_matrix",
+        "sort_by_settings",
+        "tanimoto",
+    ),
+}
+_HOME = {name: module for module, names in _SUBMODULE.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    # read from the submodule on every access, so a name never goes stale
+    # when the submodule's attribute is rebound
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

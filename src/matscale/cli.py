@@ -3,6 +3,12 @@
 Every subcommand prints a machine-readable JSON summary to stdout and
 writes its file outputs atomically. Exit codes: 0 success, 1 module
 error, 2 configuration error (bad flags, missing inputs).
+
+Importing this module loads no numpy and no other matscale module: each
+``cmd_*`` function imports what it runs when it is called, so ``complexity``
+and ``estimate`` never load numpy. The names are looked up on each call, so
+a rebound module attribute (``io.read_structures``,
+``lattice.correlation_matrix``) takes effect on the next call.
 """
 
 from __future__ import annotations
@@ -10,14 +16,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import complexity as cx
-from . import costs, curation, io, regression, spectra
-from .lattice import Cluster, SymmetryGroup, correlation_matrix
+# The BLAS thread variables run() sets when the caller has set none of them.
+BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class ConfigError(Exception):
@@ -64,6 +68,10 @@ def _outdir(args) -> Path:
 
 
 def cmd_curate(args):
+    import numpy as np
+
+    from . import curation, io
+
     input_path = _require_file(args.input)
     other_path = _require_file(args.other) if args.other else None
     fractions = _parse_fractions(args.split)
@@ -134,6 +142,10 @@ def _parse_similarity_flags(args) -> tuple[tuple[float, float], tuple[int, int]]
 
 
 def cmd_similarity(args):
+    import numpy as np
+
+    from . import io, spectra
+
     window, grid = _parse_similarity_flags(args)
     spectra_dir = _require_file(args.spectra)
     outdir = _outdir(args)
@@ -176,6 +188,9 @@ def _parse_ce_fit_flags(args) -> list[int]:
 
 
 def _read_clusters(path: Path) -> list[Cluster]:
+    from . import io
+    from .lattice import Cluster
+
     clusters = []
     for k, sites in enumerate(io.read_index_lists(path)):
         try:
@@ -186,6 +201,9 @@ def _read_clusters(path: Path) -> list[Cluster]:
 
 
 def _read_group(path: Path) -> SymmetryGroup:
+    from . import io
+    from .lattice import SymmetryGroup
+
     permutations = io.read_index_lists(path)
     try:
         return SymmetryGroup(permutations)
@@ -194,6 +212,9 @@ def _read_group(path: Path) -> SymmetryGroup:
 
 
 def cmd_ce_fit(args):
+    from . import io, regression
+    from .lattice import correlation_matrix
+
     degrees = _parse_ce_fit_flags(args)
     configs_path = _require_file(args.configs)
     clusters_path = _require_file(args.clusters)
@@ -230,6 +251,8 @@ def cmd_ce_fit(args):
 
 
 def cmd_complexity(args):
+    from . import complexity as cx
+
     if args.nn:
         try:
             widths = [int(w) for w in args.nn.split(",")]
@@ -252,6 +275,8 @@ def cmd_complexity(args):
 
 
 def _parse_sisso(text: str) -> cx.SissoSpec:
+    from . import complexity as cx
+
     values = {}
     bias = False
     for token in text.split(","):
@@ -272,6 +297,8 @@ def _parse_sisso(text: str) -> cx.SissoSpec:
 
 
 def cmd_estimate(args):
+    from . import costs
+
     for name in ("mb_per_run", "t_batch", "t_grad", "hours", "price"):
         value = getattr(args, name, None)
         if value is not None and not math.isfinite(value):
@@ -319,7 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility and unused: the similarity "
-                        "fill is serial")
+                        "fill is serial, and the BLAS runs on one thread unless "
+                        "OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS "
+                        "is set; outputs do not depend on the thread count")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("curate", help="dedup identities, splits, histograms")
@@ -400,6 +429,7 @@ def _join_window_flag(argv):
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; return its exit code. Leaves os.environ as it is."""
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
@@ -418,5 +448,21 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> int:
+    """Program entry: choose the BLAS threads before numpy loads, then main().
+
+    The BLAS reads its thread count once, when numpy loads it. Its default
+    threads spin idle after each call and burn CPU; at this CLI's matrix
+    sizes they save no wall time. So when the caller has set none of
+    BLAS_THREAD_ENV, all of them are set to "1"; a caller who set any of
+    them keeps every one as it was. main() leaves the environment alone, so
+    a caller that runs it in-process and then starts other programs does
+    not pass this choice on.
+    """
+    if not any(name in os.environ for name in BLAS_THREAD_ENV):
+        os.environ.update(dict.fromkeys(BLAS_THREAD_ENV, "1"))
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -5,6 +5,7 @@ requested."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -86,15 +87,22 @@ def workflow_estimate(w: WorkflowSpec) -> WorkflowEstimate:
     return WorkflowEstimate(runs=runs, files=files, bytes=total_bytes)
 
 
+def _checked_finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise OverflowError(f"{what} overflows the floating-point range ({value})")
+    return value
+
+
 def training_time(t: TrainingSpec) -> float:
     """Wall seconds: steps times (batching + gradient-update) time."""
-    return t.n_steps * (t.t_batch + t.t_grad)
+    return _checked_finite(t.n_steps * (t.t_batch + t.t_grad), "training time")
 
 
 def nas_budget(n: NasSpec) -> NasBudget:
     """GPU-hours and cost of training every candidate architecture."""
-    gpu_hours = n.n_architectures * n.hours_per_architecture
-    return NasBudget(gpu_hours=gpu_hours, cost=gpu_hours * n.price_per_gpu_hour)
+    gpu_hours = _checked_finite(n.n_architectures * n.hours_per_architecture, "GPU hours")
+    cost = _checked_finite(gpu_hours * n.price_per_gpu_hour, "NAS cost")
+    return NasBudget(gpu_hours=gpu_hours, cost=cost)
 
 
 def speedup(t_slow: float, t_fast: float) -> float:

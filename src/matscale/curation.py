@@ -222,34 +222,47 @@ def canonical_formulas(formulas: Iterable[str]) -> dict[str, str]:
         raise ValueError("cannot parse every formula string")
     # each formula is a line that a newline ends; a "1" follows, for bare symbols
     text = np.frombuffer(f"{lines}\n1".encode("ascii"), dtype=np.uint8)
+    del lines
+    # int32 positions while every output index fits: at most each byte of
+    # the text plus a "1" after each bare symbol. Each per-token array is
+    # dropped once used; at 10^6 rows they would otherwise set the peak RSS.
+    index = np.int32 if 2 * len(text) < 2**31 else np.int64
     one = len(text) - 1
-    starts = _formula_tokens(text[:one])
+    starts = _formula_tokens(text[:one]).astype(index)
     # a token is an element symbol with its count, or a line end, which
     # ranks after every element
-    lengths = np.diff(starts, append=one)
+    lengths = np.diff(starts, append=index(one))
     second = text[starts + 1]
     two_letters = second >= ord("a")
     rank = _SYMBOL_RANK[text[starts], np.where(two_letters, second, 0)]
+    del second
     if (rank < 0).any():
         raise ValueError("unknown element symbol")
     line_end = text[starts] == ord("\n")
     n_digits = lengths - 1 - two_letters  # a line end has none
     scalar = (n_digits > _MAX_COPIED_DIGITS) | (
         (n_digits > 0) & (text[starts + 1 + two_letters] == ord("0")))
-    line = np.cumsum(line_end) - line_end
+    bare = (n_digits == 0) & ~line_end
+    del n_digits, two_letters
+    line = np.cumsum(line_end, dtype=index) - line_end
+    del line_end
     order = np.lexsort((rank, line))
     line, rank = line[order], rank[order]
     repeated = (line[1:] == line[:-1]) & (rank[1:] == rank[:-1])
     scalar_lines = np.union1d(line[scalar[order]], line[1:][repeated])
+    del line, rank, repeated, scalar
     # each token writes its bytes, then a bare symbol a "1"; the last line
     # end is dropped
-    starts, lengths = starts[order], lengths[order]
-    bare = ((n_digits == 0) & ~line_end)[order]
+    starts, lengths, bare = starts[order], lengths[order], bare[order]
+    del order
     out_lengths = lengths + bare
-    offsets = np.cumsum(out_lengths) - out_lengths
+    offsets = np.cumsum(out_lengths, dtype=index)
+    offsets -= out_lengths
     gather = np.repeat(starts - offsets, out_lengths)
-    gather += np.arange(len(gather))
+    del starts, out_lengths
+    gather += np.arange(len(gather), dtype=index)
     gather[(offsets + lengths)[bare]] = one
+    del offsets, lengths, bare
     formula_of = dict(zip(formulas, text[gather[:-1]].tobytes().decode("ascii").split("\n")))
     for k in scalar_lines.tolist():
         formula_of[formulas[k]] = canonical_formula(parse_formula(formulas[k]))

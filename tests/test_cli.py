@@ -488,7 +488,21 @@ def test_stdout_is_strict_json_even_on_overflow(capsys):
         "--t-grad", "1e308",
     )
     assert (code, stdout) == (1, "")
-    assert "JSON" in stderr
+    assert "training time overflows" in stderr
+
+
+@pytest.mark.parametrize("fmt", ["json", "human"])
+@pytest.mark.parametrize("argv, message", [
+    (["training", "--steps", "1", "--t-batch", "1e308", "--t-grad", "1e308"],
+     "training time"),
+    (["nas", "--archs", "2", "--hours", "1e308", "--price", "1"], "GPU hours"),
+    (["nas", "--archs", "1", "--hours", "1e308", "--price", "1e308"], "NAS cost"),
+])
+def test_estimate_overflow_exits_one_naming_the_quantity(capsys, argv, message, fmt):
+    # human output must not print "inf" either
+    code, stdout, stderr = run_cli(capsys, "estimate", *argv, "--format", fmt)
+    assert (code, stdout) == (1, "")
+    assert f"{message} overflows" in stderr
 
 
 def test_importing_the_cli_does_not_load_the_structure_decoder():

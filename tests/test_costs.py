@@ -39,6 +39,17 @@ def test_workflow_overflow_is_explicit():
         workflow_estimate(WorkflowSpec(2**40, 2**40, 1, 1))
 
 
+@pytest.mark.parametrize("estimate, message", [
+    (lambda: training_time(TrainingSpec(1, 1e308, 1e308)), "training time"),
+    (lambda: training_time(TrainingSpec(10, 1e308, 0.0)), "training time"),
+    (lambda: nas_budget(NasSpec(2, 1e308, 1.0)), "GPU hours"),
+    (lambda: nas_budget(NasSpec(1, 1e308, 1e308)), "NAS cost"),
+])
+def test_float_overflow_is_explicit(estimate, message):
+    with pytest.raises(OverflowError, match=message):
+        estimate()
+
+
 def test_workflow_rejects_non_positive():
     with pytest.raises(ValueError):
         WorkflowSpec(0, 1, 1, 1)

@@ -1,0 +1,162 @@
+"""What the package and the command line load, and how the CLI picks BLAS threads.
+
+Each import-set check runs in a fresh interpreter and reads ``sys.modules``
+at exit, so modules an earlier test imported cannot hide a regression.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
+
+import pytest
+
+import matscale
+from matscale import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+# the public names the package has always re-exported
+PUBLIC = {
+    "curation": ["Structure", "StructureTable", "canonical_formula", "dataset_overlap",
+                 "grouped_split", "property_histogram", "structure_id"],
+    "lattice": ["Cluster", "SymmetryGroup", "correlation", "correlation_matrix", "orbit"],
+    "polyfeatures": ["enumerate_monomials", "feature_count"],
+    "regression": ["compare_feature_spaces", "omp_fit", "plateau_detect", "rmse"],
+    "spectra": ["CalcMetadata", "Spectrum", "block_stats", "make_fingerprint",
+                "similarity_matrix", "sort_by_settings", "tanimoto"],
+}
+
+# runs the CLI as `python -m matscale.cli` does, through cli.run()
+RUN_CLI = "import runpy; runpy.run_module('matscale.cli', run_name='__main__', alter_sys=True)"
+NOT_CURATE = {"matscale.lattice", "matscale.polyfeatures", "matscale.regression"}
+
+
+def _env():
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+
+
+def modules_at_exit(tmp_path, body, *argv):
+    """sys.modules at the exit of a fresh interpreter that runs body."""
+    dump = tmp_path / "modules.json"
+    code = ("import atexit, json, sys\n"
+            f"atexit.register(lambda: open({str(dump)!r}, 'w').write("
+            "json.dumps(sorted(sys.modules))))\n" + body)
+    result = subprocess.run([sys.executable, "-c", code, *argv], env=_env(), cwd=tmp_path,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return set(json.loads(dump.read_text()))
+
+
+@pytest.fixture(scope="module")
+def demo(tmp_path_factory):
+    data = tmp_path_factory.mktemp("demo")
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "make_demo_data.py"),
+                    "--out", str(data)], env=_env(), check=True, capture_output=True)
+    return data
+
+
+def demo_argv(data, out):
+    """Every subcommand on the demo data, as scripts/run_demo.py runs them."""
+    return {
+        "curate": ["curate", "--input", f"{data}/alpha.csv", "--other", f"{data}/beta.csv",
+                   "--hist", "formation_energy:-6:2:16", "--output-dir", f"{out}/curate"],
+        "similarity": ["similarity", "--spectra", f"{data}/spectra", "--sort",
+                       "--output-dir", f"{out}/similarity"],
+        "ce-fit": ["ce-fit", "--configs", f"{data}/configs.csv",
+                   "--clusters", f"{data}/clusters.json", "--group", f"{data}/group.json",
+                   "--degree", "1,2,3", "--max-features", "20", "--output-dir", f"{out}/ce"],
+        "complexity": ["complexity", "--sisso", "rung=2,dim=3,bias"],
+        "estimate workflow": ["estimate", "workflow", "--structures", "30000", "--settings", "9",
+                              "--files-per-run", "41", "--mb-per-run", "30"],
+        "estimate training": ["estimate", "training", "--steps", "2000000",
+                              "--t-batch", "0.0010", "--t-grad", "0.0023"],
+        "estimate nas": ["estimate", "nas", "--archs", "2000", "--hours", "20", "--price", "3"],
+    }
+
+
+@pytest.mark.parametrize("statement", ["import matscale", "import matscale.cli"])
+def test_importing_the_package_or_the_cli_loads_no_numpy(tmp_path, statement):
+    loaded = modules_at_exit(tmp_path, statement)
+    assert "numpy" not in loaded
+    assert {m for m in loaded if m.startswith("matscale")} == {
+        "matscale", *statement.split()[1:]}
+
+
+@pytest.mark.parametrize("command, absent, present", [
+    ("curate", NOT_CURATE, {"numpy", "matscale.structure_io"}),
+    ("similarity", NOT_CURATE | {"matscale.structure_io"}, {"numpy", "matscale.spectra"}),
+    ("ce-fit", {"matscale.structure_io"}, {"numpy", "matscale.regression"}),
+    ("complexity", {"numpy"}, {"matscale.complexity"}),
+    ("estimate workflow", {"numpy"}, {"matscale.costs"}),
+    ("estimate training", {"numpy"}, {"matscale.costs"}),
+    ("estimate nas", {"numpy"}, {"matscale.costs"}),
+])
+def test_each_subcommand_loads_only_what_it_runs(demo, tmp_path, command, absent, present):
+    loaded = modules_at_exit(tmp_path, RUN_CLI, *demo_argv(demo, tmp_path)[command])
+    assert not absent & loaded
+    assert present <= loaded
+
+
+def test_package_names_resolve_to_their_submodule_objects():
+    assert sorted(matscale.__all__) == sorted(n for names in PUBLIC.values() for n in names)
+    for module, names in PUBLIC.items():
+        submodule = __import__(f"matscale.{module}", fromlist=["_"])
+        for name in names:
+            assert getattr(matscale, name) is getattr(submodule, name)
+
+
+def test_star_import_and_dir_list_the_public_names():
+    namespace = {}
+    exec("from matscale import *", namespace)
+    assert set(matscale.__all__) <= set(namespace)
+    assert set(matscale.__all__) <= set(dir(matscale))
+    assert "__version__" in dir(matscale)
+
+
+def test_unknown_package_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        matscale.no_such_name
+    assert not hasattr(matscale, "numpy")
+
+
+@pytest.mark.parametrize("preset", [
+    {},
+    {"OPENBLAS_NUM_THREADS": "2"},
+    {"OMP_NUM_THREADS": "3"},
+    {"MKL_NUM_THREADS": "4"},
+    {"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "2"},
+])
+def test_run_sets_one_blas_thread_only_when_the_caller_set_none(monkeypatch, preset):
+    seen = {}
+
+    def fake_main():
+        seen.update({name: os.environ.get(name) for name in cli.BLAS_THREAD_ENV})
+        return 0
+
+    monkeypatch.setattr(cli, "main", fake_main)
+    with mock.patch.dict(os.environ):
+        for name in cli.BLAS_THREAD_ENV:
+            os.environ.pop(name, None)
+        os.environ.update(preset)
+        assert cli.run() == 0
+    if preset:
+        assert seen == {name: preset.get(name) for name in cli.BLAS_THREAD_ENV}
+    else:
+        assert seen == dict.fromkeys(cli.BLAS_THREAD_ENV, "1")
+
+
+def test_main_leaves_the_environment_unchanged(demo, tmp_path, capsys):
+    # with none of the variables set, where run() would set them
+    with mock.patch.dict(os.environ):
+        for name in cli.BLAS_THREAD_ENV:
+            os.environ.pop(name, None)
+        before = dict(os.environ)
+        for argv in demo_argv(demo, tmp_path).values():
+            assert cli.main(argv) == 0
+            assert dict(os.environ) == before
+    capsys.readouterr()
