@@ -3,6 +3,9 @@
 
 Writes into the output directory:
   alpha.csv, beta.csv     two overlapping structure tables
+  json/alpha.json, json/beta.json
+                          the same tables as JSON arrays, every other record
+                          with a composition map in place of its formula
   spectra/                DOS CSV + metadata sidecar pairs
   configs.csv             +/-1 ring configurations with a nonlinear target
   clusters.json           cluster site lists
@@ -19,11 +22,21 @@ import numpy as np
 RING_SITES = 8
 
 
-def write_structures(path, rows):
-    with open(path, "w", newline="") as fh:
+def write_structures(outdir, name, rows):
+    """<name>.csv and its JSON twin json/<name>.json, which curate alike."""
+    from matscale.curation import parse_formula
+
+    with open(outdir / f"{name}.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["entry_id", "formula", "spacegroup", "formation_energy"])
         writer.writerows(rows)
+    records = []
+    for k, (entry_id, formula, sg, energy) in enumerate(rows):
+        composition = {"composition": parse_formula(formula)} if k % 2 else {"formula": formula}
+        records.append({"entry_id": entry_id, **composition, "spacegroup": sg,
+                        "properties": {"formation_energy": energy}})
+    (outdir / "json").mkdir(exist_ok=True)
+    (outdir / "json" / f"{name}.json").write_text(json.dumps(records, indent=1) + "\n")
 
 
 def make_structures(outdir, rng):
@@ -42,8 +55,8 @@ def make_structures(outdir, rng):
         for _ in range(int(rng.integers(1, 3))):
             rows_b.append([f"b{i}", formula, sg, round(float(rng.normal(-2.5, 1)), 3)])
             i += 1
-    write_structures(outdir / "alpha.csv", rows_a)
-    write_structures(outdir / "beta.csv", rows_b)
+    write_structures(outdir, "alpha", rows_a)
+    write_structures(outdir, "beta", rows_b)
 
 
 def make_spectra(outdir, rng):

@@ -76,6 +76,13 @@ def cmd_curate(args):
     other_path = _require_file(args.other) if args.other else None
     fractions = _parse_fractions(args.split)
     hist_specs = [_parse_hist_spec(h) for h in args.hist or []]
+    # outputs are named by input stem and property, so a repeat would overwrite one
+    if other_path is not None and other_path.stem == input_path.stem:
+        raise ConfigError(f"--input and --other have the same file stem {input_path.stem!r}")
+    names = [name for name, *_ in hist_specs]
+    repeated = [name for k, name in enumerate(names) if name in names[:k]]
+    if repeated:
+        raise ConfigError(f"two --hist specs name the property {repeated[0]!r}")
     outdir = _outdir(args)
 
     entries = io.read_structures(input_path)

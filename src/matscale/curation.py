@@ -80,17 +80,15 @@ class StructureTable(Sequence[Structure]):
     equal structures. The table and its columns are read-only.
     """
 
-    __slots__ = ("entry_ids", "identities", "compositions", "spacegroups", "properties",
-                 "sources")
+    __slots__ = ("entry_ids", "identities", "spacegroups", "properties", "sources")
     entry_ids: tuple[str, ...]
     identities: tuple[str, ...]
-    compositions: tuple  # per entry: a formula string or (symbol, count) pairs
     spacegroups: np.ndarray  # int
     properties: dict[str, np.ndarray]  # float64 per property, NaN = missing
     sources: tuple
 
-    def __init__(self, entry_ids, identities, compositions, spacegroups, properties, sources):
-        columns = (entry_ids, identities, compositions, spacegroups, properties, sources)
+    def __init__(self, entry_ids, identities, spacegroups, properties, sources):
+        columns = (entry_ids, identities, spacegroups, properties, sources)
         for name, column in zip(self.__slots__, columns):
             object.__setattr__(self, name, column)
         for array in (spacegroups, *properties.values()):
@@ -108,7 +106,6 @@ class StructureTable(Sequence[Structure]):
         return cls(
             entry_ids=tuple(e.entry_id for e in entries),
             identities=tuple(e.identity for e in entries),
-            compositions=tuple(e.composition for e in entries),
             spacegroups=np.array([e.spacegroup for e in entries], dtype=int),
             properties={
                 name: np.array([e.properties.get(name, np.nan) for e in entries], dtype=float)
@@ -124,10 +121,10 @@ class StructureTable(Sequence[Structure]):
         if isinstance(k, slice):
             return [self[i] for i in range(len(self))[k]]
         k = range(len(self))[k]  # negative indices; IndexError past the end
-        cell = self.compositions[k]
         return Structure(
             entry_id=self.entry_ids[k],
-            composition=parse_formula(cell) if isinstance(cell, str) else dict(cell),
+            # the canonical formula is never reduced, so it parses to the composition
+            composition=parse_formula(self.identities[k].rpartition("_")[0]),
             spacegroup=int(self.spacegroups[k]),
             properties={name: float(column[k]) for name, column in self.properties.items()
                         if not math.isnan(column[k])},
@@ -370,13 +367,18 @@ def grouped_split(
 
     # one label per entry_id; a repeated entry_id keeps its last identity
     label_of = dict(zip(table.entry_ids, table.identities))
-    labels, codes = np.unique(np.array(list(label_of.values())), return_inverse=True)
+    # labels in code-point order, coded through a dict: a fixed-width array of
+    # every entry's label would set the peak memory of a large table
+    labels = sorted(set(label_of.values()))
+    code_of = {label: k for k, label in enumerate(labels)}
+    codes = np.fromiter(map(code_of.__getitem__, label_of.values()), dtype=np.intp,
+                        count=len(label_of))
 
     shared = set(shared_ids) if shared_ids is not None else set()
     split_of_label = np.zeros(len(labels), dtype=np.intp)
     base = [0, 0, 0]
     is_free = np.ones(len(labels), dtype=bool)
-    for k, label in enumerate(labels.tolist()):
+    for k, label in enumerate(labels):
         if label in shared:
             split = _hash_split_of(label, seed, fractions)
             split_of_label[k] = split

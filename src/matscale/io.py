@@ -30,14 +30,26 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def _load_json(path):
+    """The value of a JSON file; a leading byte-order mark is skipped, and a
+    file that does not parse raises ValueError("<file>: invalid JSON: ...")."""
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise ValueError(f"{path}: invalid JSON: {exc}") from None
+        except RecursionError:
+            raise ValueError(f"{path}: invalid JSON: nesting too deep") from None
+
+
 def read_structures(path) -> StructureTable:
     """Read a structure table (CSV with a header row, or a JSON array).
 
-    A clean file is decoded column by column. Any other file is decoded row
-    by row, and a bad row raises ValueError("<file>: row K: ..."), K
-    counting data rows from 1; when several rows are bad, the first is
-    named, with the first failing check of that row. The decoder lives in
-    ``structure_io``.
+    A clean CSV is decoded column by column. A JSON array, and any other
+    CSV, is decoded row by row, and a bad row raises ValueError("<file>: row
+    K: ..."), K counting data rows from 1; when several rows are bad, the
+    first is named, with the first failing check of that row. The decoder
+    lives in ``structure_io``.
     """
     # imported here, so that commands which read no structures never load it
     from .structure_io import read_structure_table
@@ -91,9 +103,8 @@ def read_spectra_dir(path) -> list[tuple[Spectrum, CalcMetadata]]:
 
 def _read_sidecar(path: Path) -> tuple[float, CalcMetadata]:
     """(fermi_energy, metadata) of a spectrum's JSON sidecar; errors name the file."""
+    meta = _load_json(path)
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            meta = json.load(fh)
         return float(meta["fermi_energy"]), CalcMetadata(
             xc=str(meta["xc"]),
             n_kpt=_sidecar_int(meta, "n_kpt"),
@@ -105,8 +116,6 @@ def _read_sidecar(path: Path) -> tuple[float, CalcMetadata]:
         raise ValueError(f"{path}: missing key {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from None
-    except RecursionError:
-        raise ValueError(f"{path}: invalid JSON: nesting too deep") from None
 
 
 def _sidecar_int(meta: dict, key: str) -> int:
@@ -223,13 +232,7 @@ def read_index_lists(path) -> list[list[int]]:
     Every entry must be a list of JSON integers; anything else raises
     ValueError naming the file and the entry.
     """
-    with open(path, encoding="utf-8-sig") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-            raise ValueError(f"{path}: invalid JSON: {exc}") from None
-        except RecursionError:
-            raise ValueError(f"{path}: invalid JSON: nesting too deep") from None
+    data = _load_json(path)
     if not isinstance(data, list):
         raise ValueError(f"{path}: expected a JSON list of index lists")
     for k, sub in enumerate(data):

@@ -3,49 +3,45 @@
 ``_structure_from_row`` alone defines a valid structure row and the order
 of its checks. A file is decoded in one of two ways:
 
-- The column pass takes a clean file whole. A CSV's rows are transposed
-  to columns (a JSON array's records split into them); each distinct
-  formula string is parsed once and each distinct composition map
-  canonicalised once, spacegroups go through ``int`` and one range check,
-  and each property becomes a float64 column with NaN where a row lacks
-  it. It takes only cells that the row decoder takes to the same value,
-  and gives up on the first other cell without saying why.
-- The row path runs when the column pass gives up. The file's rows go
-  through ``_structure_from_row`` in order, and the first bad row raises
-  ``<file>: row K: ...``. A valid file with a cell the column pass does not
-  take (a JSON spacegroup ``12.0``, a composition count ``"2"``, a CSV row
-  without its trailing ``source`` cell) is decoded here, at per-row speed.
+- The column pass takes a clean CSV whole. Its rows are transposed to
+  columns of text; each distinct formula string is parsed once,
+  spacegroups go through ``int`` and one range check, and each property
+  becomes a float64 column with NaN where a row lacks it. It takes only
+  cells that the row decoder takes to the same value, and gives up on the
+  first other cell without saying why.
+- The row path decodes every JSON array, and every CSV the column pass
+  gives up on. The file's rows go through ``_structure_from_row`` in
+  order, and the first bad row raises ``<file>: row K: ...``. A valid CSV
+  with a cell the column pass does not take (a row without its trailing
+  ``source`` cell) is decoded here, at per-row speed.
 """
 
 from __future__ import annotations
 
 import csv
 import gc
-import json
 from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
-from .curation import Structure, StructureTable, canonical_formula, canonical_formulas, parse_formula
+from .curation import Structure, StructureTable, canonical_formulas, parse_formula
+from .io import _load_json
 
 _RESERVED_COLUMNS = {"entry_id", "formula", "spacegroup", "source"}
 
 
 def read_structure_table(path: Path) -> StructureTable:
     if path.suffix.lower() == ".json":
-        rows = _json_records(path)
-        fields = _json_fields(rows, path.stem)
-    else:
-        header, columns = _csv_columns(path)
-        fields = _csv_fields(header, columns, path.stem)
-        rows = _csv_rows(header, columns)  # built only if the row path runs
+        return _decode_rows(path, _json_records(path))
+    header, columns = _csv_columns(path)
+    fields = _csv_fields(header, columns, path.stem)
     if fields is not None:
         try:
             return _table(*fields)
-        except (ValueError, OverflowError):  # a cell the column pass does not take
+        except ValueError:  # a cell the column pass does not take
             pass
-    return _decode_rows(path, rows)
+    return _decode_rows(path, _csv_rows(header, columns))
 
 
 # --- reading a file ----------------------------------------------------------
@@ -99,13 +95,7 @@ def _csv_rows(header: list[str], columns: list[tuple]):
 
 
 def _json_records(path: Path) -> list:
-    with open(path, encoding="utf-8-sig") as fh:
-        try:
-            records = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-            raise ValueError(f"{path}: invalid JSON: {exc}") from None
-        except RecursionError:
-            raise ValueError(f"{path}: invalid JSON: nesting too deep") from None
+    records = _load_json(path)
     if not isinstance(records, list):
         raise ValueError(f"{path}: expected a JSON array of objects")
     return records
@@ -127,60 +117,22 @@ def _csv_fields(header: list[str], columns: list[tuple], default_source: str):
             else [default_source] * len(columns[0]))
 
 
-def _json_fields(records: list, default_source: str):
-    """``_table``'s arguments for a JSON array of records, or None if a
-    record, its composition or its properties has a shape the column pass
-    does not take: a composition is a map of int counts or a formula string,
-    and a property value is not "", which marks a record without it."""
-    entry_ids, compositions, spacegroups, sources = [], [], [], []
-    properties: dict[str, list] = {}
-    for k, record in enumerate(records):
-        if not isinstance(record, dict):
-            return None
-        if "composition" in record:
-            counts = record["composition"]
-            if not isinstance(counts, dict) or not all(type(n) is int for n in counts.values()):
-                return None
-            compositions.append(tuple(counts.items()))
-        elif isinstance(record.get("formula"), str):
-            compositions.append(record["formula"])
-        else:
-            return None
-        props = record.get("properties", {})
-        if not isinstance(props, dict):
-            return None
-        for name, value in props.items():
-            if value == "":
-                return None
-            if name not in properties:
-                properties[name] = [""] * len(records)
-            properties[name][k] = value
-        entry_ids.append(record.get("entry_id"))
-        spacegroups.append(record.get("spacegroup"))
-        sources.append(record.get("source") or default_source)
-    return entry_ids, compositions, spacegroups, properties, sources
-
-
-def _table(entry_ids, compositions, spacegroups, properties: dict, sources) -> StructureTable:
-    """The table of a file whose every cell the column pass takes; ValueError
-    or OverflowError on a cell it does not take. A property column holds ""
-    where a row lacks the property."""
-    n = len(entry_ids)
-    if not n or not set(map(type, entry_ids)) <= {str} or len(set(entry_ids)) != n:
+def _table(entry_ids, formulas, spacegroups, properties: dict, sources) -> StructureTable:
+    """The table of a CSV whose every cell the column pass takes; ValueError
+    on a cell it does not take. A property column holds "" where a row lacks
+    the property."""
+    if len(set(entry_ids)) != len(entry_ids):
         raise ValueError
-    distinct = dict.fromkeys(compositions)  # formula strings and (symbol, count) pairs
-    formula_of = canonical_formulas(c for c in distinct if type(c) is str)
-    formula_of.update((c, canonical_formula(dict(c))) for c in distinct if type(c) is tuple)
-    if not set(map(type, spacegroups)) <= {str, int} or not _plain_cells(spacegroups):
-        raise ValueError  # bools, floats, None and "1_36": the row path
+    formula_of = canonical_formulas(dict.fromkeys(formulas))
+    if not _plain("".join(spacegroups)):
+        raise ValueError  # "1_36": the row path
     spacegroups = list(map(int, spacegroups))
     if not 1 <= min(spacegroups) <= max(spacegroups) <= 230:
         raise ValueError
     return StructureTable(
         entry_ids=tuple(entry_ids),
-        identities=tuple(map("{}_{}".format, map(formula_of.__getitem__, compositions),
+        identities=tuple(map("{}_{}".format, map(formula_of.__getitem__, formulas),
                              spacegroups)),
-        compositions=tuple(compositions),
         spacegroups=np.array(spacegroups, dtype=int),
         properties={name: _property_column(column) for name, column in properties.items()},
         sources=tuple(sources),
@@ -191,22 +143,14 @@ def _property_column(cells) -> np.ndarray:
     """float64 column of one property, NaN where a cell is ""."""
     present = [k for k, v in enumerate(cells) if v != ""]
     values = [cells[k] for k in present]
-    if not set(map(type, values)) <= {str, int, float} or not _plain_cells(values):
-        raise ValueError  # bools, None and "1_0.5": the row path
+    if not _plain("".join(values)):
+        raise ValueError  # "1_0.5": the row path
     got = np.array(list(map(float, values)), dtype=float)
     if not np.isfinite(got).all():
         raise ValueError
     column = np.full(len(cells), np.nan)
     column[present] = got
     return column
-
-
-def _plain_cells(cells) -> bool:
-    """Whether every string cell is ``_plain``."""
-    try:
-        return _plain("".join(cells))
-    except TypeError:  # JSON numbers among the cells
-        return _plain("".join(c for c in cells if type(c) is str))
 
 
 # --- the row path ------------------------------------------------------------

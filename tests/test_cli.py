@@ -144,6 +144,28 @@ def test_curate_bad_hist_exits_two_before_reading(curate_inputs, tmp_path, capsy
     assert not out.exists()  # no <stem>_split.csv either
 
 
+@pytest.mark.parametrize("same_stem, hists, flag", [
+    (True, [], "--other"),
+    (False, ["formation_energy:-6:2:4", "formation_energy:0:1:2"], "--hist"),
+    (False, ["e:0:1:2", "formation_energy:0:1:2", "e:-1:0:3"], "--hist"),
+])
+def test_curate_colliding_outputs_exit_two_before_reading(curate_inputs, tmp_path, capsys,
+                                                          same_stem, hists, flag):
+    # outputs are named by input stem and property: a repeat would overwrite one
+    a, b = curate_inputs
+    if same_stem:
+        (tmp_path / "b").mkdir()
+        b = b.rename(tmp_path / "b" / a.name)
+    out = tmp_path / "out"
+    code, stdout, stderr = run_cli(
+        capsys, "curate", "--input", str(a), "--other", str(b),
+        *(arg for hist in hists for arg in ("--hist", hist)), "--output-dir", str(out),
+    )
+    assert (code, stdout) == (2, "")
+    assert flag in stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("split", ["0.5,0.5,nan", "nan,0.5,0.5", "0.5,inf,0"])
 def test_curate_non_finite_split_exits_two(curate_inputs, tmp_path, capsys, split):
     a, _ = curate_inputs

@@ -666,7 +666,9 @@ def test_valid_file_only_the_row_path_takes(tmp_path, monkeypatch, name, clean, 
     clean_path.write_text(clean)
     path.write_text(text)
     expected = io.read_structures(clean_path)
-    assert rows == []  # the column pass took the clean form
+    # the column pass took the clean CSV; a JSON array is decoded row by row
+    assert rows == ([] if name == "t.csv" else json.loads(clean))
+    rows.clear()
     table = io.read_structures(path)
     assert len(rows) == 2  # the row path decoded the other
     assert isinstance(table, curation.StructureTable)
@@ -720,6 +722,7 @@ SIDECAR = {"fermi_energy": 0.0, "xc": "LDA", "n_kpt": 4, "n_basis": 40,
     ("0,1\n1,1\n", {**SIDECAR, "n_basis": True}, "calc.json",
      "n_basis must be an integer, got True"),
     ("0,1\n1,1\n", "[" * 200_000, "calc.json", "invalid JSON: nesting too deep"),
+    ("0,1\n1,1\n", "[{", "calc.json", "invalid JSON"),
 ])
 def test_spectra_dir_bad_file_is_named(tmp_path, csv_text, sidecar, where, message):
     (tmp_path / "calc.csv").write_text(csv_text, errors="surrogateescape")
