@@ -51,6 +51,8 @@ def _parse_hist_spec(text: str) -> tuple[str, float, float, int]:
         raise ConfigError(f"bad --hist values: {text!r}") from None
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi and nbins >= 1):
         raise ConfigError(f"--hist needs finite lo < hi and nbins >= 1, got {text!r}")
+    if os.sep in name or (os.altsep and os.altsep in name):  # it names an output file
+        raise ConfigError(f"--hist property name holds a path separator: {text!r}")
     return name, lo, hi, nbins
 
 

@@ -166,8 +166,20 @@ def _is_data_row(line: str) -> bool:
 
 
 def write_matrix(path_csv, path_manifest, m: SimilarityMatrix) -> None:
-    row_format = ",".join(["%.17g"] * m.n)
-    lines = [row_format % tuple(row) for row in m.values.tolist()]
+    n, cell = m.n, "%.17g,"
+    # "%.17g" formats through float, so cells whose float64 bits match print alike
+    bits = np.asarray(m.values, dtype=np.float64).view(np.uint64)
+    if np.array_equal(bits, bits.T):
+        # format each cell once: lower[i] collects column i from the rows above i
+        lower, lines = [[] for _ in range(n)], []
+        for i in range(n):
+            cells = ((cell * (n - i))[:-1] % tuple(m.values[i, i:].tolist())).split(",")
+            for column, text in zip(lower[i + 1:], cells[1:]):
+                column.append(text)
+            lines.append(",".join(lower[i] + cells))
+            lower[i] = None
+    else:
+        lines = [(cell * n)[:-1] % tuple(row) for row in m.values.tolist()]
     atomic_write_text(path_csv, "\n".join(lines) + "\n")
     manifest = {
         "n": m.n,

@@ -261,9 +261,9 @@ def similarity_matrix(
 ) -> SimilarityMatrix:
     """Pairwise Tanimoto matrix; ordering is the identity permutation.
 
-    Every cell equals tanimoto() of its pair bit for bit: raster inner
-    products are exact int64 sums of minima, and vector ones are the same
-    per-pair np.dot (a matrix product would round differently).
+    Every cell equals tanimoto() of its pair bit for bit: raster inner products
+    are exact int64 sums of minima; vector ones are np.dot's ddot, batched per row
+    through matmul's vector-vector path (a gemv would round differently).
     """
     if not items:
         raise ValueError("need at least one (fingerprint, metadata) item")
@@ -276,13 +276,14 @@ def similarity_matrix(
     n = len(fps)
     data = np.stack([fp.data.ravel() for fp in fps])
     raster = fps[0].mode == "raster"
-    self_terms = data.sum(axis=1) if raster else np.array([np.dot(r, r) for r in data])
+    self_terms = (data.sum(axis=1) if raster
+                  else np.matmul(data[:, None, :], data[:, :, None])[:, 0, 0])
     values = np.ones((n, n))
     for i in range(n - 1):
         if raster:
             ab = np.minimum(data[i], data[i + 1:]).sum(axis=1)
         else:
-            ab = np.array([np.dot(data[i], r) for r in data[i + 1:]])
+            ab = np.matmul(data[i + 1:, None, :], data[i, :, None])[:, 0, 0]
         denom = self_terms[i] + self_terms[i + 1:] - ab
         values[i, i + 1:] = values[i + 1:, i] = np.divide(
             ab, denom, out=np.ones(n - 1 - i), where=denom != 0)

@@ -132,7 +132,9 @@ def test_curate_bad_row_exits_one_naming_file_and_row(tmp_path, capsys, name, te
 
 
 @pytest.mark.parametrize("hist", ["e:0:nan:4", "e:-inf:0:4", "e:1:0:4", "e:1:1:4",
-                                  "e:0:1:0", "e:0:1:-2"])
+                                  "e:0:1:0", "e:0:1:-2",
+                                  # the property name goes into an output file name
+                                  "a/b:0:1:2", "/:0:1:2", "../e:0:1:2"])
 def test_curate_bad_hist_exits_two_before_reading(curate_inputs, tmp_path, capsys, hist):
     a, _ = curate_inputs
     out = tmp_path / "out"

@@ -807,10 +807,38 @@ def test_spectrum_csv_reader_matches_row_loop(header, body, leading_blank, newli
             _outcome(_loop_read_two_column_csv, path)
 
 
-@settings(max_examples=100, deadline=None)
-@given(data=st.data(), n=st.integers(1, 7))
-def test_write_matrix_bytes_match_per_value_format(data, n):
-    values = np.array(data.draw(st.lists(_value, min_size=n * n, max_size=n * n))).reshape(n, n)
+@st.composite
+def _matrices(draw):
+    """A drawn square matrix, often mirrored from its upper triangle; a mirrored
+    one may get one lower cell that misses bitwise symmetry."""
+    n = draw(st.integers(1, 7))
+    dtype = draw(st.sampled_from([np.float64, np.float64, np.float32, np.int64]))
+    cells = {np.float64: _value, np.float32: st.floats(width=32),
+             np.int64: st.integers(-2**63, 2**63 - 1)}[dtype]
+    values = np.array(draw(st.lists(cells, min_size=n * n, max_size=n * n)),
+                      dtype=dtype).reshape(n, n)
+    if draw(st.booleans()):
+        return values
+    values = np.where(np.triu(np.ones((n, n), dtype=bool)), values, values.T)
+    miss = draw(st.sampled_from([None, None, "-0.0", "ulp", "nan"]))
+    if n > 1 and miss is not None:
+        j = draw(st.integers(0, n - 2))
+        i = draw(st.integers(j + 1, n - 1))
+        if miss == "-0.0":
+            values[j, i], values[i, j] = 0, -0.0
+        elif dtype is np.int64:
+            values[i, j] = values[j, i] ^ 1
+        elif miss == "ulp":
+            values[i, j] = np.nextafter(values[j, i], dtype(np.inf))
+        else:
+            values[i, j] = np.nan
+    return values
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=_matrices())
+def test_write_matrix_bytes_match_per_value_format(values):
+    n = len(values)
     md = CalcMetadata("LDA", 2, 10, "light", "ZORA")
     m = SimilarityMatrix(values=values, ordering=list(range(n)), labels=[md] * n)
     with tempfile.TemporaryDirectory() as tmp:
