@@ -151,8 +151,6 @@ def _parse_similarity_flags(args) -> tuple[tuple[float, float], tuple[int, int]]
 
 
 def cmd_similarity(args):
-    import numpy as np
-
     from . import io, spectra
 
     window, grid = _parse_similarity_flags(args)
@@ -168,12 +166,11 @@ def cmd_similarity(args):
     csv_path = outdir / "similarity_matrix.csv"
     manifest_path = outdir / "similarity_manifest.json"
     io.write_matrix(csv_path, manifest_path, matrix)
-    off_diag = matrix.values[~np.eye(matrix.n, dtype=bool)].tolist()
     return {
         "n_spectra": matrix.n,
         "sorted": bool(args.sort),
         "mode": args.mode,
-        "mean_off_diagonal": (sum(off_diag) / len(off_diag)) if off_diag else None,
+        "mean_off_diagonal": matrix.mean_off_diagonal(),
         "outputs": [str(csv_path), str(manifest_path)],
     }
 

@@ -246,8 +246,10 @@ def canonical_formulas(formulas: Iterable[str]) -> dict[str, str]:
     order = np.lexsort((rank, line))
     line, rank = line[order], rank[order]
     repeated = (line[1:] == line[:-1]) & (rank[1:] == rank[:-1])
-    scalar_lines = np.union1d(line[scalar[order]], line[1:][repeated])
-    del line, rank, repeated, scalar
+    flagged = np.sort(np.concatenate((line[scalar[order]], line[1:][repeated])))
+    # sorted distinct lines; np.union1d's masked-array check would import numpy.ma
+    scalar_lines = np.concatenate((flagged[:1], flagged[1:][flagged[1:] != flagged[:-1]]))
+    del line, rank, repeated, scalar, flagged
     # each token writes its bytes, then a bare symbol a "1"; the last line
     # end is dropped
     starts, lengths, bare = starts[order], lengths[order], bare[order]

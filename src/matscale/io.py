@@ -10,19 +10,23 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .curation import Histogram, SplitAssignment, Structure, StructureTable
-from .spectra import CalcMetadata, SimilarityMatrix, Spectrum
+if TYPE_CHECKING:  # each function imports what it builds, so a command loads only its own
+    from .curation import Histogram, SplitAssignment, Structure, StructureTable
+    from .spectra import CalcMetadata, SimilarityMatrix, Spectrum
 
-def atomic_write_text(path, text: str) -> None:
+
+def atomic_write_text(path, text: str | Iterable[str]) -> None:
+    """Write text, a string or an iterable of strings written one by one, to a
+    temp file beside path, then rename it to path; on error the temp file goes."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -66,6 +70,8 @@ def _write_csv(path, header: Sequence[str], rows) -> None:
 
 
 def write_split_csv(path, entries: Sequence[Structure], split: SplitAssignment) -> None:
+    from .curation import StructureTable
+
     table = StructureTable.of(entries)
     _write_csv(path, ["entry_id", "structure_id", "split"],
                zip(table.entry_ids, table.identities,
@@ -81,6 +87,8 @@ def write_histogram_csv(path, hist: Histogram) -> None:
 
 def read_spectra_dir(path) -> list[tuple[Spectrum, CalcMetadata]]:
     """Read NAME.csv (energy, dos) + NAME.json sidecar pairs, sorted by name."""
+    from .spectra import Spectrum
+
     path = Path(path)
     csv_files = sorted(path.glob("*.csv"))
     if not csv_files:
@@ -103,6 +111,8 @@ def read_spectra_dir(path) -> list[tuple[Spectrum, CalcMetadata]]:
 
 def _read_sidecar(path: Path) -> tuple[float, CalcMetadata]:
     """(fermi_energy, metadata) of a spectrum's JSON sidecar; errors name the file."""
+    from .spectra import CalcMetadata
+
     meta = _load_json(path)
     try:
         return float(meta["fermi_energy"]), CalcMetadata(
@@ -166,21 +176,7 @@ def _is_data_row(line: str) -> bool:
 
 
 def write_matrix(path_csv, path_manifest, m: SimilarityMatrix) -> None:
-    n, cell = m.n, "%.17g,"
-    # "%.17g" formats through float, so cells whose float64 bits match print alike
-    bits = np.asarray(m.values, dtype=np.float64).view(np.uint64)
-    if np.array_equal(bits, bits.T):
-        # format each cell once: lower[i] collects column i from the rows above i
-        lower, lines = [[] for _ in range(n)], []
-        for i in range(n):
-            cells = ((cell * (n - i))[:-1] % tuple(m.values[i, i:].tolist())).split(",")
-            for column, text in zip(lower[i + 1:], cells[1:]):
-                column.append(text)
-            lines.append(",".join(lower[i] + cells))
-            lower[i] = None
-    else:
-        lines = [(cell * n)[:-1] % tuple(row) for row in m.values.tolist()]
-    atomic_write_text(path_csv, "\n".join(lines) + "\n")
+    atomic_write_text(path_csv, _matrix_lines(m.values))
     manifest = {
         "n": m.n,
         "ordering": m.ordering,
@@ -196,6 +192,25 @@ def write_matrix(path_csv, path_manifest, m: SimilarityMatrix) -> None:
         ],
     }
     atomic_write_text(path_manifest, json.dumps(manifest, indent=2) + "\n")
+
+
+def _matrix_lines(values) -> Iterable[str]:
+    """Each row of the matrix as a CSV line of "%.17g" cells, made as it is written."""
+    n, cell = len(values), "%.17g,"
+    # "%.17g" formats through float, so cells whose float64 bits match print alike
+    bits = np.asarray(values, dtype=np.float64).view(np.uint64)
+    if np.array_equal(bits, bits.T):
+        # format each cell once: lower[i] collects column i from the rows above i
+        lower = [[] for _ in range(n)]
+        for i in range(n):
+            cells = ((cell * (n - i))[:-1] % tuple(values[i, i:].tolist())).split(",")
+            for column, text in zip(lower[i + 1:], cells[1:]):
+                column.append(text)
+            yield ",".join(lower[i] + cells) + "\n"
+            lower[i] = None
+    else:
+        for row in values:
+            yield (cell * n)[:-1] % tuple(row.tolist()) + "\n"
 
 
 def read_ce_configs(path) -> tuple[list[str], np.ndarray, np.ndarray]:

@@ -173,7 +173,12 @@ def _orbit_sites(c: Cluster, g: SymmetryGroup) -> np.ndarray:
         raise ValueError(
             f"cluster touches site {c.sites[-1]} but group acts on {g.n_sites} sites"
         )
-    return np.unique(np.sort(g.permutations[:, list(c.sites)], axis=1), axis=0)
+    rows = np.sort(g.permutations[:, list(c.sites)], axis=1)
+    if not c.sites:  # np.lexsort needs a key; the empty cluster is its own orbit
+        return rows[:1]
+    # sorted distinct rows; np.unique's masked-array check would import numpy.ma
+    rows = rows[np.lexsort(rows.T[::-1])]
+    return rows[np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))]
 
 
 def orbit(c: Cluster, g: SymmetryGroup) -> set[Cluster]:

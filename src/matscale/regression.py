@@ -119,21 +119,20 @@ def omp_fit(X, y, max_features: int, tol: float = 1e-12) -> FitTrace:
     Xs = np.where(sd > 0, (X - X.mean(axis=0)) / np.where(sd > 0, sd, 1.0), 0.0)
 
     selected: list[int] = []
-    coef, intercept = least_squares(X[:, selected], y)
-    model = OmpModel(selected.copy(), coef, intercept)
-    residual = y - model.predict(X)
-    points = [TracePoint(0, rmse(y, model.predict(X)), model)]
-
-    while len(selected) < max_features and np.linalg.norm(residual) >= tol:
+    points = []
+    while True:
+        X_selected = X[:, selected]  # gathered and predicted once per step
+        coef, intercept = least_squares(X_selected, y)
+        residual = y - (X_selected @ coef + intercept)
+        rmse_step = float(np.sqrt(np.mean(residual ** 2)))  # rmse(y, prediction)
+        points.append(TracePoint(len(selected), rmse_step,
+                                 OmpModel(selected.copy(), coef, intercept)))
+        # a NaN norm fails ">= tol" and stops the trace
+        if not (len(selected) < max_features and np.linalg.norm(residual) >= tol):
+            return FitTrace(points)
         score = np.abs(Xs.T @ residual)
         score[selected] = -1.0
-        j = int(np.argmax(score))  # first max: lowest index wins ties
-        selected.append(j)
-        coef, intercept = least_squares(X[:, selected], y)
-        model = OmpModel(selected.copy(), coef, intercept)
-        residual = y - model.predict(X)
-        points.append(TracePoint(len(selected), rmse(y, model.predict(X)), model))
-    return FitTrace(points)
+        selected.append(int(np.argmax(score)))  # first max: lowest index wins ties
 
 
 def plateau_detect(trace: FitTrace, window: int, eps: float) -> Optional[int]:

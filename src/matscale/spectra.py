@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Hashable, Optional, Sequence
 
 import numpy as np
@@ -130,6 +131,17 @@ class SimilarityMatrix:
     def n(self) -> int:
         return self.values.shape[0]
 
+    def mean_off_diagonal(self) -> Optional[float]:
+        """Mean of the off-diagonal cells (None below two rows), by one sum() in
+        row order over one row's cells at a time: from Python 3.12, sum() rounds
+        differently when its floats are split across calls."""
+        n = self.n
+        if n < 2:
+            return None
+        cells = chain.from_iterable(
+            self.values[i, :i].tolist() + self.values[i, i + 1:].tolist() for i in range(n))
+        return sum(cells) / (n * n - n)
+
 
 def _bin_integrals(x: np.ndarray, y: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Integral of the piecewise-linear curve (x, y) over each [e_i, e_{i+1}).
@@ -137,7 +149,9 @@ def _bin_integrals(x: np.ndarray, y: np.ndarray, edges: np.ndarray) -> np.ndarra
     The curve is treated as zero outside its data range; no extrapolation.
     """
     inner = x[(x > edges[0]) & (x < edges[-1])]
-    pts = np.unique(np.concatenate([edges, inner]))
+    # sorted distinct points; np.unique's masked-array check would import numpy.ma
+    pts = np.sort(np.concatenate([edges, inner]))
+    pts = np.concatenate((pts[:1], pts[1:][pts[1:] != pts[:-1]]))
     vals = np.interp(pts, x, y, left=0.0, right=0.0)
     widths = np.diff(pts)
     seg = 0.5 * (vals[:-1] + vals[1:]) * widths

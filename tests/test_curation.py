@@ -1,11 +1,15 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from matscale import curation
 from matscale.curation import (
+    _FORMULA_TOKEN_RE,
+    _MAX_COPIED_DIGITS,
     STRUCTURE_ID_RE,
     _allocate_counts,
     Structure,
@@ -107,6 +111,38 @@ def test_canonical_formulas_matches_scalar_oracle(formulas):
             canonical_formulas(formulas)
     else:
         assert canonical_formulas(formulas) == expected
+
+
+# formulas that parse, often with a leading-zero or over-long count, or a repeated symbol
+_flagged_formula = st.lists(
+    st.tuples(st.sampled_from(["H", "O", "C", "Co", "Mg", "F"]),
+              st.sampled_from(["", "1", "2", "12", "01", "007", "7" * (_MAX_COPIED_DIGITS + 1)])
+              ).map("".join), min_size=1, max_size=4).map("".join)
+
+
+def _scalar_path_lines(formulas):
+    """The lines canonical_formulas hands to canonical_formula, by the rule it
+    states: np.union1d of the odd-count lines and the repeated-symbol lines."""
+    tokens = [_FORMULA_TOKEN_RE.findall(f) for f in formulas]
+    odd_count = [k for k, t in enumerate(tokens)
+                 if any(d.startswith("0") or len(d) > _MAX_COPIED_DIGITS for _, d in t)]
+    repeated = [k for k, t in enumerate(tokens) for a, b in itertools.combinations(t, 2)
+                if a[0] == b[0]]
+    return np.union1d(np.array(odd_count, dtype=int), np.array(repeated, dtype=int))
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas=st.lists(_flagged_formula, max_size=8))
+@example(formulas=["HHH", "H01H", "Mg2F4", "F4Mg2"])
+@example(formulas=["Mg2F4"])
+def test_canonical_formulas_scalar_calls_follow_np_union1d(formulas):
+    # each flagged line once, in line order, however many ways it is flagged
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curation, "canonical_formula",
+                   lambda comp: calls.append(comp) or canonical_formula(comp))
+        canonical_formulas(formulas)
+    assert calls == [parse_formula(formulas[k]) for k in _scalar_path_lines(formulas).tolist()]
 
 
 # --- structure_id -----------------------------------------------------------

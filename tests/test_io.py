@@ -201,6 +201,21 @@ def test_atomic_write_replaces_whole_file(tmp_path):
     assert list(tmp_path.iterdir()) == [target]  # no stray temp files
 
 
+def test_atomic_write_takes_lines_and_cleans_up_on_error(tmp_path):
+    target = tmp_path / "out.txt"
+    io.atomic_write_text(target, (f"{k}\n" for k in range(3)))
+    assert target.read_text() == "0\n1\n2\n"
+
+    def failing():
+        yield "partial\n"
+        raise RuntimeError("formatting failed")
+
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        io.atomic_write_text(target, failing())
+    assert target.read_text() == "0\n1\n2\n"  # the old file stays whole
+    assert list(tmp_path.iterdir()) == [target]
+
+
 # --- structure rows: one decoder, errors name the file and the row ----------
 
 HEADER = "entry_id,formula,spacegroup,bandgap\n"

@@ -13,6 +13,7 @@ from matscale.lattice import (
     correlation_matrix,
     orbit,
 )
+from matscale.lattice import _orbit_sites
 from matscale.polyfeatures import enumerate_monomials, feature_matrix
 from matscale.regression import OmpModel
 
@@ -330,6 +331,30 @@ def test_correlation_matrix_equals_scalar_loop(g, data):
     want = loop_correlation_matrix(configs, clusters, g)
     assert got.shape == want.shape == (len(configs), len(clusters))
     assert (got == want).all()
+
+
+# --- orbit rows: sort plus neighbour mask, against np.unique(axis=0) ---------
+
+def _assert_orbit_sites_equal_np_unique(c, g):
+    got = _orbit_sites(c, g)
+    want = np.unique(np.sort(g.permutations[:, list(c.sites)], axis=1), axis=0)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(groups(), st.data())
+def test_orbit_sites_equal_np_unique_rows(g, data):
+    sites = data.draw(st.sets(st.integers(0, g.n_sites - 1), max_size=min(g.n_sites, 5)))
+    _assert_orbit_sites_equal_np_unique(Cluster(sorted(sites)), g)
+
+
+@pytest.mark.parametrize("g", [SymmetryGroup([[]]), SymmetryGroup.cyclic(5),
+                               full_symmetric_group(4)])
+def test_orbit_sites_of_the_empty_cluster_equal_np_unique_rows(g):
+    # np.lexsort takes no zero-key input: the (|G|, 0) rows give one (1, 0) row
+    _assert_orbit_sites_equal_np_unique(Cluster(()), g)
+    assert _orbit_sites(Cluster(()), g).shape == (1, 0)
 
 
 @st.composite

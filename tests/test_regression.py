@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from matscale.lattice import Cluster, SymmetryGroup
 from matscale.regression import (
+    DesignMatrix,
     FitTrace,
+    OmpModel,
     TracePoint,
     compare_feature_spaces,
     fit_feature_spaces,
@@ -154,6 +156,69 @@ def test_omp_deterministic_selection():
         p.model.selected for p in t2.points
     ]
     assert [p.rmse for p in t1.points] == [p.rmse for p in t2.points]
+
+
+# --- omp_fit against its earlier loop, which gathered and predicted twice a step ---
+
+def _loop_omp_fit(X, y, max_features, tol=1e-12):
+    """omp_fit as it was: each step refits, predicts for the residual, then
+    predicts again inside rmse."""
+    dm = DesignMatrix(X, y)
+    X, y = dm.X, dm.y
+    sd = X.std(axis=0)
+    Xs = np.where(sd > 0, (X - X.mean(axis=0)) / np.where(sd > 0, sd, 1.0), 0.0)
+    selected = []
+    coef, intercept = least_squares(X[:, selected], y)
+    model = OmpModel(selected.copy(), coef, intercept)
+    residual = y - model.predict(X)
+    points = [TracePoint(0, rmse(y, model.predict(X)), model)]
+    while len(selected) < max_features and np.linalg.norm(residual) >= tol:
+        score = np.abs(Xs.T @ residual)
+        score[selected] = -1.0
+        selected.append(int(np.argmax(score)))
+        coef, intercept = least_squares(X[:, selected], y)
+        model = OmpModel(selected.copy(), coef, intercept)
+        residual = y - model.predict(X)
+        points.append(TracePoint(len(selected), rmse(y, model.predict(X)), model))
+    return FitTrace(points)
+
+
+def _assert_traces_bitwise_equal(got, want):
+    assert len(got.points) == len(want.points)
+    for a, b in zip(got.points, want.points):
+        assert a.n_features == b.n_features
+        assert a.model.selected == b.model.selected
+        assert float.hex(a.rmse) == float.hex(b.rmse)
+        assert float.hex(a.model.intercept) == float.hex(b.model.intercept)
+        assert a.model.coefficients.shape == b.model.coefficients.shape
+        assert a.model.coefficients.tobytes() == b.model.coefficients.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10_000), duplicates=st.integers(0, 3),
+       exact=st.booleans(), tol=st.sampled_from([1e-12, 1e-3, 0.5]))
+def test_omp_fit_equals_loop_oracle(seed, duplicates, exact, tol):
+    rng = np.random.default_rng(seed)
+    n, q = int(rng.integers(4, 20)), int(rng.integers(2, 9))
+    X = rng.normal(size=(n, q))
+    # duplicated columns tie in the screening score; a planted model stops on tol
+    X = np.column_stack([X, X[:, rng.integers(0, q, size=duplicates)]])
+    y = X[:, :2] @ [2.0, -1.0] + 0.5 if exact else rng.normal(size=n)
+    for max_features in {0, 1, min(n - 1, X.shape[1])}:
+        _assert_traces_bitwise_equal(omp_fit(X, y, max_features, tol),
+                                     _loop_omp_fit(X, y, max_features, tol))
+
+
+def test_omp_fit_stops_on_tol_like_the_loop_oracle():
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(12, 6))
+    y = 3.0 * X[:, 4] - X[:, 1] + 2.0
+    got, want = omp_fit(X, y, 5, tol=1e-9), _loop_omp_fit(X, y, 5, tol=1e-9)
+    assert len(got.points) == 3  # the planted pair leaves a residual below tol
+    _assert_traces_bitwise_equal(got, want)
+    trace = omp_fit(X, y, 0)
+    assert [p.n_features for p in trace.points] == [0]
+    _assert_traces_bitwise_equal(trace, _loop_omp_fit(X, y, 0))
 
 
 # --- plateau_detect -------------------------------------------------------------

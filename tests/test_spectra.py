@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from matscale.spectra import (
     CalcMetadata,
     Fingerprint,
+    SimilarityMatrix,
     Spectrum,
     bin_heights,
     block_stats,
@@ -80,6 +81,31 @@ def test_bin_heights_rejects_overflowing_integrals():
         bin_heights(s, (-1.0, 1.0), 4)
     with pytest.raises(ValueError, match="overflows"):
         fingerprint_set([s, s], (-1.0, 1.0), (4, 4), mode="vector")
+
+
+# signed zeros and subnormal neighbours, so that edges and energies often tie
+_tie_value = st.one_of(st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 5e-324, -1.0, 1.0]),
+                       st.floats(-4, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.lists(_tie_value, min_size=2, max_size=10, unique=True).map(sorted),
+       edges=st.lists(_tie_value, min_size=2, max_size=6, unique=True).map(sorted))
+def test_bin_integral_points_equal_np_unique(x, edges):
+    from matscale import spectra
+
+    x, edges = np.array(x), np.array(edges)
+    inner = x[(x > edges[0]) & (x < edges[-1])]
+    want = np.unique(np.concatenate([edges, inner]))
+    seen = []
+    interp = np.interp
+    with pytest.MonkeyPatch.context() as mp:  # the points are np.interp's first argument
+        mp.setattr(np, "interp", lambda pts, *args, **kw: seen.append(pts) or interp(
+            pts, *args, **kw))
+        spectra._bin_integrals(x, np.arange(len(x), dtype=float), edges)
+    assert len(seen) == 1
+    assert (seen[0].shape, seen[0].dtype) == (want.shape, want.dtype)
+    assert seen[0].tobytes() == want.tobytes()
 
 
 # --- make_fingerprint -------------------------------------------------------
@@ -307,6 +333,24 @@ def fingerprint_items(draw):
 @given(fingerprint_items())
 def test_matrix_equals_pairwise_tanimoto_fill(items):
     assert similarity_matrix(items).values.tobytes() == _pairwise_fill(items).tobytes()
+
+
+# large cells of both signs next to small ones: where compensated summation
+# (Python >= 3.12) and a running sum over pieces round apart
+_cell = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([1e16, -1e16, 1.0, 0.1, -0.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 9), data=st.data())
+def test_mean_off_diagonal_bits_equal_the_sum_over_the_cell_list(n, data):
+    values = np.array(data.draw(st.lists(_cell, min_size=n * n, max_size=n * n)),
+                      dtype=float).reshape(n, n)
+    got = SimilarityMatrix(values, list(range(n)), [meta()] * n).mean_off_diagonal()
+    off_diag = values[~np.eye(n, dtype=bool)].tolist()  # how the CLI computed it before
+    if not off_diag:
+        assert got is None
+    else:
+        assert float.hex(got) == float.hex(sum(off_diag) / len(off_diag))
 
 
 def test_matrix_all_zero_fingerprints_compare_as_one():
