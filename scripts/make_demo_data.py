@@ -10,6 +10,10 @@ Writes into the output directory:
   configs.csv             +/-1 ring configurations with a nonlinear target
   clusters.json           cluster site lists
   group.json              cyclic symmetry group of the ring
+
+Every file is UTF-8. One structure in alpha and one configuration have a
+non-ASCII entry_id, so a run under an ASCII locale shows whether the CLI
+depends on the locale.
 """
 
 import argparse
@@ -26,7 +30,7 @@ def write_structures(outdir, name, rows):
     """<name>.csv and its JSON twin json/<name>.json, which curate alike."""
     from matscale.curation import parse_formula
 
-    with open(outdir / f"{name}.csv", "w", newline="") as fh:
+    with open(outdir / f"{name}.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["entry_id", "formula", "spacegroup", "formation_energy"])
         writer.writerows(rows)
@@ -50,6 +54,7 @@ def make_structures(outdir, rng):
         for _ in range(int(rng.integers(1, 4))):
             rows_a.append([f"a{i}", formula, sg, round(float(rng.normal(-2, 1)), 3)])
             i += 1
+    rows_a[0][0] = "\u03b10"  # "α0"
     i = 0
     for formula, sg in shared + only_b:
         for _ in range(int(rng.integers(1, 3))):
@@ -107,13 +112,12 @@ def make_ce_inputs(outdir, rng):
     y = 1.2 * X[:, 0] - 0.7 * X[:, 1] + 2.0 * X[:, 0] * X[:, 2]
     y = y + 0.01 * rng.normal(size=y.size)
 
-    with open(outdir / "configs.csv", "w", newline="") as fh:
+    with open(outdir / "configs.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["entry_id", "occupations", "target"])
         for i, (occ, target) in enumerate(zip(configs, y)):
-            writer.writerow(
-                [f"cfg{i}", " ".join(str(v) for v in occ), f"{target:.6f}"]
-            )
+            entry_id = f"cfg{i}" if i else "cfg\u03b10"  # "cfgα0"
+            writer.writerow([entry_id, " ".join(str(v) for v in occ), f"{target:.6f}"])
 
 
 def main():

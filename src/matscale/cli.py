@@ -264,7 +264,7 @@ def cmd_complexity(args):
             widths = [int(w) for w in args.nn.split(",")]
         except ValueError:
             raise ConfigError(f"--nn expects widths like 2,3,1: {args.nn!r}")
-        weights, biases = cx.nn_descriptor(cx.NnSpec(widths))
+        weights, biases = cx.nn_descriptor(_flag_spec("--nn", cx.NnSpec, widths))
         return {"model": "nn", "layer_widths": widths, "weights": weights,
                 "biases": biases, "parameters": weights + biases}
     if args.rf:
@@ -272,12 +272,20 @@ def cmd_complexity(args):
             leaves = [int(l) for l in args.rf.split(",")]
         except ValueError:
             raise ConfigError(f"--rf expects leaf counts like 3,5: {args.rf!r}")
-        total_leaves, splits = cx.rf_descriptor(cx.RfSpec(leaves))
+        total_leaves, splits = cx.rf_descriptor(_flag_spec("--rf", cx.RfSpec, leaves))
         return {"model": "rf", "leaves_per_tree": leaves, "leaves": total_leaves,
                 "splits": splits, "n_trees": len(leaves)}
     spec = _parse_sisso(args.sisso)
     rung, dimension = cx.sisso_descriptor(spec)
     return {"model": "sisso", "rung": rung, "dimension": dimension}
+
+
+def _flag_spec(flag: str, spec, *values):
+    """spec(*values); a value the spec rejects is the flag's error (exit 2)."""
+    try:
+        return spec(*values)
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
 
 
 def _parse_sisso(text: str) -> cx.SissoSpec:
@@ -299,16 +307,35 @@ def _parse_sisso(text: str) -> cx.SissoSpec:
             raise ConfigError(f"bad --sisso token {token!r} in {text!r}")
     if set(values) != {"rung", "dim"}:
         raise ConfigError(f"--sisso needs rung=R,dim=D[,bias], got {text!r}")
-    return cx.SissoSpec(rung=values["rung"], dimension=values["dim"], has_bias=bias)
+    return _flag_spec("--sisso", cx.SissoSpec, values["rung"], values["dim"], bias)
+
+
+# The least value of each estimate flag: the cost specs' own bounds, by flag.
+_ESTIMATE_LEAST = {"structures": 1, "settings": 1, "files_per_run": 1, "steps": 1,
+                   "t_batch": 0, "t_grad": 0, "archs": 0, "hours": 0, "price": 0}
+
+
+def _check_estimate_flags(args) -> None:
+    """Every estimate flag is finite and in range, else a ConfigError naming it."""
+    for name in ("mb_per_run", "t_batch", "t_grad", "hours", "price"):
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
+    for name, least in _ESTIMATE_LEAST.items():
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            raise ConfigError(f"--{name.replace('_', '-')} must be >= {least}, got {value}")
+    if args.kind == "workflow":
+        scaled = args.mb_per_run * 10**6  # the byte count that WorkflowSpec takes
+        if not (math.isfinite(scaled) and round(scaled) >= 1):
+            raise ConfigError(f"--mb-per-run must be at least one byte (1e-06) and give "
+                              f"a finite byte count, got {args.mb_per_run}")
 
 
 def cmd_estimate(args):
     from . import costs
 
-    for name in ("mb_per_run", "t_batch", "t_grad", "hours", "price"):
-        value = getattr(args, name, None)
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
+    _check_estimate_flags(args)
     if args.kind == "workflow":
         spec = costs.WorkflowSpec(
             n_structures=args.structures,

@@ -1,12 +1,16 @@
 """File formats: structure tables, spectra directories, CE inputs, and the
-CSV/JSON outputs the CLI emits. All writers go through an atomic
-temp-file-and-rename so interrupted jobs never leave partial outputs."""
+CSV/JSON outputs the CLI emits. File text becomes values through
+``_plain``, ``_integer``, ``_number`` and ``_string``, except spectrum
+bodies: ``np.loadtxt`` parses those and takes the same number spellings.
+All writers write UTF-8 through an atomic temp-file-and-rename, so
+interrupted jobs never leave partial outputs."""
 
 from __future__ import annotations
 
 import csv
 import io as _io
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -25,7 +29,7 @@ def atomic_write_text(path, text: str | Iterable[str]) -> None:
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
@@ -44,6 +48,46 @@ def _load_json(path):
             raise ValueError(f"{path}: invalid JSON: {exc}") from None
         except RecursionError:
             raise ValueError(f"{path}: invalid JSON: nesting too deep") from None
+
+
+# --- text to values: the one rule every reader decodes file text by ----------
+
+def _plain(text: str) -> bool:
+    """Whether a number's text has no digit separator and no non-ASCII
+    character: ``int`` and ``float`` read ``1_36``, and 136 written in
+    Arabic-Indic digits, as 136."""
+    return text.isascii() and "_" not in text
+
+
+def _integer(value, what: str) -> int:
+    """An int, an integral float or a decimal string; never a bool."""
+    if isinstance(value, str) and _plain(value):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, float) and value.is_integer():
+        return int(value)
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _number(value, what: str) -> float:
+    """An int, a float or a string ``float`` reads; never a bool."""
+    if not isinstance(value, bool) and (not isinstance(value, str) or _plain(value)):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{what} must be a number, got {value!r}")
+
+
+def _string(value, what: str) -> str:
+    """A string as it is; a JSON null, number or list is not one."""
+    if isinstance(value, str):
+        return value
+    raise ValueError(f"{what} must be a string, got {value!r}")
 
 
 def read_structures(path) -> StructureTable:
@@ -115,25 +159,17 @@ def _read_sidecar(path: Path) -> tuple[float, CalcMetadata]:
 
     meta = _load_json(path)
     try:
-        return float(meta["fermi_energy"]), CalcMetadata(
-            xc=str(meta["xc"]),
-            n_kpt=_sidecar_int(meta, "n_kpt"),
-            n_basis=_sidecar_int(meta, "n_basis"),
-            settings_tier=str(meta["settings_tier"]),
-            relativistic=str(meta["relativistic"]),
+        return _number(meta["fermi_energy"], "fermi_energy"), CalcMetadata(
+            xc=_string(meta["xc"], "xc"),
+            n_kpt=_integer(meta["n_kpt"], "n_kpt"),
+            n_basis=_integer(meta["n_basis"], "n_basis"),
+            settings_tier=_string(meta["settings_tier"], "settings_tier"),
+            relativistic=_string(meta["relativistic"], "relativistic"),
         )
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:  # TypeError: the file is not an object
         raise ValueError(f"{path}: {exc}") from None
-
-
-def _sidecar_int(meta: dict, key: str) -> int:
-    """int() of the value, but a bool or a non-integral float is an error."""
-    value = meta[key]
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
 
 
 # One spectrum CSV line; a field may be quoted, fields past the second are ignored.
@@ -177,20 +213,8 @@ def _is_data_row(line: str) -> bool:
 
 def write_matrix(path_csv, path_manifest, m: SimilarityMatrix) -> None:
     atomic_write_text(path_csv, _matrix_lines(m.values))
-    manifest = {
-        "n": m.n,
-        "ordering": m.ordering,
-        "labels": [
-            {
-                "xc": md.xc,
-                "n_kpt": md.n_kpt,
-                "n_basis": md.n_basis,
-                "settings_tier": md.settings_tier,
-                "relativistic": md.relativistic,
-            }
-            for md in m.labels
-        ],
-    }
+    # vars of a CalcMetadata: its fields, in the order the dataclass declares them
+    manifest = {"n": m.n, "ordering": m.ordering, "labels": list(map(vars, m.labels))}
     atomic_write_text(path_manifest, json.dumps(manifest, indent=2) + "\n")
 
 
@@ -219,7 +243,7 @@ def read_ce_configs(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     A malformed row raises ValueError naming the file and the row's line.
     """
     ids, occupations, targets = [], [], []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             if next(reader, None) is None:
@@ -234,8 +258,10 @@ def read_ce_configs(path) -> tuple[list[str], np.ndarray, np.ndarray]:
                         f"target), got {len(row)}: {row!r}"
                     )
                 try:
+                    target = _number(row[2], "target")
+                    if not (_plain(row[1]) and math.isfinite(target)):
+                        raise ValueError
                     occupation = [int(tok) for tok in row[1].split()]
-                    target = float(row[2])
                 except ValueError:
                     raise ValueError(
                         f"{where}: bad occupations or target: {row!r}"

@@ -153,10 +153,10 @@ def as_occupations(s) -> np.ndarray:
     arr = np.asarray(s)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("occupations must be a non-empty 1-D vector")
-    arr = arr.astype(np.int64)
-    if not np.all(np.abs(arr) == 1):
+    # checked before the cast, which would truncate 1.5 to 1
+    if not np.all((arr == 1) | (arr == -1)):
         raise ValueError("every occupation must be exactly -1 or +1")
-    return arr
+    return arr.astype(np.int64)
 
 
 def apply_permutation(perm: Sequence[int], s) -> np.ndarray:

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .curation import Structure, StructureTable, canonical_formulas, parse_formula
-from .io import _load_json
+from .io import _integer, _load_json, _number, _plain, _string
 
 _RESERVED_COLUMNS = {"entry_id", "formula", "spacegroup", "source"}
 
@@ -177,9 +177,7 @@ def _structure_from_row(row, default_source: str) -> Structure:
         raise ValueError(f"expected an object, got {row!r}")
     if None in row:  # fields beyond the header
         raise ValueError(f"{len(row[None])} more field(s) than the header")
-    entry_id = _required(row, "entry_id")
-    if not isinstance(entry_id, str):
-        raise ValueError(f"entry_id must be a string, got {entry_id!r}")
+    entry_id = _string(_required(row, "entry_id"), "entry_id")
     if "composition" in row:
         counts = row["composition"]
         if not isinstance(counts, dict):
@@ -205,35 +203,3 @@ def _required(row: dict, key: str):
     if value is None:
         raise ValueError(f"no value for {key!r}")
     return value
-
-
-def _integer(value, what: str) -> int:
-    """An int, an integral float or a decimal string; never a bool."""
-    if isinstance(value, str):
-        try:
-            if _plain(value):
-                return int(value)
-        except ValueError:
-            pass
-    elif isinstance(value, float) and value.is_integer():
-        return int(value)
-    elif isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"{what} must be an integer, got {value!r}")
-
-
-def _number(value, what: str) -> float:
-    """An int, a float or a string ``float`` reads; never a bool."""
-    if not isinstance(value, bool) and (not isinstance(value, str) or _plain(value)):
-        try:
-            return float(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise ValueError(f"{what} must be a number, got {value!r}")
-
-
-def _plain(text: str) -> bool:
-    """Whether a number's text has no digit separator and no non-ASCII
-    character: ``int`` and ``float`` read ``1_36``, and 136 written in
-    Arabic-Indic digits, as 136."""
-    return text.isascii() and "_" not in text

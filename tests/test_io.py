@@ -157,12 +157,15 @@ def test_ce_configs_inconsistent_lengths_rejected(tmp_path):
     ("c2,1 -1 1,high", "line 3: bad occupations or target"),
     ("c2,1 -1 1,0.5\udcff", "can't decode byte 0xff"),
     ("c2,1 -1 1," + "1" * 200_000, "field larger than field limit"),
+    ("c2,1 -1 1,1_5", "line 3: bad occupations or target"),       # float reads 15.0
+    ("c2,\u0661 -1 1,0.5", "line 3: bad occupations or target"),  # int reads Arabic-Indic 1
+    ("c2,1 -1 1,nan", "line 3: bad occupations or target"),
 ])
 def test_ce_configs_bad_row_names_file_and_line(tmp_path, row, message):
     path = tmp_path / "configs.csv"
     # surrogateescape writes "\udcff" as the undecodable byte 0xff
     path.write_text(f"entry_id,occupations,target\nc1,1 -1 1,0.5\n{row}\n",
-                    errors="surrogateescape")
+                    encoding="utf-8", errors="surrogateescape")
     with pytest.raises(ValueError, match=message) as exc:
         io.read_ce_configs(path)
     assert str(exc.value).startswith(f"{path}: ")
@@ -722,8 +725,9 @@ SIDECAR = {"fermi_energy": 0.0, "xc": "LDA", "n_kpt": 4, "n_basis": 40,
 @pytest.mark.parametrize("csv_text, sidecar, where, message", [
     ("0,1\n1,1\n", {k: v for k, v in SIDECAR.items() if k != "xc"},
      "calc.json", "missing key 'xc'"),
-    ("0,1\n1,1\n", {**SIDECAR, "n_kpt": "x"}, "calc.json", "invalid literal"),
-    ("0,1\n1,1\n", {**SIDECAR, "n_kpt": None}, "calc.json", "NoneType"),
+    ("0,1\n1,1\n", {**SIDECAR, "n_kpt": "x"}, "calc.json", "n_kpt must be an integer, got 'x'"),
+    ("0,1\n1,1\n", {**SIDECAR, "n_kpt": None}, "calc.json",
+     "n_kpt must be an integer, got None"),
     ("0,1\n1,1\n", {**SIDECAR, "relativistic": "full"}, "calc.json", "relativistic"),
     ("0,1\n1,1\n", [1, 2], "calc.json", "list indices"),
     ("1,1\n0,1\n", SIDECAR, "calc.csv", "strictly ascending"),
@@ -738,6 +742,18 @@ SIDECAR = {"fermi_energy": 0.0, "xc": "LDA", "n_kpt": 4, "n_basis": 40,
      "n_basis must be an integer, got True"),
     ("0,1\n1,1\n", "[" * 200_000, "calc.json", "invalid JSON: nesting too deep"),
     ("0,1\n1,1\n", "[{", "calc.json", "invalid JSON"),
+    # text that float(), int() or str() would misread
+    ("0,1\n1,1\n", {**SIDECAR, "fermi_energy": "0_5"}, "calc.json",
+     "fermi_energy must be a number, got '0_5'"),
+    ("0,1\n1,1\n", {**SIDECAR, "fermi_energy": True}, "calc.json",
+     "fermi_energy must be a number, got True"),
+    ("0,1\n1,1\n", {**SIDECAR, "n_kpt": "1_2"}, "calc.json",
+     "n_kpt must be an integer, got '1_2'"),
+    ("0,1\n1,1\n", {**SIDECAR, "n_basis": "\u0664"}, "calc.json",
+     "n_basis must be an integer, got '\u0664'"),
+    ("0,1\n1,1\n", {**SIDECAR, "xc": None}, "calc.json", "xc must be a string, got None"),
+    ("0,1\n1,1\n", {**SIDECAR, "settings_tier": ["light"]}, "calc.json",
+     r"settings_tier must be a string, got \['light'\]"),
 ])
 def test_spectra_dir_bad_file_is_named(tmp_path, csv_text, sidecar, where, message):
     (tmp_path / "calc.csv").write_text(csv_text, errors="surrogateescape")
@@ -861,3 +877,84 @@ def test_write_matrix_bytes_match_per_value_format(values):
         io.write_matrix(csv_path, Path(tmp) / "manifest.json", m)
         expected = "\n".join(",".join(f"{v:.17g}" for v in row) for row in values) + "\n"
         assert csv_path.read_bytes() == expected.encode()
+
+
+# --- one rule turns number text into values, in every reader ----------------
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_number_text = st.one_of(_finite.map(repr), _finite.map("{:e}".format),
+                         st.integers(-10**20, 10**20).map(str))
+_integer_text = st.integers(1, 230).map(str)  # a valid spacegroup and n_kpt
+_ZEROS = "\u0660\uff10\u0966"  # Arabic-Indic, fullwidth and Devanagari zero
+
+
+def _four_readings(folder, text, integral):
+    """Each reader's value of text, or the ValueError it raised, which must
+    name the file: a structure CSV cell, a structure JSON string, a CE target
+    and a sidecar value. The structure field and the sidecar key are the
+    spacegroup and n_kpt when integral, else a property and fermi_energy."""
+    field, key = ("spacegroup", "n_kpt") if integral else ("x", "fermi_energy")
+    row = {"entry_id": "s1", "formula": "Mg2F4", "spacegroup": "136", field: text}
+    (folder / "t.csv").write_text(",".join(row) + "\n" + ",".join(row.values()) + "\n",
+                                  encoding="utf-8")
+    record = {"entry_id": "s1", "formula": "Mg2F4", "spacegroup": 136, "properties": {}}
+    if integral:
+        record["spacegroup"] = text
+    else:
+        record["properties"]["x"] = text
+    (folder / "t.json").write_text(json.dumps([record]))
+    (folder / "c.csv").write_text(f"entry_id,occupations,target\nc1,1 -1,{text}\n",
+                                  encoding="utf-8")
+    (folder / "spectra").mkdir()
+    (folder / "spectra" / "s.csv").write_text("0,1\n1,1\n")
+    (folder / "spectra" / "s.json").write_text(json.dumps({**SIDECAR, key: text}))
+
+    def structure(path):
+        entry = io.read_structures(path)[0]
+        return entry.spacegroup if integral else entry.properties["x"]
+
+    def sidecar(path):
+        spectrum, metadata = io.read_spectra_dir(path)[0]
+        return metadata.n_kpt if integral else spectrum.fermi_energy
+
+    readings = []
+    for read, path, named in [
+        (structure, folder / "t.csv", folder / "t.csv"),
+        (structure, folder / "t.json", folder / "t.json"),
+        (lambda path: io.read_ce_configs(path)[2][0], folder / "c.csv", folder / "c.csv"),
+        (sidecar, folder / "spectra", folder / "spectra" / "s.json"),
+    ]:
+        try:
+            readings.append(read(path))
+        except ValueError as exc:
+            assert str(exc).startswith(f"{named}: ")
+            readings.append(exc)
+    return readings
+
+
+@settings(max_examples=100, deadline=None)
+@given(integral=st.booleans(), pad=st.sampled_from(["", " "]), data=st.data())
+def test_number_text_reads_as_int_and_float_read_it_in_every_reader(integral, pad, data):
+    text = pad + data.draw(_integer_text if integral else _number_text) + pad
+    with tempfile.TemporaryDirectory() as folder:
+        readings = _four_readings(Path(folder), text, integral)
+    value = int(text) if integral else float(text)
+    assert readings == [value, value, float(text), value]
+
+
+@settings(max_examples=100, deadline=None)
+@given(integral=st.booleans(), separate=st.booleans(), data=st.data())
+def test_separated_or_non_ascii_number_text_is_an_error_in_every_reader(
+        integral, separate, data):
+    text = data.draw(_integer_text if integral else _number_text)
+    pairs = [k for k in range(1, len(text)) if text[k - 1].isdigit() and text[k].isdigit()]
+    if separate and pairs:
+        k = data.draw(st.sampled_from(pairs))
+        text = text[:k] + "_" + text[k:]
+    else:
+        zero = ord(data.draw(st.sampled_from(_ZEROS)))
+        text = "".join(chr(zero + int(c)) if c.isdigit() else c for c in text)
+    float(text)  # Python reads it as a number
+    with tempfile.TemporaryDirectory() as folder:
+        readings = _four_readings(Path(folder), text, integral)
+    assert all(isinstance(r, ValueError) for r in readings), readings

@@ -76,6 +76,12 @@ def test_cluster_function_rejects_out_of_range():
         _cluster_function(Cluster((3,)), [1, -1])
     with pytest.raises(ValueError):
         _cluster_function(Cluster((0,)), [1, 0, -1])
+    # checked as given: a cast first would truncate 1.5 to 1 and -1.7 to -1
+    with pytest.raises(ValueError, match="exactly -1 or"):
+        _cluster_function(Cluster((0,)), [1.5, -1.7, 1.0])
+    with pytest.raises(ValueError, match="exactly -1 or"):
+        correlation_matrix([[1.9, -1.2]], [Cluster((0,))], SymmetryGroup.identity(2))
+    assert _cluster_function(Cluster((0, 1)), [1.0, -1.0]) == -1
 
 
 # --- orbit ------------------------------------------------------------------
