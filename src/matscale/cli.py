@@ -8,7 +8,7 @@ Importing this module loads no numpy and no other matscale module: each
 ``cmd_*`` function imports what it runs when it is called, so ``complexity``
 and ``estimate`` never load numpy. The names are looked up on each call, so
 a rebound module attribute (``io.read_structures``,
-``lattice.correlation_matrix``) takes effect on the next call.
+``regression.compare_feature_spaces``) takes effect on the next call.
 """
 
 from __future__ import annotations
@@ -28,20 +28,16 @@ class ConfigError(Exception):
     pass
 
 
-def _parse_fractions(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ConfigError(f"--split needs three comma-separated fractions: {text!r}")
+def _parse_fractions(text: str) -> tuple[float, ...]:
     try:
-        fractions = tuple(float(p) for p in parts)
+        return tuple(float(p) for p in text.split(","))
     except ValueError:
         raise ConfigError(f"bad fraction in --split: {text!r}") from None
-    if not all(math.isfinite(f) for f in fractions):
-        raise ConfigError(f"--split fractions must be finite: {text!r}")
-    return fractions
 
 
-def _parse_hist_spec(text: str) -> tuple[str, float, float, int]:
+def _parse_hist_spec(text: str) -> tuple[str, np.ndarray]:
+    from . import curation
+
     parts = text.split(":")
     if len(parts) != 4:
         raise ConfigError(f"--hist expects property:lo:hi:nbins, got {text!r}")
@@ -49,11 +45,9 @@ def _parse_hist_spec(text: str) -> tuple[str, float, float, int]:
         name, lo, hi, nbins = parts[0], float(parts[1]), float(parts[2]), int(parts[3])
     except ValueError:
         raise ConfigError(f"bad --hist values: {text!r}") from None
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi and nbins >= 1):
-        raise ConfigError(f"--hist needs finite lo < hi and nbins >= 1, got {text!r}")
     if os.sep in name or (os.altsep and os.altsep in name):  # it names an output file
         raise ConfigError(f"--hist property name holds a path separator: {text!r}")
-    return name, lo, hi, nbins
+    return name, _flag_spec(f"--hist {text!r}", curation.histogram_edges, lo, hi, nbins)
 
 
 def _require_file(path: str) -> Path:
@@ -70,13 +64,13 @@ def _outdir(args) -> Path:
 
 
 def cmd_curate(args):
-    import numpy as np
-
     from . import curation, io
 
     input_path = _require_file(args.input)
     other_path = _require_file(args.other) if args.other else None
     fractions = _parse_fractions(args.split)
+    _flag_spec("--split", curation.check_fractions, fractions)
+    _flag_spec("--seed", curation.check_seed, args.seed)
     hist_specs = [_parse_hist_spec(h) for h in args.hist or []]
     # outputs are named by input stem and property, so a repeat would overwrite one
     if other_path is not None and other_path.stem == input_path.stem:
@@ -116,8 +110,7 @@ def cmd_curate(args):
         split_counts[path.stem] = counts
     summary["split_counts"] = split_counts
 
-    for name, lo, hi, nbins in hist_specs:
-        edges = np.linspace(lo, hi, nbins + 1)
+    for name, edges in hist_specs:
         for path, data in datasets:
             hist = curation.property_histogram(data, name, edges)
             out_path = outdir / f"{path.stem}_hist_{name}.csv"
@@ -219,7 +212,6 @@ def _read_group(path: Path) -> SymmetryGroup:
 
 def cmd_ce_fit(args):
     from . import io, regression
-    from .lattice import correlation_matrix
 
     degrees = _parse_ce_fit_flags(args)
     configs_path = _require_file(args.configs)
@@ -231,21 +223,18 @@ def cmd_ce_fit(args):
     clusters = _read_clusters(clusters_path)
     group = _read_group(group_path)
 
-    base = correlation_matrix(occupations, clusters, group)
-    fits = regression.fit_feature_spaces(
-        base, targets, degrees, max_features=args.max_features, tol=args.tol,
+    traces = regression.compare_feature_spaces(
+        occupations, targets, clusters, group, degrees,
+        max_features=args.max_features, tol=args.tol,
     )
-    traces = {d: trace for d, (trace, _) in fits.items()}
 
     trace_path = outdir / "fit_trace.csv"
     io.write_trace_csv(trace_path, traces)
     outputs = [str(trace_path)]
     summary = {"degrees": {}, "outputs": outputs}
-    for d in sorted(fits):
-        trace, features = fits[d]
-        predicted = trace.final.model.predict(features)
+    for d, trace in sorted(traces.items()):
         pred_path = outdir / f"predictions_d{d}.csv"
-        io.write_predictions_csv(pred_path, ids, targets, predicted)
+        io.write_predictions_csv(pred_path, ids, targets, trace.fitted)
         outputs.append(str(pred_path))
         entry = {"n_features": trace.final.n_features, "rmse": trace.final.rmse}
         if args.plateau_window is not None:

@@ -343,6 +343,22 @@ def _allocate_counts(
     return quota
 
 
+def check_fractions(fractions: Sequence[float]) -> None:
+    """Raise ValueError unless fractions are 3 finite numbers >= 0 that sum to 1."""
+    if len(fractions) != 3:
+        raise ValueError(f"fractions must be three numbers, got {len(fractions)}")
+    if not all(math.isfinite(f) and f >= 0 for f in fractions):
+        raise ValueError(f"fractions must be finite and non-negative, got {fractions}")
+    if abs(sum(fractions) - 1.0) > 1e-9:
+        raise ValueError(f"fractions must sum to 1, got {fractions}")
+
+
+def check_seed(seed: int) -> None:
+    """Raise ValueError unless seed is >= 0, as the split's generator needs."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def grouped_split(
     entries: Sequence[Structure],
     fractions: tuple[float, float, float],
@@ -360,12 +376,8 @@ def grouped_split(
     table = StructureTable.of(entries)
     if not len(table):
         raise ValueError("entries must be non-empty")
-    if len(fractions) != 3:
-        raise ValueError("fractions must have exactly 3 components")
-    if not all(math.isfinite(f) and f >= 0 for f in fractions):
-        raise ValueError(f"fractions must be finite and non-negative, got {fractions}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got {fractions}")
+    check_fractions(fractions)
+    check_seed(seed)
 
     # one label per entry_id; a repeated entry_id keeps its last identity
     label_of = dict(zip(table.entry_ids, table.identities))
@@ -407,12 +419,7 @@ def property_histogram(
     binned; both counts are reported on the result.
     """
     table = StructureTable.of(entries)
-    edges = np.asarray(bin_edges, dtype=float)
-    if edges.ndim != 1 or edges.size < 2:
-        raise ValueError("bin_edges must be a 1-D sequence of at least 2 edges")
-    if not np.all(np.diff(edges) > 0):
-        raise ValueError("bin_edges must be strictly ascending")
-
+    edges = _checked_edges(bin_edges)
     column = table.properties.get(property_name, np.empty(0))
     values = column[~np.isnan(column)]
     n_missing = len(table) - len(values)
@@ -424,3 +431,19 @@ def property_histogram(
         n_missing=n_missing,
         n_out_of_range=n_out,
     )
+
+
+def _checked_edges(bin_edges) -> np.ndarray:
+    edges = np.asarray(bin_edges, dtype=float)
+    if edges.ndim != 1 or edges.size < 2:
+        raise ValueError("bin_edges must be a 1-D sequence of at least 2 edges")
+    if not np.all(np.diff(edges) > 0):
+        raise ValueError("bin_edges must be strictly ascending")
+    return edges
+
+
+def histogram_edges(lo: float, hi: float, nbins: int) -> np.ndarray:
+    """nbins + 1 evenly spaced edges from lo to hi, checked as property_histogram
+    checks its edges: a step that overflows or underflows fails that check."""
+    with np.errstate(all="ignore"):
+        return _checked_edges(np.linspace(lo, hi, nbins + 1))

@@ -35,9 +35,6 @@ PAULING_ELECTRONEGATIVITY: dict[str, float | None] = {
     "Lv": None, "Ts": None, "Og": None,
 }
 
-KNOWN_ELEMENTS = frozenset(PAULING_ELECTRONEGATIVITY)
-
-
 def electronegativity_key(symbol: str) -> tuple[float, str]:
     """Sort key: ascending Pauling electronegativity, alphabetical tie-break.
 

@@ -240,8 +240,11 @@ def _matrix_lines(values) -> Iterable[str]:
 def read_ce_configs(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     """CE training CSV: entry_id, whitespace-separated +/-1 occupations, target.
 
-    A malformed row raises ValueError naming the file and the row's line.
+    A malformed row, or one that ``lattice.as_occupations`` rejects, raises
+    ValueError naming the file and the row's line.
     """
+    from .lattice import as_occupations
+
     ids, occupations, targets = [], [], []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -261,7 +264,7 @@ def read_ce_configs(path) -> tuple[list[str], np.ndarray, np.ndarray]:
                     target = _number(row[2], "target")
                     if not (_plain(row[1]) and math.isfinite(target)):
                         raise ValueError
-                    occupation = [int(tok) for tok in row[1].split()]
+                    occupation = as_occupations([int(tok) for tok in row[1].split()])
                 except ValueError:
                     raise ValueError(
                         f"{where}: bad occupations or target: {row!r}"

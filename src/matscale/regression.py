@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .lattice import Cluster, SymmetryGroup, correlation_matrix
-from .polyfeatures import enumerate_monomials, feature_matrix
+from .polyfeatures import enumerate_monomials, feature_count, feature_matrix
 
 
 @dataclass
@@ -46,9 +46,14 @@ class OmpModel:
 
     def predict(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        if not self.selected:
-            return np.full(X.shape[0], self.intercept)
-        return X[:, self.selected] @ self.coefficients + self.intercept
+        return _prediction(X[:, self.selected], self.coefficients, self.intercept)
+
+
+def _prediction(X_selected, coef, intercept) -> np.ndarray:
+    # np.full keeps an intercept of -0.0; a zero product plus -0.0 is 0.0
+    if X_selected.shape[1] == 0:
+        return np.full(X_selected.shape[0], intercept)
+    return X_selected @ coef + intercept
 
 
 @dataclass
@@ -61,6 +66,8 @@ class TracePoint:
 @dataclass
 class FitTrace:
     points: list[TracePoint]
+    # the final model's predictions on the training rows
+    fitted: Optional[np.ndarray] = None
 
     @property
     def final(self) -> TracePoint:
@@ -104,7 +111,8 @@ def omp_fit(X, y, max_features: int, tol: float = 1e-12) -> FitTrace:
 
     The trace starts from the intercept-only model (0 features) and stops
     at max_features or as soon as the residual norm drops below tol.
-    Correlation ties break toward the lowest column index.
+    Correlation ties break toward the lowest column index. The trace's
+    ``fitted`` is the final model's prediction on X, kept from its step.
     """
     dm = DesignMatrix(X, y)
     X, y = dm.X, dm.y
@@ -114,6 +122,8 @@ def omp_fit(X, y, max_features: int, tol: float = 1e-12) -> FitTrace:
             f"max_features must be in [0, min(n-1, q)] = "
             f"[0, {min(n - 1, q)}], got {max_features}"
         )
+    if not tol >= 0:  # NaN fails too
+        raise ValueError(f"tol must be a number >= 0, got {tol}")
 
     sd = X.std(axis=0)
     Xs = np.where(sd > 0, (X - X.mean(axis=0)) / np.where(sd > 0, sd, 1.0), 0.0)
@@ -123,13 +133,14 @@ def omp_fit(X, y, max_features: int, tol: float = 1e-12) -> FitTrace:
     while True:
         X_selected = X[:, selected]  # gathered and predicted once per step
         coef, intercept = least_squares(X_selected, y)
-        residual = y - (X_selected @ coef + intercept)
-        rmse_step = float(np.sqrt(np.mean(residual ** 2)))  # rmse(y, prediction)
+        fitted = _prediction(X_selected, coef, intercept)
+        residual = y - fitted
+        rmse_step = float(np.sqrt(np.mean(residual ** 2)))  # rmse(y, fitted)
         points.append(TracePoint(len(selected), rmse_step,
                                  OmpModel(selected.copy(), coef, intercept)))
         # a NaN norm fails ">= tol" and stops the trace
         if not (len(selected) < max_features and np.linalg.norm(residual) >= tol):
-            return FitTrace(points)
+            return FitTrace(points, fitted)
         score = np.abs(Xs.T @ residual)
         score[selected] = -1.0
         selected.append(int(np.argmax(score)))  # first max: lowest index wins ties
@@ -139,40 +150,13 @@ def plateau_detect(trace: FitTrace, window: int, eps: float) -> Optional[int]:
     """Smallest feature count after which `window` more points improve < eps."""
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
+    if not eps >= 0:  # NaN fails too
+        raise ValueError(f"eps must be a number >= 0, got {eps}")
     pts = trace.points
     for i in range(len(pts) - window):
         if pts[i].rmse - pts[i + window].rmse < eps:
             return pts[i].n_features
     return None
-
-
-def fit_feature_spaces(
-    base,
-    targets,
-    degrees: Sequence[int],
-    max_features: Optional[int] = None,
-    tol: float = 1e-12,
-) -> dict[int, tuple[FitTrace, np.ndarray]]:
-    """OMP trace and feature matrix of each degree's monomial expansion of base.
-
-    base is the (n, p) correlation matrix; degree d expands it through every
-    monomial of degree 1..d, so degree 1 fits the bare correlations. The
-    feature matrix is returned with the trace so callers can predict without
-    rebuilding it.
-    """
-    base = np.asarray(base, dtype=float)
-    y = np.asarray(targets, dtype=float)
-    n, p = base.shape
-    fits = {}
-    for d in degrees:
-        F = feature_matrix(base, enumerate_monomials(p, d))
-        cap = min(n - 1, F.shape[1])
-        if max_features is not None:
-            cap = min(cap, max_features)
-        fits[d] = (omp_fit(F, y, cap, tol), F)
-    return fits
 
 
 def compare_feature_spaces(
@@ -184,11 +168,18 @@ def compare_feature_spaces(
     max_features: Optional[int] = None,
     tol: float = 1e-12,
 ) -> dict[int, FitTrace]:
-    """OMP traces over the monomial feature space of each requested degree.
+    """OMP trace per degree d over the degree-1..d monomials of the correlations.
 
-    Degree 1 reproduces the bare-correlation design matrix; higher degrees
-    expand the same correlations through their monomials.
+    The (n, p) correlations are expanded once, to the highest degree. The expansion
+    is degree-major, so its leading feature_count(p, d) columns are the
+    degree-d expansion. Each trace carries its final predictions as ``fitted``.
     """
     base = correlation_matrix(configs, clusters, group)
-    fits = fit_feature_spaces(base, targets, degrees, max_features, tol)
-    return {d: trace for d, (trace, _) in fits.items()}
+    n, p = base.shape
+    features = feature_matrix(base, enumerate_monomials(p, max(degrees)))
+    traces = {}
+    for d in degrees:
+        q = feature_count(p, d)
+        cap = min(n - 1, q) if max_features is None else min(n - 1, q, max_features)
+        traces[d] = omp_fit(features[:, :q], targets, cap, tol)
+    return traces

@@ -197,8 +197,6 @@ def _from_heights(heights, window, grid, mode, h_max) -> Fingerprint:
         raise ValueError(f"mode must be 'raster' or 'vector', got {mode!r}")
     if mode == "vector":
         return Fingerprint(tuple(window), (n_energy, n_dos), mode, heights)
-    if h_max is None:
-        h_max = float(heights.max())
     if not (math.isfinite(h_max) and h_max >= 0):
         raise ValueError(f"h_max must be finite and non-negative, got {h_max}")
     n_bits = np.zeros(n_energy, dtype=np.int64)
@@ -215,15 +213,14 @@ def make_fingerprint(
     mode: str = "raster",
     h_max: Optional[float] = None,
 ) -> Fingerprint:
-    """Fingerprint one spectrum.
+    """Fingerprint one spectrum: the fingerprint_set of it alone.
 
     Raster mode needs the normalization ``h_max``; a column of height h
-    gets floor(n_dos_bins * clamp(h, 0, h_max) / h_max) bits set. Use
-    fingerprint_set() to share the set-wide default (max bin height over
-    the compared spectra).
+    gets floor(n_dos_bins * clamp(h, 0, h_max) / h_max) bits set. It
+    defaults to this spectrum's maximum bin height; fingerprint_set()
+    shares the maximum over all the compared spectra.
     """
-    heights = bin_heights(spectrum, window, grid[0])
-    return _from_heights(heights, window, grid, mode, h_max)
+    return fingerprint_set([spectrum], window, grid, mode, h_max)[0]
 
 
 def fingerprint_set(

@@ -131,10 +131,14 @@ def test_curate_bad_row_exits_one_naming_file_and_row(tmp_path, capsys, name, te
     assert not list(out.iterdir())
 
 
+@pytest.mark.filterwarnings("error")  # numpy's overflow warnings fail the test
 @pytest.mark.parametrize("hist", ["e:0:nan:4", "e:-inf:0:4", "e:1:0:4", "e:1:1:4",
                                   "e:0:1:0", "e:0:1:-2",
                                   # the property name goes into an output file name
-                                  "a/b:0:1:2", "/:0:1:2", "../e:0:1:2"])
+                                  "a/b:0:1:2", "/:0:1:2", "../e:0:1:2",
+                                  # the bin width overflows / underflows
+                                  "formation_energy:-1e308:1e308:4",
+                                  "formation_energy:0:5e-324:4"])
 def test_curate_bad_hist_exits_two_before_reading(curate_inputs, tmp_path, capsys, hist):
     a, _ = curate_inputs
     out = tmp_path / "out"
@@ -168,7 +172,8 @@ def test_curate_colliding_outputs_exit_two_before_reading(curate_inputs, tmp_pat
     assert not out.exists()
 
 
-@pytest.mark.parametrize("split", ["0.5,0.5,nan", "nan,0.5,0.5", "0.5,inf,0"])
+@pytest.mark.parametrize("split", ["0.5,0.5,nan", "nan,0.5,0.5", "0.5,inf,0",
+                                   "0.5,0.6,-0.1", "0.5,0.6,0.1"])
 def test_curate_non_finite_split_exits_two(curate_inputs, tmp_path, capsys, split):
     a, _ = curate_inputs
     out = tmp_path / "out"
@@ -177,6 +182,17 @@ def test_curate_non_finite_split_exits_two(curate_inputs, tmp_path, capsys, spli
     )
     assert (code, stdout) == (2, "")
     assert "--split" in stderr
+    assert not out.exists()
+
+
+def test_curate_negative_seed_exits_two_before_reading(curate_inputs, tmp_path, capsys):
+    a, _ = curate_inputs
+    out = tmp_path / "out"
+    code, stdout, stderr = run_cli(
+        capsys, "curate", "--input", str(a), "--seed", "-1", "--output-dir", str(out),
+    )
+    assert (code, stdout) == (2, "")
+    assert "--seed: seed must be >= 0" in stderr
     assert not out.exists()
 
 
@@ -416,6 +432,8 @@ def test_ce_fit_bad_flags_exit_two_before_reading(ce_inputs, tmp_path, capsys,
 @pytest.mark.parametrize("target, text, message", [
     ("configs", "entry_id,occupations,target\nc0,1 1 1 1 1 1,0\nc1,1 1\n",
      "line 3: expected 3 columns"),
+    ("configs", "entry_id,occupations,target\nc0,1 1 1 1 1 1,0\nc1,2 -1 1 1 1 1,0\n",
+     "line 3: bad occupations or target"),
     ("group", "[[0, 1, 2, 3, 4, 5], 1]", "entry 1 is not a list of integers"),
     ("clusters", "[[0], 1]", "entry 1 is not a list of integers"),
     ("clusters", "[[0], [2, 1]]", "entry 1: sites must be strictly ascending"),

@@ -290,6 +290,11 @@ def test_split_rejects_bad_fractions():
         grouped_split([], (1.0, 0.0, 0.0), seed=0)
 
 
+def test_split_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        grouped_split(entries_with_ids(3), (1.0, 0.0, 0.0), seed=-1)
+
+
 @pytest.mark.parametrize("fractions", [
     (0.5, 0.5, float("nan")), (float("nan"), 0.5, 0.5), (0.5, float("inf"), 0.0),
 ])

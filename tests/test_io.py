@@ -160,6 +160,8 @@ def test_ce_configs_inconsistent_lengths_rejected(tmp_path):
     ("c2,1 -1 1,1_5", "line 3: bad occupations or target"),       # float reads 15.0
     ("c2,\u0661 -1 1,0.5", "line 3: bad occupations or target"),  # int reads Arabic-Indic 1
     ("c2,1 -1 1,nan", "line 3: bad occupations or target"),
+    ("c2,2 -1,0.5", "line 3: bad occupations or target"),         # not +/-1
+    ("c2,0 1,0.5", "line 3: bad occupations or target"),
 ])
 def test_ce_configs_bad_row_names_file_and_line(tmp_path, row, message):
     path = tmp_path / "configs.csv"

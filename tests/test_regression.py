@@ -10,7 +10,6 @@ from matscale.regression import (
     OmpModel,
     TracePoint,
     compare_feature_spaces,
-    fit_feature_spaces,
     least_squares,
     omp_fit,
     plateau_detect,
@@ -122,6 +121,13 @@ def test_omp_rejects_excessive_max_features():
         omp_fit(X, np.ones(6), max_features=6)  # > n - 1
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1e-9])
+def test_omp_rejects_nan_or_negative_tol(tol):
+    X = np.random.default_rng(5).normal(size=(6, 10))
+    with pytest.raises(ValueError, match="tol"):
+        omp_fit(X, np.ones(6), max_features=4, tol=tol)
+
+
 def test_omp_coefficients_in_original_units():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(50, 4)) * np.array([1.0, 100.0, 0.01, 1.0])
@@ -205,8 +211,14 @@ def test_omp_fit_equals_loop_oracle(seed, duplicates, exact, tol):
     X = np.column_stack([X, X[:, rng.integers(0, q, size=duplicates)]])
     y = X[:, :2] @ [2.0, -1.0] + 0.5 if exact else rng.normal(size=n)
     for max_features in {0, 1, min(n - 1, X.shape[1])}:
-        _assert_traces_bitwise_equal(omp_fit(X, y, max_features, tol),
-                                     _loop_omp_fit(X, y, max_features, tol))
+        got = omp_fit(X, y, max_features, tol)
+        _assert_traces_bitwise_equal(got, _loop_omp_fit(X, y, max_features, tol))
+        assert got.fitted.tobytes() == got.final.model.predict(X).tobytes()
+
+
+def test_intercept_only_model_predicts_its_intercept_as_it_is():
+    # a zero product plus an intercept of -0.0 would give 0.0
+    assert np.signbit(OmpModel([], np.empty(0), -0.0).predict(np.eye(3))).all()
 
 
 def test_omp_fit_stops_on_tol_like_the_loop_oracle():
@@ -247,6 +259,8 @@ def test_plateau_validates_arguments():
         plateau_detect(trace, window=0, eps=0.1)
     with pytest.raises(ValueError):
         plateau_detect(trace, window=1, eps=-1.0)
+    with pytest.raises(ValueError):
+        plateau_detect(trace, window=1, eps=float("nan"))
 
 
 # --- compare_feature_spaces ------------------------------------------------------
@@ -308,20 +322,28 @@ def test_degree_one_trace_equals_bare_correlations():
     assert [p.rmse for p in via.points] == [p.rmse for p in direct.points]
 
 
-def test_fit_feature_spaces_returns_each_degrees_features():
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10_000), p=st.integers(1, 4),
+       degrees=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+       max_features=st.sampled_from([None, 0, 3]), exact=st.booleans(),
+       tol=st.sampled_from([1e-12, 1e-3, 0.5]))
+def test_each_degree_fits_as_its_own_expansion(seed, p, degrees, max_features, exact, tol):
     from matscale.lattice import correlation_matrix
     from matscale.polyfeatures import enumerate_monomials, feature_matrix
 
     g = SymmetryGroup.cyclic(5)
-    clusters = [Cluster((0,)), Cluster((0, 1)), Cluster((0, 2))]
-    rng = np.random.default_rng(10)
-    configs = rng.choice([-1, 1], size=(15, 5))
-    y = rng.normal(size=15)
+    # the empty cluster's column of ones has no spread and never scores
+    clusters = [Cluster(()), Cluster((0,)), Cluster((0, 1)), Cluster((0, 2))][:p]
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 16))
+    configs = rng.choice([-1, 1], size=(n, 5))
     base = correlation_matrix(configs, clusters, g)
-    fits = fit_feature_spaces(base, y, [2, 1], max_features=4)
-    traces = compare_feature_spaces(configs, y, clusters, g, [2, 1], max_features=4)
-    assert list(fits) == list(traces) == [2, 1]
-    for d, (trace, F) in fits.items():
-        assert np.array_equal(F, feature_matrix(base, enumerate_monomials(3, d)))
-        assert [p.rmse for p in trace.points] == [p.rmse for p in traces[d].points]
-        assert trace.final.model.selected == traces[d].final.model.selected
+    # a planted model on the correlations lets tol stop a trace early
+    y = base @ rng.normal(size=p) + 0.5 if exact else rng.normal(size=n)
+    traces = compare_feature_spaces(configs, y, clusters, g, degrees, max_features, tol)
+    assert list(traces) == list(dict.fromkeys(degrees))
+    for d, trace in traces.items():
+        F = feature_matrix(base, enumerate_monomials(p, d))
+        cap = min([n - 1, F.shape[1]] + ([] if max_features is None else [max_features]))
+        _assert_traces_bitwise_equal(trace, omp_fit(F, y, cap, tol))
+        assert trace.fitted.tobytes() == trace.final.model.predict(F).tobytes()
