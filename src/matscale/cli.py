@@ -14,10 +14,12 @@ a rebound module attribute (``io.read_structures``,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 # The BLAS thread variables run() sets when the caller has set none of them.
@@ -104,10 +106,8 @@ def cmd_curate(args):
         out_path = outdir / f"{path.stem}_split.csv"
         io.write_split_csv(out_path, data, assignment)
         summary["outputs"].append(str(out_path))
-        counts = {name: 0 for name in curation.SPLIT_NAMES}
-        for split in assignment.assignment.values():
-            counts[split] += 1
-        split_counts[path.stem] = counts
+        tally = Counter(assignment.assignment.values())
+        split_counts[path.stem] = {name: tally[name] for name in curation.SPLIT_NAMES}
     summary["split_counts"] = split_counts
 
     for name, edges in hist_specs:
@@ -480,10 +480,17 @@ def run() -> int:
     them keeps every one as it was. main() leaves the environment alone, so
     a caller that runs it in-process and then starts other programs does
     not pass this choice on.
+
+    After main() returns, the heap is frozen: interpreter shutdown still
+    runs atexit handlers, flushes stdio and frees by reference count, but
+    its cycle collection skips the frozen objects, which the OS is about to
+    reclaim. main() never freezes, so in-process callers keep their heap.
     """
     if not any(name in os.environ for name in BLAS_THREAD_ENV):
         os.environ.update(dict.fromkeys(BLAS_THREAD_ENV, "1"))
-    return main()
+    code = main()
+    gc.freeze()
+    return code
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import tempfile
+from itertools import chain, islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -114,12 +115,26 @@ def _write_csv(path, header: Sequence[str], rows) -> None:
 
 
 def write_split_csv(path, entries: Sequence[Structure], split: SplitAssignment) -> None:
+    """One row per entry, in blocks of joined lines; csv.writer writes the rows
+    when a cell needs CSV quoting."""
     from .curation import StructureTable
 
     table = StructureTable.of(entries)
-    _write_csv(path, ["entry_id", "structure_id", "split"],
-               zip(table.entry_ids, table.identities,
-                   map(split.assignment.__getitem__, table.entry_ids)))
+    columns = (table.entry_ids, table.identities,
+               list(map(split.assignment.__getitem__, table.entry_ids)))
+    header = ("entry_id", "structure_id", "split")
+    try:
+        # csv.writer quotes a cell with any of these (NUL: it rejects one before 3.11)
+        quoted = any(c in text for text in map("".join, columns) for c in ',"\r\n\0')
+    except TypeError:  # a cell that is not a str
+        quoted = True
+    if quoted:
+        _write_csv(path, header, zip(*columns))
+        return
+    lines = map(",".join, chain([header], zip(*columns)))
+    block = 1 << 14  # lines per write, so the text is never held whole
+    atomic_write_text(path, ("\n".join(islice(lines, block)) + "\n"
+                             for _ in range(0, len(table) + 1, block)))
 
 
 def write_histogram_csv(path, hist: Histogram) -> None:

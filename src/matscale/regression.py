@@ -122,8 +122,8 @@ def omp_fit(X, y, max_features: int, tol: float = 1e-12) -> FitTrace:
             f"max_features must be in [0, min(n-1, q)] = "
             f"[0, {min(n - 1, q)}], got {max_features}"
         )
-    if not tol >= 0:  # NaN fails too
-        raise ValueError(f"tol must be a number >= 0, got {tol}")
+    if not 0 <= tol < np.inf:  # NaN fails too
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
 
     sd = X.std(axis=0)
     Xs = np.where(sd > 0, (X - X.mean(axis=0)) / np.where(sd > 0, sd, 1.0), 0.0)
@@ -150,8 +150,8 @@ def plateau_detect(trace: FitTrace, window: int, eps: float) -> Optional[int]:
     """Smallest feature count after which `window` more points improve < eps."""
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    if not eps >= 0:  # NaN fails too
-        raise ValueError(f"eps must be a number >= 0, got {eps}")
+    if not 0 <= eps < np.inf:  # NaN fails too
+        raise ValueError(f"eps must be a finite number >= 0, got {eps}")
     pts = trace.points
     for i in range(len(pts) - window):
         if pts[i].rmse - pts[i + window].rmse < eps:

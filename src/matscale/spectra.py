@@ -197,8 +197,6 @@ def _from_heights(heights, window, grid, mode, h_max) -> Fingerprint:
         raise ValueError(f"mode must be 'raster' or 'vector', got {mode!r}")
     if mode == "vector":
         return Fingerprint(tuple(window), (n_energy, n_dos), mode, heights)
-    if not (math.isfinite(h_max) and h_max >= 0):
-        raise ValueError(f"h_max must be finite and non-negative, got {h_max}")
     n_bits = np.zeros(n_energy, dtype=np.int64)
     if h_max > 0:
         clamped = np.clip(heights, 0.0, h_max)
@@ -233,10 +231,14 @@ def fingerprint_set(
     """Fingerprint a set of spectra with one shared normalization.
 
     When h_max is not given, the maximum bin height across the whole set
-    is used, so rasters of different spectra are directly comparable.
+    is used, so rasters of different spectra are directly comparable; if
+    every spectrum is flat (zero) in the window, every raster is empty. A
+    given h_max must be finite and > 0.
     """
     if not spectra:
         raise ValueError("no spectra given")
+    if h_max is not None and not (math.isfinite(h_max) and h_max > 0):
+        raise ValueError(f"h_max must be a finite number > 0, got {h_max}")
     all_heights = [bin_heights(s, window, grid[0]) for s in spectra]
     if h_max is None:
         h_max = float(max(h.max() for h in all_heights))

@@ -139,17 +139,15 @@ def _table(entry_ids, formulas, spacegroups, properties: dict, sources) -> Struc
     )
 
 
-def _property_column(cells) -> np.ndarray:
+def _property_column(cells: tuple) -> np.ndarray:
     """float64 column of one property, NaN where a cell is ""."""
-    present = [k for k, v in enumerate(cells) if v != ""]
-    values = [cells[k] for k in present]
-    if not _plain("".join(values)):
+    if not _plain("".join(cells)):
         raise ValueError  # "1_0.5": the row path
-    got = np.array(list(map(float, values)), dtype=float)
-    if not np.isfinite(got).all():
+    # one float() per cell, "" read as "nan"; every other cell must be finite
+    column = np.fromiter(map(float, map({"": "nan"}.get, cells, cells)),
+                         dtype=float, count=len(cells))
+    if len(cells) - np.isfinite(column).sum() != cells.count(""):
         raise ValueError
-    column = np.full(len(cells), np.nan)
-    column[present] = got
     return column
 
 

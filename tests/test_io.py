@@ -2,6 +2,7 @@ import csv
 import json
 import re
 import tempfile
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,53 @@ def test_split_csv_round_trip(tmp_path):
     assert lines[0] == "entry_id,structure_id,split"
     assert lines[1] == "s1,Mg2F4_136,train"
     assert len(lines) == 4
+
+
+# cells csv.writer writes as they are, and cells it quotes (which of them differs
+# across Python versions) or rejects before Python 3.11 (NUL)
+_plain_chars = ["\u00e9", "\u2028", "a", "7", " "]
+_plain_id = st.text(st.sampled_from(_plain_chars), max_size=4)
+_any_id = st.text(st.sampled_from(_plain_chars + [",", '"', "\r", "\n", "\0"]), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), ids=st.one_of(st.lists(_plain_id, min_size=1, max_size=6),
+                                     st.lists(_any_id, min_size=1, max_size=6)))
+def test_split_writer_writes_the_bytes_csv_writer_writes(data, ids):
+    formulas = st.sampled_from([{"Mg": 2, "F": 4}, {"Ba": 1, "Ti": 1, "O": 3}, {"H": 1}])
+    entries = [Structure(eid, data.draw(formulas), data.draw(st.integers(1, 230)))
+               for eid in ids]
+    split = curation.SplitAssignment(
+        {eid: data.draw(st.sampled_from(curation.SPLIT_NAMES)) for eid in ids},
+        seed=0, fractions=(0.8, 0.1, 0.1))
+    rows = [(e.entry_id, e.identity, split.assignment[e.entry_id]) for e in entries]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "split.csv"
+        try:
+            buf = StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(["entry_id", "structure_id", "split"])
+            writer.writerows(rows)
+        except csv.Error:  # NUL before Python 3.11
+            with pytest.raises(csv.Error):
+                io.write_split_csv(path, entries, split)
+            return
+        io.write_split_csv(path, entries, split)
+        assert path.read_bytes() == buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("n", [2**14 - 1, 2**14])  # with the header: one block, and one more
+def test_split_writer_joins_lines_across_blocks(tmp_path, n):
+    entries = curation.StructureTable.of([Structure(f"e{k}", {"H": 1}, 1 + k % 230)
+                                          for k in range(n)])
+    split = grouped_split(entries, (0.8, 0.1, 0.1), seed=1)
+    path = tmp_path / "split.csv"
+    io.write_split_csv(path, entries, split)
+    buf = StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [("entry_id", "structure_id", "split")]
+        + [(e, i, split.assignment[e]) for e, i in zip(entries.entry_ids, entries.identities)])
+    assert path.read_bytes() == buf.getvalue().encode("utf-8")
 
 
 def test_spectra_dir_round_trip(tmp_path):
@@ -562,6 +610,8 @@ _bad_formula = st.sampled_from(["", "Xx2", "Mg0", "2Mg", "mg", "Mg2F4 ", "Mg\nF"
                                 "Mg2Xx1Qq1", "Qq1Xx1", "Mg" + "9" * 5000, "Mg-1"])
 _sg_text = st.integers(1, 230).map(str)
 _prop_text = st.one_of(st.floats(-1e6, 1e6).map(repr), st.just(""))
+_odd_prop_text = st.sampled_from(["high", "nan", "inf", "-inf", "1e400", " 1.5", "1_0",
+                                  "\u0661.5", "\u0661\u0662"])
 _ids = st.integers(0, 9).map(lambda i: f"e{i}")  # repeats make duplicate entry_ids
 _source = st.sampled_from(["", "MP"])
 # a row is clean, or wild: any field may be bad, and several may be
@@ -572,10 +622,8 @@ _csv_row = st.one_of(
         st.one_of(_good_formula, _good_formula, _bad_formula),
         st.one_of(_sg_text, st.sampled_from(["0", "231", "-3", "x", "12.7", " 12", "1_2",
                                              "\u0661\u0662", ""])),
-        st.one_of(_prop_text, st.sampled_from(["high", "nan", "-inf", "1e400", " 1.5", "1_0",
-                                               "\u0661.5"])),
-        st.one_of(_prop_text, st.sampled_from(["high", "nan", "-inf", "1e400", " 1.5", "1_0",
-                                               "\u0661.5"])),
+        st.one_of(_prop_text, _odd_prop_text),
+        st.one_of(_prop_text, _odd_prop_text),
         _source,
         # extra fields (> 0) or missing cells (< 0)
         st.sampled_from([0, 0, 0, 0, 1, 2, -1, -3]),
@@ -603,6 +651,22 @@ def test_columnar_decoder_matches_row_decoder_on_csv(rows, with_source, blank_li
                     fh.write("\n")
                 writer.writerow(cells)
         assert _decoded(_read_table, path) == _decoded(_oracle_read_structures, path)
+
+
+@pytest.mark.parametrize("cell", ["", " 1.5", "1.5 ", "-0.0", "5e-324", "1e400", "-1e400",
+                                  "inf", "-inf", "nan", "NaN", "1_0", "\u0661\u0662",
+                                  "\u0661.5", "high"])
+def test_property_cell_decodes_as_the_row_decoder_does(tmp_path, cell):
+    # in a column that also holds a missing cell and a plain one
+    path = tmp_path / "t.csv"
+    path.write_text("entry_id,formula,spacegroup,gap\n"
+                    f"a,MgF2,12,\nb,MgF2,12,{cell}\nc,KCl,225,2.5\n", encoding="utf-8")
+    expected = _decoded(_oracle_read_structures, path)
+    assert _decoded(_read_table, path) == expected
+    if not isinstance(expected, str):  # the column's bits, NaN included
+        oracle = curation.StructureTable.of(_oracle_read_structures(path))
+        assert (io.read_structures(path).properties["gap"].tobytes()
+                == oracle.properties["gap"].tobytes())
 
 
 _missing = object()

@@ -121,7 +121,7 @@ def test_omp_rejects_excessive_max_features():
         omp_fit(X, np.ones(6), max_features=6)  # > n - 1
 
 
-@pytest.mark.parametrize("tol", [float("nan"), -1e-9])
+@pytest.mark.parametrize("tol", [float("nan"), -1e-9, float("inf")])
 def test_omp_rejects_nan_or_negative_tol(tol):
     X = np.random.default_rng(5).normal(size=(6, 10))
     with pytest.raises(ValueError, match="tol"):
@@ -261,6 +261,8 @@ def test_plateau_validates_arguments():
         plateau_detect(trace, window=1, eps=-1.0)
     with pytest.raises(ValueError):
         plateau_detect(trace, window=1, eps=float("nan"))
+    with pytest.raises(ValueError):
+        plateau_detect(trace, window=1, eps=float("inf"))
 
 
 # --- compare_feature_spaces ------------------------------------------------------

@@ -114,6 +114,8 @@ def test_flat_zero_dos_gives_all_zero_fingerprint():
     s = Spectrum(np.linspace(-5, 5, 21), np.zeros(21), 0.0)
     fp = make_fingerprint(s, window=(-4, 4), grid=(8, 4), mode="raster", h_max=1.0)
     assert not fp.data.any()
+    # a computed maximum of 0 is legal, where a given h_max=0 is not
+    assert not make_fingerprint(s, window=(-4, 4), grid=(8, 4), mode="raster").data.any()
     fv = make_fingerprint(s, window=(-4, 4), grid=(8, 4), mode="vector")
     assert np.all(fv.data == 0.0)
 
@@ -181,7 +183,7 @@ def test_to_raster_needs_raster_mode():
         vector_fp([1.0, 2.0]).to_raster()
 
 
-@pytest.mark.parametrize("h_max", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("h_max", [float("nan"), float("inf"), -1.0, 0.0])
 def test_raster_rejects_bad_h_max(h_max):
     s = Spectrum([0.0, 1.0, 2.0], [0.5, 1.5, 0.5], 1.0)
     with pytest.raises(ValueError, match="h_max"):

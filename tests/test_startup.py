@@ -152,6 +152,7 @@ def test_run_sets_one_blas_thread_only_when_the_caller_set_none(monkeypatch, pre
         return 0
 
     monkeypatch.setattr(cli, "main", fake_main)
+    monkeypatch.setattr(cli.gc, "freeze", lambda: None)  # keep pytest's heap collectable
     with mock.patch.dict(os.environ):
         for name in cli.BLAS_THREAD_ENV:
             os.environ.pop(name, None)
@@ -161,6 +162,55 @@ def test_run_sets_one_blas_thread_only_when_the_caller_set_none(monkeypatch, pre
         assert seen == {name: preset.get(name) for name in cli.BLAS_THREAD_ENV}
     else:
         assert seen == dict.fromkeys(cli.BLAS_THREAD_ENV, "1")
+
+
+def test_run_freezes_the_heap_once_after_main_returns(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+    with mock.patch.dict(os.environ):
+        assert cli.run() == 3
+    assert calls == ["main", "freeze"]
+
+
+def test_main_never_freezes_the_heap(demo, tmp_path, monkeypatch, capsys):
+    frozen = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: frozen.append(True))
+    for argv in demo_argv(demo, tmp_path).values():
+        assert cli.main(argv) == 0
+    assert cli.main(["curate", "--input", str(tmp_path / "absent.csv")]) == 2
+    assert frozen == []
+    capsys.readouterr()
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_cli_process_writes_what_main_writes(demo, tmp_path, capsys):
+    # `python -m matscale.cli` goes through run(), which freezes the heap before exit;
+    # stdout to a pipe is block-buffered, so only the exit flushes it
+    env = {name: value for name, value in _env().items() if name != "PYTHONUNBUFFERED"}
+    process, in_process = tmp_path / "process", tmp_path / "in_process"
+    argv = demo_argv(demo, process)["curate"]
+    result = subprocess.run([sys.executable, "-m", "matscale.cli", *argv], env=env,
+                            capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert cli.main(demo_argv(demo, in_process)["curate"]) == 0
+    out = capsys.readouterr().out
+    assert result.stdout == out.replace(str(in_process), str(process))
+    assert _files(process / "curate") == _files(in_process / "curate")
+
+    bad = tmp_path / "bad.csv"  # a module error: exit 1 and one line naming the file
+    bad.write_text("entry_id,formula,spacegroup\na,MgF2,12\nb,MgF2,x\n")
+    argv = ["curate", "--input", str(bad), "--output-dir", str(tmp_path / "bad_out")]
+    result = subprocess.run([sys.executable, "-m", "matscale.cli", *argv], env=env,
+                            capture_output=True, text=True)
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert (result.returncode, result.stdout, result.stderr) == (1, "", captured.err)
+    assert captured.err.startswith(f"matscale: {bad}: row 2: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_main_leaves_the_environment_unchanged(demo, tmp_path, capsys):
