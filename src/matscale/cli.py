@@ -22,8 +22,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-# The BLAS thread variables run() sets when the caller has set none of them.
-BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+from . import BLAS_THREAD_ENV
 
 
 class ConfigError(Exception):
@@ -196,6 +195,8 @@ def _read_clusters(path: Path) -> list[Cluster]:
             clusters.append(Cluster(sites))
         except ValueError as exc:
             raise ValueError(f"{path}: entry {k}: {exc}") from None
+    if not clusters:
+        raise ValueError(f"{path}: no clusters")
     return clusters
 
 
@@ -211,7 +212,7 @@ def _read_group(path: Path) -> SymmetryGroup:
 
 
 def cmd_ce_fit(args):
-    from . import io, regression
+    from . import io, polyfeatures, regression
 
     degrees = _parse_ce_fit_flags(args)
     configs_path = _require_file(args.configs)
@@ -221,6 +222,8 @@ def cmd_ce_fit(args):
 
     ids, occupations, targets = io.read_ce_configs(configs_path)
     clusters = _read_clusters(clusters_path)
+    _flag_spec("--degree", polyfeatures.check_expansion_size,
+               len(occupations), len(clusters), max(degrees))
     group = _read_group(group_path)
 
     traces = regression.compare_feature_spaces(
@@ -370,7 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="accepted for compatibility and unused: the similarity "
                         "fill is serial, and the BLAS runs on one thread unless "
                         "OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS "
-                        "is set; outputs do not depend on the thread count")
+                        "is set; only while it does, ce-fit fits its degrees "
+                        "concurrently on the CPUs in the process's affinity mask; "
+                        "outputs do not depend on the thread count")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("curate", help="dedup identities, splits, histograms")

@@ -17,6 +17,9 @@ from math import comb
 import numpy as np
 
 _MAX_COUNT = 2**63 - 1  # counts past a signed 64-bit integer are refused
+# The largest float64 expansion check_expansion_size allows. A fit holds at
+# most three arrays that size: F and the two largest degrees' standardized copies.
+MAX_EXPANSION_BYTES = 2**31
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,19 @@ class FeatureMap:
 
 def feature_count(p: int, d: int) -> int:
     """Closed-form size of the degree-1..d monomial set over p features."""
-    return sum(comb(p + k - 1, k) for k in range(1, d + 1))
+    # sum_{k=0..d} C(p+k-1, k) = C(p+d, d), less k = 0, the constant monomial
+    return comb(p + d, p) - 1 if d > 0 else 0
+
+
+def check_expansion_size(n: int, p: int, d: int) -> None:
+    """Refuse an (n, feature_count(p, d)) float64 expansion over MAX_EXPANSION_BYTES."""
+    q = feature_count(p, d)
+    size = n * q * 8
+    if size > MAX_EXPANSION_BYTES:
+        raise ValueError(
+            f"the degree-{d} expansion of {p} base features has {q} columns; "
+            f"at {n} rows that is {size} bytes, over the {MAX_EXPANSION_BYTES}-byte limit"
+        )
 
 
 def enumerate_monomials(p: int, d: int) -> FeatureMap:

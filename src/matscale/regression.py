@@ -9,13 +9,17 @@ column units.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import BLAS_THREAD_ENV
 from .lattice import Cluster, SymmetryGroup, correlation_matrix
-from .polyfeatures import enumerate_monomials, feature_count, feature_matrix
+from .polyfeatures import (check_expansion_size, enumerate_monomials, feature_count,
+                           feature_matrix)
 
 
 @dataclass
@@ -159,6 +163,16 @@ def plateau_detect(trace: FitTrace, window: int, eps: float) -> Optional[int]:
     return None
 
 
+def _fit_workers(n_fits: int) -> int:
+    """1, unless the BLAS runs on one thread (at least one of BLAS_THREAD_ENV is
+    set and every one set is "1"): then n_fits, up to the CPUs the process may use."""
+    if {os.environ[name] for name in BLAS_THREAD_ENV if name in os.environ} != {"1"}:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return min(n_fits, len(os.sched_getaffinity(0)))
+    return min(n_fits, os.cpu_count() or 1)
+
+
 def compare_feature_spaces(
     configs: Sequence,
     targets,
@@ -173,13 +187,39 @@ def compare_feature_spaces(
     The (n, p) correlations are expanded once, to the highest degree. The expansion
     is degree-major, so its leading feature_count(p, d) columns are the
     degree-d expansion. Each trace carries its final predictions as ``fitted``.
+    The fits share no state, so with a one-thread BLAS they run on
+    _fit_workers threads; the traces, and the first failing degree's error in
+    degree order, are the serial loop's.
     """
+    check_expansion_size(len(configs), len(clusters), max(degrees))
     base = correlation_matrix(configs, clusters, group)
     n, p = base.shape
     features = feature_matrix(base, enumerate_monomials(p, max(degrees)))
-    traces = {}
-    for d in degrees:
-        q = feature_count(p, d)
-        cap = min(n - 1, q) if max_features is None else min(n - 1, q, max_features)
-        traces[d] = omp_fit(features[:, :q], targets, cap, tol)
-    return traces
+    order = list(dict.fromkeys(degrees))
+    pending = sorted(order)  # pop() takes the largest, slowest fit first
+    results = {}
+
+    def fit_pending():
+        while True:
+            try:
+                d = pending.pop()
+            except IndexError:
+                return
+            q = feature_count(p, d)
+            cap = min(n - 1, q) if max_features is None else min(n - 1, q, max_features)
+            try:
+                results[d] = omp_fit(features[:, :q], targets, cap, tol)
+            except Exception as exc:  # raised below, in degree order
+                results[d] = exc
+
+    workers = [threading.Thread(target=fit_pending, daemon=True)
+               for _ in range(_fit_workers(len(order)) - 1)]
+    for worker in workers:
+        worker.start()
+    fit_pending()
+    for worker in workers:
+        worker.join()
+    for d in order:
+        if isinstance(results[d], Exception):
+            raise results[d]
+    return {d: results[d] for d in order}

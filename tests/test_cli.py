@@ -442,6 +442,7 @@ def test_ce_fit_bad_flags_exit_two_before_reading(ce_inputs, tmp_path, capsys,
     ("group", "[[1, 0, 2, 3, 4, 5]]", "identity"),
     ("configs", "entry_id,occupations,target\nc0,1 1 1 1 1 1,0\udcff\n",
      "can't decode byte 0xff"),
+    ("clusters", "[]", "no clusters"),
 ])
 def test_ce_fit_bad_input_names_file(ce_inputs, tmp_path, capsys,
                                      target, text, message):
@@ -455,6 +456,29 @@ def test_ce_fit_bad_input_names_file(ce_inputs, tmp_path, capsys,
     assert (code, stdout) == (1, "")
     assert f"{paths[target]}: " in stderr
     assert message in stderr
+
+
+def test_ce_fit_refuses_an_oversized_expansion_before_building_it(ce_inputs, tmp_path,
+                                                                   capsys, monkeypatch):
+    from matscale import polyfeatures, regression
+
+    def no_expansion(*args):
+        raise AssertionError("the expansion was built")
+
+    monkeypatch.setattr(polyfeatures, "enumerate_monomials", no_expansion)
+    monkeypatch.setattr(regression, "enumerate_monomials", no_expansion)
+    configs, clusters, group = ce_inputs
+    out = tmp_path / "ceout"
+    code, stdout, stderr = run_cli(
+        capsys, "ce-fit", "--configs", str(configs), "--clusters", str(clusters),
+        "--group", str(group), "--degree", "1,20000", "--output-dir", str(out),
+    )
+    q = polyfeatures.feature_count(2, 20000)  # 2 clusters, 4 configs
+    assert (code, stdout) == (2, "")
+    assert stderr == (f"matscale: --degree: the degree-20000 expansion of 2 base features "
+                      f"has {q} columns; at 4 rows that is {4 * q * 8} bytes, over the "
+                      f"2147483648-byte limit\n")
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("command, target", [

@@ -60,6 +60,16 @@ def test_rejects_bad_dims():
         enumerate_monomials(2, 0)
 
 
+def test_count_closed_form_equals_the_sum_over_degrees():
+    from math import comb
+
+    for p in range(0, 16):
+        for d in range(0, 16):
+            assert feature_count(p, d) == sum(comb(p + k - 1, k) for k in range(1, d + 1))
+    assert feature_count(7, 50) == 264_385_835  # no per-degree loop at large d
+    assert feature_count(2, 10**9) == (10**9 + 2) * (10**9 + 1) // 2 - 1
+
+
 def test_count_overflow_is_explicit():
     with pytest.raises(OverflowError):
         enumerate_monomials(10**6, 12)

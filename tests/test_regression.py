@@ -1,9 +1,14 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matscale import BLAS_THREAD_ENV, regression
 from matscale.lattice import Cluster, SymmetryGroup
+from matscale.polyfeatures import MAX_EXPANSION_BYTES, check_expansion_size, feature_count
 from matscale.regression import (
     DesignMatrix,
     FitTrace,
@@ -349,3 +354,172 @@ def test_each_degree_fits_as_its_own_expansion(seed, p, degrees, max_features, e
         cap = min([n - 1, F.shape[1]] + ([] if max_features is None else [max_features]))
         _assert_traces_bitwise_equal(trace, omp_fit(F, y, cap, tol))
         assert trace.fitted.tobytes() == trace.final.model.predict(F).tobytes()
+
+
+# --- concurrent degree fits ----------------------------------------------------
+
+
+def _ce_problem(seed=3, n=14):
+    g = SymmetryGroup.cyclic(5)
+    clusters = [Cluster((0,)), Cluster((0, 1)), Cluster((0, 2))]
+    rng = np.random.default_rng(seed)
+    configs = rng.choice([-1, 1], size=(n, 5))
+    return configs, rng.normal(size=n), clusters, g
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(k): the process may use k CPUs, and the BLAS runs on one thread."""
+    def set_cpus(k):
+        for name in BLAS_THREAD_ENV:
+            monkeypatch.setenv(name, "1")
+        monkeypatch.setattr(regression.os, "sched_getaffinity", lambda pid: set(range(k)),
+                            raising=False)
+    return set_cpus
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The number of threads compare_feature_spaces starts."""
+    started = []
+
+    class CountingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(regression.threading, "Thread", CountingThread)
+    return started
+
+
+def _assert_fits_equal(got, want):
+    assert list(got) == list(want)
+    for d in want:
+        _assert_traces_bitwise_equal(got[d], want[d])
+        assert got[d].fitted.tobytes() == want[d].fitted.tobytes()
+
+
+@pytest.mark.parametrize("degrees", [[1, 2, 3], [3, 1, 2], [2, 3, 1, 3]])
+def test_concurrent_fits_equal_the_serial_loop(cpus, thread_starts, degrees):
+    problem = _ce_problem()
+    cpus(1)
+    serial = compare_feature_spaces(*problem, degrees, max_features=8)
+    assert thread_starts == []
+    for k in (2, 3, 8):
+        cpus(k)
+        _assert_fits_equal(compare_feature_spaces(*problem, degrees, max_features=8), serial)
+    # min(distinct degrees, CPUs) workers, the calling thread one of them
+    assert len(thread_starts) == 1 + 2 + 2
+
+
+def test_more_workers_than_cores_lose_no_degree(cpus, thread_starts):
+    # eight workers on a short switch interval: a degree popped twice or a
+    # result lost would change the traces or drop a key
+    configs, y, clusters, g = _ce_problem(seed=5, n=20)
+    clusters = clusters[:2]
+    degrees = [5, 1, 8, 3, 2, 7, 4, 6]
+    cpus(1)
+    serial = compare_feature_spaces(configs, y, clusters, g, degrees)
+    cpus(8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            _assert_fits_equal(compare_feature_spaces(configs, y, clusters, g, degrees), serial)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(thread_starts) == 5 * 7
+    assert not any(t.is_alive() for t in thread_starts)
+
+
+@pytest.mark.parametrize("preset", [
+    {},
+    {"OPENBLAS_NUM_THREADS": "2"},
+    {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"},
+    {"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": ""},
+])
+def test_no_thread_starts_unless_the_blas_runs_on_one_thread(monkeypatch, preset):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a fit thread was started")
+
+    for name in BLAS_THREAD_ENV:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in preset.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(regression.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    monkeypatch.setattr(regression.threading, "Thread", no_thread)
+    traces = compare_feature_spaces(*_ce_problem(), [1, 2, 3])
+    assert list(traces) == [1, 2, 3]
+
+
+def test_nan_target_raises_the_serial_error(cpus, thread_starts):
+    configs, y, clusters, g = _ce_problem()
+    y[4] = np.nan
+    cpus(1)
+    with pytest.raises(ValueError) as serial:
+        compare_feature_spaces(configs, y, clusters, g, [1, 2, 3])
+    cpus(3)
+    with pytest.raises(ValueError) as concurrent:
+        compare_feature_spaces(configs, y, clusters, g, [1, 2, 3])
+    assert len(thread_starts) == 2
+    assert str(concurrent.value) == str(serial.value) == "design matrix contains non-finite entries"
+
+
+def test_a_worker_failure_is_raised_in_degree_order(cpus, monkeypatch):
+    # four workers for four degrees; the barrier holds each fit until all four
+    # are running, so the calling thread fits one degree and three threads the
+    # others. The degree order is neither ascending nor descending, so raising
+    # in sorted or pop order would pick another failure.
+    problem = _ce_problem()
+    degree_of = {feature_count(3, d): d for d in (1, 2, 3, 4)}
+    barrier = threading.Barrier(4, timeout=30)
+    caller, on_caller = threading.current_thread(), []
+    real_omp_fit = regression.omp_fit
+
+    def omp_fit_failing_off_the_calling_thread(X, *args):
+        barrier.wait()
+        d = degree_of[X.shape[1]]
+        if threading.current_thread() is not caller:
+            raise ValueError(f"degree {d} failed")
+        on_caller.append(d)
+        return real_omp_fit(X, *args)
+
+    monkeypatch.setattr(regression, "omp_fit", omp_fit_failing_off_the_calling_thread)
+    cpus(4)
+    degrees = [3, 1, 4, 2]
+    with pytest.raises(ValueError) as info:
+        compare_feature_spaces(*problem, degrees)
+    assert len(on_caller) == 1
+    first_failure = next(d for d in degrees if d not in on_caller)
+    assert str(info.value) == f"degree {first_failure} failed"
+
+
+def test_repeated_degree_gives_one_trace(cpus, thread_starts):
+    problem = _ce_problem()
+    cpus(1)
+    serial = compare_feature_spaces(*problem, [2])
+    cpus(4)
+    _assert_fits_equal(compare_feature_spaces(*problem, [2, 2]), serial)
+    assert thread_starts == []  # one distinct degree needs one worker
+
+
+# --- the expansion-size bound ----------------------------------------------------
+
+def test_expansion_size_bound_is_inclusive():
+    # feature_count(1, d) == d, so n = 8 rows of 2**25 columns are exactly the limit
+    assert MAX_EXPANSION_BYTES == 2**31
+    check_expansion_size(8, 1, 2**25)
+    with pytest.raises(ValueError, match=f"{2**25 + 1} columns.*{2**31 + 64} bytes"):
+        check_expansion_size(8, 1, 2**25 + 1)
+
+
+def test_large_degree_is_refused_before_the_expansion(monkeypatch):
+    def no_expansion(*args):
+        raise AssertionError("the expansion was built")
+
+    monkeypatch.setattr(regression, "enumerate_monomials", no_expansion)
+    configs, y, clusters, g = _ce_problem()
+    q = feature_count(3, 3000)
+    with pytest.raises(ValueError, match=f"{q} columns; at 14 rows that is {14 * q * 8} bytes"):
+        compare_feature_spaces(configs, y, clusters, g, [1, 3000])
