@@ -41,6 +41,11 @@ def main():
         "--window", "-10,10", "--grid", "256x64", "--sort",
         "--output-dir", str(out / "similarity"))
 
+    run("similarity",
+        "--spectra", str(data / "spectra"),
+        "--mode", "vector", "--sort",
+        "--output-dir", str(out / "similarity_vector"))
+
     run("ce-fit",
         "--configs", str(data / "configs.csv"),
         "--clusters", str(data / "clusters.json"),

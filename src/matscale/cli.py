@@ -486,13 +486,15 @@ def run() -> int:
     a caller that runs it in-process and then starts other programs does
     not pass this choice on.
 
-    After main() returns, the heap is frozen: interpreter shutdown still
-    runs atexit handlers, flushes stdio and frees by reference count, but
-    its cycle collection skips the frozen objects, which the OS is about to
-    reclaim. main() never freezes, so in-process callers keep their heap.
+    The cyclic collector is off for the whole process, whose heap the OS
+    reclaims at exit. After main() returns the heap is frozen: interpreter
+    shutdown still runs atexit handlers, flushes stdio and frees by
+    reference count, but its cycle collection skips the frozen objects.
+    main() neither disables the collector nor freezes the heap.
     """
     if not any(name in os.environ for name in BLAS_THREAD_ENV):
         os.environ.update(dict.fromkeys(BLAS_THREAD_ENV, "1"))
+    gc.disable()
     code = main()
     gc.freeze()
     return code

@@ -58,6 +58,25 @@ def _contains(sorted_keys: np.ndarray, rows) -> np.ndarray:
     )
 
 
+def _closure(gens: np.ndarray, elems: np.ndarray, candidates: np.ndarray, within=None):
+    """Breadth-first closure of the rows elems under composition with gens.
+
+    Each round adds the distinct candidates not yet in elems (found by
+    sorting; np.unique would import numpy.ma) and composes every generator with them
+    (g[e]) for the next round. None as soon as a candidate is not `within`.
+    """
+    n = gens.shape[1]
+    while len(candidates):
+        if within is not None and not _contains(within, candidates).all():
+            return None
+        candidates = candidates[np.argsort(_row_keys(candidates), kind="stable")]
+        distinct = np.concatenate(([True], (candidates[1:] != candidates[:-1]).any(axis=1)))
+        new = candidates[distinct & ~_contains(np.sort(_row_keys(elems)), candidates)]
+        elems = np.concatenate([elems, new])
+        candidates = gens[:, new].reshape(len(gens) * len(new), n)
+    return elems
+
+
 def _check_bijections(perms: np.ndarray) -> None:
     n = perms.shape[1]
     bad = np.any(np.sort(perms, axis=1) != np.arange(n), axis=1)
@@ -83,15 +102,28 @@ def _as_permutation_rows(permutations) -> np.ndarray:
     return perms
 
 
+def _raise_first_open_pair(perms: np.ndarray, sorted_keys: np.ndarray) -> None:
+    """Name the first p o q, in row order, whose row is not among the keys."""
+    for p in perms:
+        closed = _contains(sorted_keys, p[perms])  # row q is p o q: p[q[i]]
+        if not closed.all():
+            q = perms[np.argmin(closed)]
+            pair = f"{p.tolist()} o {q.tolist()}"
+            raise ValueError(f"group not closed under composition: {pair}")
+
+
 class SymmetryGroup:
     """Explicit site-permutation group.
 
     Permutations map site i to perm[i]. Construction verifies that every
     element is a bijection, that the identity is present, and that the set
-    is closed under composition. The closure check composes one element p
-    with the whole set at a time (p[perms], |G| x n) and looks the results
-    up among the sorted row keys of the set, so it costs |G| vectorized
-    passes rather than |G|^2 Python-level compositions.
+    is closed under composition. That check grows a subgroup H from the
+    identity: the first row not in H joins the generators and H is closed
+    again (`_closure`), each composed row looked up among the set's sorted
+    row keys. A new generator at least doubles |H| (Lagrange), so H reaches
+    every row after at most log2|G| generators, O(|G| log|G|) compositions.
+    Only a composed row outside the set runs the |G|^2 scan that names the
+    first p o q leaving it, as a brute-force check would.
     """
 
     def __init__(self, permutations: Sequence[Sequence[int]]):
@@ -101,14 +133,15 @@ class SymmetryGroup:
         keys = np.sort(_row_keys(perms))
         if not _contains(keys, np.arange(n)[None, :])[0]:
             raise ValueError("group must contain the identity permutation")
-        for p in perms:
-            closed = _contains(keys, p[perms])  # row q is p o q: p[q[i]]
-            if not closed.all():
-                q = perms[np.argmin(closed)]
-                raise ValueError(
-                    f"group not closed under composition: "
-                    f"{p.tolist()} o {q.tolist()}"
-                )
+        gens, group = perms[:0], np.arange(n)[None, :]
+        while group is not None:
+            missing = ~_contains(np.sort(_row_keys(group)), perms)
+            if not missing.any():
+                break
+            gens = np.concatenate([gens, perms[np.argmax(missing)][None, :]])
+            group = _closure(gens, group, gens[-1][group], within=keys)
+        if group is None:  # a composed row is outside the set
+            _raise_first_open_pair(perms, keys)
         self.permutations = perms
         self.n_sites = n
 
@@ -129,22 +162,16 @@ class SymmetryGroup:
     def generate(cls, generators: Sequence[Sequence[int]]) -> "SymmetryGroup":
         """Closure of the given generator permutations, elements sorted.
 
-        Breadth-first: each round composes every generator with every
-        element found in the previous round (g[e]) and keeps the rows whose
-        keys are new.
+        Breadth-first from the identity (`_closure`): each round composes
+        every generator with every element found in the previous round
+        (g[e]) and keeps the rows whose keys are new.
         """
         if not len(generators):
             raise ValueError("need at least one generator")
         gens = _as_permutation_rows(generators)
         _check_bijections(gens)
-        n = gens.shape[1]
-        elems = frontier = np.arange(n)[None, :]
-        while len(frontier):
-            composed = gens[:, frontier].reshape(len(gens) * len(frontier), n)
-            _, first = np.unique(_row_keys(composed), return_index=True)
-            composed = composed[first]
-            frontier = composed[~_contains(np.sort(_row_keys(elems)), composed)]
-            elems = np.concatenate([elems, frontier])
+        identity = np.arange(gens.shape[1])[None, :]
+        elems = _closure(gens, identity[:0], identity)
         return cls(elems[np.argsort(_row_keys(elems), kind="stable")])
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matscale import lattice
 from matscale.lattice import (
     Cluster,
     SymmetryGroup,
@@ -403,6 +404,65 @@ def test_group_check_messages_match_brute_force(perms):
     with pytest.raises(ValueError) as exc:
         SymmetryGroup(perms)
     assert str(exc.value) == brute_force_group_error(perms)
+
+
+def torus_group(side):
+    """All translations times the 8 point operations of a side x side square torus."""
+    x, y = np.arange(side * side) % side, np.arange(side * side) // side
+    ops = [(x, y), (-y, x), (-x, -y), (y, -x), (-x, y), (x, -y), (y, x), (-y, -x)]
+    return [((px + tx) % side + side * ((py + ty) % side)).tolist()
+            for px, py in ops for ty in range(side) for tx in range(side)]
+
+
+TORUS = torus_group(6)  # |G| = 288 on 36 sites
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The calls of the |G|^2 per-element scan that names an open pair."""
+    calls, scan = [], lattice._raise_first_open_pair
+    monkeypatch.setattr(lattice, "_raise_first_open_pair",
+                        lambda *args: calls.append(args) or scan(*args))
+    return calls
+
+
+def test_torus_group_is_accepted_without_the_per_element_scan(scans):
+    g = SymmetryGroup(TORUS)
+    assert (len(g), g.n_sites) == (288, 36)
+    assert g.permutations.tolist() == TORUS
+    assert scans == []
+
+
+@pytest.mark.parametrize("perms", [[[0, 1, 2, 3, 4]], [[]]], ids=["order-1", "zero-site"])
+def test_trivial_groups_are_accepted_without_the_per_element_scan(scans, perms):
+    assert len(SymmetryGroup(perms)) == 1
+    assert scans == []
+
+
+@pytest.mark.parametrize("change, row", [
+    ("drop", 1), ("drop", 150), ("drop", 287),
+    ("foreign", 1), ("foreign", 200),
+    ("duplicate", 0), ("duplicate", 100),
+])
+def test_altered_torus_group_gives_the_brute_force_result(scans, change, row):
+    perms = [list(p) for p in TORUS]
+    if change == "drop":
+        del perms[row]
+    elif change == "foreign":  # a transposition of two sites is no lattice symmetry
+        perms[row] = [1, 0] + list(range(2, 36))
+    else:
+        perms.insert(row + 1, perms[row])
+    expected = brute_force_group_error(perms)
+    if change == "duplicate":
+        assert expected is None
+        assert SymmetryGroup(perms).permutations.tolist() == perms
+        assert scans == []
+        return
+    assert expected is not None
+    with pytest.raises(ValueError) as exc:
+        SymmetryGroup(perms)
+    assert str(exc.value) == expected
+    assert len(scans) == 1
 
 
 def test_group_rejects_ragged_rows_naming_the_entry():

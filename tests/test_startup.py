@@ -4,11 +4,13 @@ Each import-set check runs in a fresh interpreter and reads ``sys.modules``
 at exit, so modules an earlier test imported cannot hide a regression.
 """
 
+import gc
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -115,6 +117,15 @@ def test_each_subcommand_loads_only_what_it_runs(demo, numpy_loads, tmp_path, co
     assert present <= loaded
 
 
+@pytest.mark.parametrize("build", [
+    "SymmetryGroup([[0, 1, 2], [1, 2, 0], [2, 0, 1]])",
+    "SymmetryGroup.generate([[1, 2, 0], [0, 2, 1]])",
+])
+def test_symmetry_groups_load_no_numpy_ma(numpy_loads, tmp_path, build):
+    loaded = modules_at_exit(tmp_path, f"from matscale.lattice import SymmetryGroup\n{build}")
+    assert not (NUMPY_MA - numpy_loads) & loaded
+
+
 def test_package_names_resolve_to_their_submodule_objects():
     assert sorted(matscale.__all__) == sorted(n for names in PUBLIC.values() for n in names)
     for module, names in PUBLIC.items():
@@ -152,7 +163,9 @@ def test_run_sets_one_blas_thread_only_when_the_caller_set_none(monkeypatch, pre
         return 0
 
     monkeypatch.setattr(cli, "main", fake_main)
-    monkeypatch.setattr(cli.gc, "freeze", lambda: None)  # keep pytest's heap collectable
+    # keep pytest's collector on and its heap collectable
+    monkeypatch.setattr(cli.gc, "disable", lambda: None)
+    monkeypatch.setattr(cli.gc, "freeze", lambda: None)
     with mock.patch.dict(os.environ):
         for name in cli.BLAS_THREAD_ENV:
             os.environ.pop(name, None)
@@ -167,19 +180,24 @@ def test_run_sets_one_blas_thread_only_when_the_caller_set_none(monkeypatch, pre
 def test_run_freezes_the_heap_once_after_main_returns(monkeypatch):
     calls = []
     monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+    monkeypatch.setattr(cli.gc, "disable", lambda: calls.append("disable"))
     monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
     with mock.patch.dict(os.environ):
         assert cli.run() == 3
-    assert calls == ["main", "freeze"]
+    assert calls == ["disable", "main", "freeze"]
 
 
 def test_main_never_freezes_the_heap(demo, tmp_path, monkeypatch, capsys):
-    frozen = []
-    monkeypatch.setattr(cli.gc, "freeze", lambda: frozen.append(True))
+    # nor switches the collector off: in-process callers keep theirs (cli's own gc
+    # calls are spied on; structure_io's parse pauses the collector and restores it)
+    calls = []
+    monkeypatch.setattr(cli, "gc", SimpleNamespace(
+        disable=lambda: calls.append("disable"), freeze=lambda: calls.append("freeze")))
     for argv in demo_argv(demo, tmp_path).values():
         assert cli.main(argv) == 0
     assert cli.main(["curate", "--input", str(tmp_path / "absent.csv")]) == 2
-    assert frozen == []
+    assert calls == []
+    assert gc.isenabled()
     capsys.readouterr()
 
 
