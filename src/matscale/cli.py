@@ -124,21 +124,21 @@ def cmd_curate(args):
 
 
 def _parse_similarity_flags(args) -> tuple[tuple[float, float], tuple[int, int]]:
-    """Validate every similarity flag; return the parsed (window, grid)."""
+    """Parse --window and --grid; check every similarity flag by spectra's rules."""
+    from . import spectra
+
     try:
         lo, hi = (float(x) for x in args.window.split(","))
     except ValueError:
         raise ConfigError(f"--window expects lo,hi, got {args.window!r}") from None
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ConfigError(f"--window needs finite lo < hi, got {args.window!r}")
+    _flag_spec("--window", spectra.check_window, (lo, hi))
     try:
         ne, nd = (int(x) for x in args.grid.lower().split("x"))
     except ValueError:
         raise ConfigError(f"--grid expects NExND, got {args.grid!r}") from None
-    if ne < 1 or nd < 1:
-        raise ConfigError(f"--grid dimensions must be >= 1, got {args.grid!r}")
-    if args.h_max is not None and not (math.isfinite(args.h_max) and args.h_max > 0):
-        raise ConfigError(f"--h-max must be a finite number > 0, got {args.h_max}")
+    _flag_spec("--grid", spectra.check_grid, (ne, nd))
+    if args.h_max is not None:
+        _flag_spec("--h-max", spectra.check_h_max, args.h_max)
     return (lo, hi), (ne, nd)
 
 
@@ -168,20 +168,20 @@ def cmd_similarity(args):
 
 
 def _parse_ce_fit_flags(args) -> list[int]:
-    """Validate every numeric ce-fit flag; return the parsed --degree list."""
+    """Parse --degree; check every numeric ce-fit flag by the library's rules."""
+    from . import polyfeatures, regression
+
     try:
         degrees = [int(d) for d in args.degree.split(",")]
     except ValueError:
         raise ConfigError(f"--degree expects integers like 1,2,3: {args.degree!r}")
-    if min(degrees) < 1:
-        raise ConfigError(f"--degree values must be >= 1: {args.degree!r}")
-    if args.max_features is not None and args.max_features < 0:
-        raise ConfigError(f"--max-features must be >= 0, got {args.max_features}")
-    if args.plateau_window is not None and args.plateau_window < 1:
-        raise ConfigError(f"--plateau-window must be >= 1, got {args.plateau_window}")
-    for flag, value in (("--tol", args.tol), ("--plateau-eps", args.plateau_eps)):
-        if not (math.isfinite(value) and value >= 0):
-            raise ConfigError(f"{flag} must be a finite number >= 0, got {value}")
+    for d in degrees:
+        _flag_spec("--degree", polyfeatures.check_degree, d)
+    _flag_spec("--max-features", regression.check_max_features, args.max_features)
+    if args.plateau_window is not None:
+        _flag_spec("--plateau-window", regression.check_plateau_window, args.plateau_window)
+    _flag_spec("--tol", regression.check_tol, args.tol)
+    _flag_spec("--plateau-eps", regression.check_tol, args.plateau_eps, "eps")
     return degrees
 
 
@@ -302,38 +302,30 @@ def _parse_sisso(text: str) -> cx.SissoSpec:
     return _flag_spec("--sisso", cx.SissoSpec, values["rung"], values["dim"], bias)
 
 
-# The least value of each estimate flag: the cost specs' own bounds, by flag.
-_ESTIMATE_LEAST = {"structures": 1, "settings": 1, "files_per_run": 1, "steps": 1,
-                   "t_batch": 0, "t_grad": 0, "archs": 0, "hours": 0, "price": 0}
-
-
-def _check_estimate_flags(args) -> None:
-    """Every estimate flag is finite and in range, else a ConfigError naming it."""
-    for name in ("mb_per_run", "t_batch", "t_grad", "hours", "price"):
-        value = getattr(args, name, None)
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
-    for name, least in _ESTIMATE_LEAST.items():
-        value = getattr(args, name, None)
-        if value is not None and value < least:
-            raise ConfigError(f"--{name.replace('_', '-')} must be >= {least}, got {value}")
-    if args.kind == "workflow":
-        scaled = args.mb_per_run * 10**6  # the byte count that WorkflowSpec takes
-        if not (math.isfinite(scaled) and round(scaled) >= 1):
-            raise ConfigError(f"--mb-per-run must be at least one byte (1e-06) and give "
-                              f"a finite byte count, got {args.mb_per_run}")
+# The cost spec field that each estimate flag fills, by flag; costs checks each.
+_ESTIMATE_FIELD = {"structures": "n_structures", "settings": "settings_per_structure",
+                   "files_per_run": "files_per_run", "steps": "n_steps", "t_batch": "t_batch",
+                   "t_grad": "t_grad", "archs": "n_architectures",
+                   "hours": "hours_per_architecture", "price": "price_per_gpu_hour"}
 
 
 def cmd_estimate(args):
     from . import costs
 
-    _check_estimate_flags(args)
+    for name, field in _ESTIMATE_FIELD.items():
+        value = getattr(args, name, None)
+        if value is not None:
+            _flag_spec(f"--{name.replace('_', '-')}", costs.check_field, field, value)
     if args.kind == "workflow":
+        scaled = args.mb_per_run * 10**6  # the byte count that WorkflowSpec takes
+        if not math.isfinite(scaled):
+            raise ConfigError(f"--mb-per-run must give a finite byte count, got {args.mb_per_run}")
+        _flag_spec("--mb-per-run", costs.check_field, "bytes_per_run", round(scaled))
         spec = costs.WorkflowSpec(
             n_structures=args.structures,
             settings_per_structure=args.settings,
             files_per_run=args.files_per_run,
-            bytes_per_run=round(args.mb_per_run * 10**6),
+            bytes_per_run=round(scaled),
         )
         est = costs.workflow_estimate(spec)
         payload = {

@@ -94,12 +94,6 @@ def sisso_descriptor(spec: SissoSpec) -> tuple[int, int]:
     return spec.rung, spec.dimension + (1 if spec.has_bias else 0)
 
 
-def rf_param_breakdown(spec: RfSpec) -> ParamBreakdown:
-    """Forests learn one additive constant per leaf and no feature coefficients."""
-    leaves, _ = rf_descriptor(spec)
-    return ParamBreakdown(additive=leaves, linear=0, nonlinear=0)
-
-
 def weighted_complexity(b: ParamBreakdown, w: ComplexityWeights) -> float:
     """a*A + b*L + c*N; unit weights recover the total parameter count."""
     return w.a * b.additive + w.b * b.linear + w.c * b.nonlinear

@@ -6,7 +6,7 @@ requested."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 _INT64_MAX = 2**63 - 1
@@ -15,50 +15,48 @@ _SI_UNITS = ["B", "kB", "MB", "GB", "TB", "PB", "EB"]
 _BINARY_UNITS = ["B", "KiB", "MiB", "GiB", "TiB", "PiB", "EiB"]
 
 
+# The least value of each spec field; every field must also be finite.
+_LEAST = {"n_structures": 1, "settings_per_structure": 1, "files_per_run": 1,
+          "bytes_per_run": 1, "n_steps": 1, "t_batch": 0, "t_grad": 0,
+          "n_architectures": 0, "hours_per_architecture": 0, "price_per_gpu_hour": 0}
+
+
+def check_field(name: str, value) -> None:
+    """Raise ValueError unless value is finite and at least the spec field
+    ``name``'s least value. An int is compared as it is, never as a float."""
+    least = _LEAST[name]
+    if not least <= value < math.inf:
+        raise ValueError(f"{name} must be a finite number >= {least}, got {value}")
+
+
+class _Checked:
+    """A dataclass whose every field passes check_field."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            check_field(f.name, getattr(self, f.name))
+
+
 @dataclass
-class WorkflowSpec:
+class WorkflowSpec(_Checked):
     n_structures: int
     settings_per_structure: int
     files_per_run: int
     bytes_per_run: int
 
-    def __post_init__(self):
-        for name in (
-            "n_structures",
-            "settings_per_structure",
-            "files_per_run",
-            "bytes_per_run",
-        ):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-
 
 @dataclass
-class TrainingSpec:
+class TrainingSpec(_Checked):
     n_steps: int
     t_batch: float  # seconds per step spent batching data
     t_grad: float   # seconds per step spent on the gradient update
 
-    def __post_init__(self):
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.t_batch < 0 or self.t_grad < 0:
-            raise ValueError("step times must be non-negative")
-
 
 @dataclass
-class NasSpec:
+class NasSpec(_Checked):
     n_architectures: int
     hours_per_architecture: float
     price_per_gpu_hour: float
-
-    def __post_init__(self):
-        if (
-            self.n_architectures < 0
-            or self.hours_per_architecture < 0
-            or self.price_per_gpu_hour < 0
-        ):
-            raise ValueError("NAS budget inputs must be non-negative")
 
 
 class WorkflowEstimate(NamedTuple):

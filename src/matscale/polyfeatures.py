@@ -9,7 +9,6 @@ intercept. The count is sum_{k=1..d} C(p+k-1, k).
 from __future__ import annotations
 
 import itertools
-import json
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
@@ -32,9 +31,6 @@ class Monomial:
     def degree(self) -> int:
         return sum(e for _, e in self.exponents)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.exponents)
-
 
 @dataclass
 class FeatureMap:
@@ -42,26 +38,11 @@ class FeatureMap:
     d: int
     monomials: list[Monomial]
 
-    def to_json(self) -> str:
-        """Audit form: list of {index: exponent} maps."""
-        return json.dumps(
-            {
-                "p": self.p,
-                "d": self.d,
-                "monomials": [
-                    {str(i): e for i, e in m.exponents} for m in self.monomials
-                ],
-            }
-        )
 
-    @classmethod
-    def from_json(cls, text: str) -> "FeatureMap":
-        obj = json.loads(text)
-        monomials = [
-            Monomial(tuple(sorted((int(i), int(e)) for i, e in m.items())))
-            for m in obj["monomials"]
-        ]
-        return cls(p=obj["p"], d=obj["d"], monomials=monomials)
+def check_degree(d: int) -> None:
+    """Raise ValueError unless the expansion degree d is >= 1."""
+    if d < 1:
+        raise ValueError(f"degree must be >= 1, got {d}")
 
 
 def feature_count(p: int, d: int) -> int:
@@ -83,8 +64,9 @@ def check_expansion_size(n: int, p: int, d: int) -> None:
 
 def enumerate_monomials(p: int, d: int) -> FeatureMap:
     """All monomials of degree 1..d over p features, in graded-lex order."""
-    if p < 1 or d < 1:
-        raise ValueError(f"p and d must be >= 1, got p={p}, d={d}")
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    check_degree(d)
     count = feature_count(p, d)
     if count > _MAX_COUNT:
         raise OverflowError(

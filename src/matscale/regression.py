@@ -18,28 +18,40 @@ import numpy as np
 
 from . import BLAS_THREAD_ENV
 from .lattice import Cluster, SymmetryGroup, correlation_matrix
-from .polyfeatures import (check_expansion_size, enumerate_monomials, feature_count,
-                           feature_matrix)
+from .polyfeatures import (check_degree, check_expansion_size, enumerate_monomials,
+                           feature_count, feature_matrix)
 
 
-@dataclass
-class DesignMatrix:
-    """n x q feature matrix with an n-vector of targets; all finite."""
+def _design_matrix(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """X and y as float arrays: an n x q feature matrix and n targets, all finite."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
+        raise ValueError(f"X must be (n >= 1, q >= 1), got shape {X.shape}")
+    if y.shape != (X.shape[0],):
+        raise ValueError(f"targets must have shape ({X.shape[0]},), got {y.shape}")
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+        raise ValueError("design matrix contains non-finite entries")
+    return X, y
 
-    X: np.ndarray
-    y: np.ndarray
 
-    def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=float)
-        self.y = np.asarray(self.y, dtype=float)
-        if self.X.ndim != 2 or self.X.shape[0] < 1 or self.X.shape[1] < 1:
-            raise ValueError(f"X must be (n >= 1, q >= 1), got shape {self.X.shape}")
-        if self.y.shape != (self.X.shape[0],):
-            raise ValueError(
-                f"targets must have shape ({self.X.shape[0]},), got {self.y.shape}"
-            )
-        if not (np.all(np.isfinite(self.X)) and np.all(np.isfinite(self.y))):
-            raise ValueError("design matrix contains non-finite entries")
+def check_tol(value: float, name: str = "tol") -> None:
+    """Raise ValueError unless a tolerance (omp_fit's tol, plateau_detect's eps,
+    checked under its own name) is a finite number >= 0."""
+    if not 0 <= value < np.inf:  # NaN fails too
+        raise ValueError(f"{name} must be a finite number >= 0, got {value}")
+
+
+def check_max_features(max_features: Optional[int]) -> None:
+    """Raise ValueError unless compare_feature_spaces' cap is None or >= 0."""
+    if max_features is not None and max_features < 0:
+        raise ValueError(f"max_features must be None or >= 0, got {max_features}")
+
+
+def check_plateau_window(window: int) -> None:
+    """Raise ValueError unless plateau_detect's window is >= 1."""
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
 
 
 @dataclass
@@ -118,16 +130,14 @@ def omp_fit(X, y, max_features: int, tol: float = 1e-12) -> FitTrace:
     Correlation ties break toward the lowest column index. The trace's
     ``fitted`` is the final model's prediction on X, kept from its step.
     """
-    dm = DesignMatrix(X, y)
-    X, y = dm.X, dm.y
+    X, y = _design_matrix(X, y)
     n, q = X.shape
     if not 0 <= max_features <= min(n - 1, q):
         raise ValueError(
             f"max_features must be in [0, min(n-1, q)] = "
             f"[0, {min(n - 1, q)}], got {max_features}"
         )
-    if not 0 <= tol < np.inf:  # NaN fails too
-        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
+    check_tol(tol)
 
     sd = X.std(axis=0)
     Xs = np.where(sd > 0, (X - X.mean(axis=0)) / np.where(sd > 0, sd, 1.0), 0.0)
@@ -152,10 +162,8 @@ def omp_fit(X, y, max_features: int, tol: float = 1e-12) -> FitTrace:
 
 def plateau_detect(trace: FitTrace, window: int, eps: float) -> Optional[int]:
     """Smallest feature count after which `window` more points improve < eps."""
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    if not 0 <= eps < np.inf:  # NaN fails too
-        raise ValueError(f"eps must be a finite number >= 0, got {eps}")
+    check_plateau_window(window)
+    check_tol(eps, "eps")
     pts = trace.points
     for i in range(len(pts) - window):
         if pts[i].rmse - pts[i + window].rmse < eps:
@@ -191,6 +199,9 @@ def compare_feature_spaces(
     _fit_workers threads; the traces, and the first failing degree's error in
     degree order, are the serial loop's.
     """
+    for d in degrees:
+        check_degree(d)
+    check_max_features(max_features)
     check_expansion_size(len(configs), len(clusters), max(degrees))
     base = correlation_matrix(configs, clusters, group)
     n, p = base.shape

@@ -89,8 +89,9 @@ class CalcMetadata:
 
 @dataclass
 class Fingerprint:
-    """Discretized spectrum: raster column heights (n_energy int64 in
-    [0, n_dos], column j has its lowest data[j] bits set) or a real vector."""
+    """Discretized spectrum: raster column heights (n_energy integers in
+    [0, n_dos] of dtype np.min_scalar_type(n_dos), column j has its lowest
+    data[j] bits set) or a real vector."""
 
     window: tuple[float, float]
     grid: tuple[int, int]
@@ -105,7 +106,7 @@ class Fingerprint:
                     or np.any((h < 0) | (h > n_dos))):
                 raise ValueError(f"raster data must be {n_energy} integer column heights "
                                  f"in [0, {n_dos}], got {h.dtype} of shape {h.shape}")
-            self.data = h.astype(np.int64)
+            self.data = h.astype(np.min_scalar_type(n_dos))
 
     def to_raster(self) -> np.ndarray:
         """The (n_energy, n_dos) bool bit raster of a raster fingerprint."""
@@ -157,21 +158,39 @@ def _bin_integrals(x: np.ndarray, y: np.ndarray, edges: np.ndarray) -> np.ndarra
     seg = 0.5 * (vals[:-1] + vals[1:]) * widths
     mids = 0.5 * (pts[:-1] + pts[1:])
     seg[(mids < x[0]) | (mids > x[-1])] = 0.0  # segments outside the data range
-    which = np.searchsorted(edges, mids) - 1
-    heights = np.zeros(edges.size - 1)
-    np.add.at(heights, which, seg)
-    return heights
+    # pts holds every edge, so a segment's left end names its bin; a midpoint
+    # can round onto an edge and name the bin below
+    which = np.searchsorted(edges, pts[:-1], side="right") - 1
+    # adds in element order, as np.add.at does
+    return np.bincount(which, weights=seg, minlength=edges.size - 1)
+
+
+def check_window(window: tuple[float, float]) -> None:
+    """Raise ValueError unless window is (lo, hi), finite with lo < hi."""
+    lo, hi = window
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"window must be finite with lo < hi, got {window}")
+
+
+def check_grid(grid: Sequence[int]) -> None:
+    """Raise ValueError unless every grid dimension (n_energy, n_dos) is >= 1."""
+    if min(grid) < 1:
+        raise ValueError(f"grid dimensions must be >= 1, got {grid}")
+
+
+def check_h_max(h_max: float) -> None:
+    """Raise ValueError unless the raster normalization h_max is finite and > 0."""
+    if not (math.isfinite(h_max) and h_max > 0):
+        raise ValueError(f"h_max must be a finite number > 0, got {h_max}")
 
 
 def bin_heights(
     spectrum: Spectrum, window: tuple[float, float], n_energy_bins: int
 ) -> np.ndarray:
     """Per-bin trapezoidal DOS integrals on the Fermi-shifted window."""
+    check_window(window)
+    check_grid((n_energy_bins,))
     lo, hi = window
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"window must be finite with lo < hi, got {window}")
-    if n_energy_bins < 1:
-        raise ValueError("need at least one energy bin")
     where = f"{spectrum.source}: " if spectrum.source else ""
     shifted = spectrum.energies - spectrum.fermi_energy
     if shifted[-1] <= lo or shifted[0] >= hi:
@@ -191,10 +210,6 @@ def bin_heights(
 def _from_heights(heights, window, grid, mode, h_max) -> Fingerprint:
     """The fingerprint of one spectrum's bin heights; rasters scale by h_max."""
     n_energy, n_dos = grid
-    if n_energy < 1 or n_dos < 1:
-        raise ValueError(f"grid dimensions must be >= 1, got {grid}")
-    if mode not in ("raster", "vector"):
-        raise ValueError(f"mode must be 'raster' or 'vector', got {mode!r}")
     if mode == "vector":
         return Fingerprint(tuple(window), (n_energy, n_dos), mode, heights)
     n_bits = np.zeros(n_energy, dtype=np.int64)
@@ -237,8 +252,11 @@ def fingerprint_set(
     """
     if not spectra:
         raise ValueError("no spectra given")
-    if h_max is not None and not (math.isfinite(h_max) and h_max > 0):
-        raise ValueError(f"h_max must be a finite number > 0, got {h_max}")
+    check_grid(grid)  # bin_heights checks the window
+    if mode not in ("raster", "vector"):
+        raise ValueError(f"mode must be 'raster' or 'vector', got {mode!r}")
+    if h_max is not None:
+        check_h_max(h_max)
     all_heights = [bin_heights(s, window, grid[0]) for s in spectra]
     if h_max is None:
         h_max = float(max(h.max() for h in all_heights))
@@ -256,9 +274,9 @@ def tanimoto(f1: Fingerprint, f2: Fingerprint) -> float:
     a = f1.data.ravel()
     b = f2.data.ravel()
     if f1.mode == "raster":
-        ab = int(np.minimum(a, b).sum())
-        aa = int(a.sum())
-        bb = int(b.sum())
+        ab = int(np.minimum(a, b).sum(dtype=np.int64))
+        aa = int(a.sum(dtype=np.int64))
+        bb = int(b.sum(dtype=np.int64))
     else:
         ab = float(np.dot(a, b))
         aa = float(np.dot(a, a))
@@ -289,12 +307,13 @@ def similarity_matrix(
     n = len(fps)
     data = np.stack([fp.data.ravel() for fp in fps])
     raster = fps[0].mode == "raster"
-    self_terms = (data.sum(axis=1) if raster
+    # int64 sums: an unsigned self term beside an int64 ab would promote to float64
+    self_terms = (data.sum(axis=1, dtype=np.int64) if raster
                   else np.matmul(data[:, None, :], data[:, :, None])[:, 0, 0])
     values = np.ones((n, n))
     for i in range(n - 1):
         if raster:
-            ab = np.minimum(data[i], data[i + 1:]).sum(axis=1)
+            ab = np.minimum(data[i], data[i + 1:]).sum(axis=1, dtype=np.int64)
         else:
             ab = np.matmul(data[i + 1:, None, :], data[i, :, None])[:, 0, 0]
         denom = self_terms[i] + self_terms[i + 1:] - ab

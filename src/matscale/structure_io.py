@@ -186,12 +186,15 @@ def _structure_from_row(row, default_source: str) -> Structure:
     props = row.get("properties", {})
     if not isinstance(props, dict):
         raise ValueError(f"properties must be an object, got {props!r}")
+    source = row.get("source")
+    if source is None or source == "":  # absent, a JSON null or a CSV's empty cell
+        source = default_source
     return Structure(
         entry_id=entry_id,
         composition=composition,
         spacegroup=_integer(_required(row, "spacegroup"), "spacegroup"),
         properties={name: _number(v, f"property {name!r}") for name, v in props.items()},
-        source=row.get("source") or default_source,
+        source=_string(source, "source"),
     )
 
 

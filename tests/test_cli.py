@@ -9,6 +9,7 @@ import pytest
 
 import matscale
 from matscale.cli import main
+from matscale.costs import NasSpec, TrainingSpec, WorkflowSpec
 
 
 def run_cli(capsys, *argv):
@@ -558,6 +559,66 @@ def test_non_finite_or_non_integer_flags_exit_two(capsys, argv, message):
     code, stdout, stderr = run_cli(capsys, *argv)
     assert (code, stdout) == (2, "")
     assert message in stderr
+
+
+def _fingerprint(**settings):
+    from matscale.spectra import Spectrum, fingerprint_set
+
+    spectrum = Spectrum([-2.0, 0.0, 2.0], [0.5, 1.5, 0.5], 0.0)
+    return fingerprint_set([spectrum], **{"window": (-1.0, 1.0), **settings})
+
+
+def _ce_fit(**options):
+    import numpy as np
+
+    from matscale.lattice import Cluster, SymmetryGroup
+    from matscale.regression import compare_feature_spaces
+
+    configs = np.random.default_rng(0).choice([-1, 1], (40, 6))
+    return compare_feature_spaces(configs, configs[:, 0] * configs[:, 1],
+                                  [Cluster((0,)), Cluster((1,))], SymmetryGroup.cyclic(6),
+                                  **{"degrees": [1, 2], **options})
+
+
+def _plateau(window, eps):
+    from matscale.regression import FitTrace, TracePoint, plateau_detect
+
+    return plateau_detect(FitTrace([TracePoint(0, 1.0, None), TracePoint(1, 0.5, None)]),
+                          window, eps)
+
+
+nan, inf = float("nan"), float("inf")
+
+
+# Each value that a bad-flag test above rejects, fed to the library function or
+# spec that consumes it: the library applies the same rule and names the quantity.
+@pytest.mark.parametrize("call, quantity", [
+    # test_similarity_bad_flags_exit_two_before_reading
+    *[(lambda h=h: _fingerprint(h_max=h), "h_max") for h in (nan, inf, -1.0, 0.0)],
+    *[(lambda w=w: _fingerprint(window=w), "window")
+      for w in ((-inf, inf), (5.0, 1.0), (nan, 1.0))],
+    *[(lambda g=g: _fingerprint(grid=g), "grid") for g in ((0, 4), (8, 0))],
+    # test_ce_fit_bad_flags_exit_two_before_reading
+    *[(lambda t=t: _ce_fit(tol=t), "tol") for t in (nan, -1e-9, inf)],
+    *[(lambda e=e: _plateau(2, e), "eps") for e in (nan, -0.1)],
+    *[(lambda d=d: _ce_fit(degrees=d), "degree") for d in ([0], [1, -2], [2, -1])],
+    (lambda: _ce_fit(max_features=-1), "max_features"),
+    (lambda: _plateau(0, 0.0), "window"),
+    # the estimate rows of test_non_finite_or_non_integer_flags_exit_two
+    (lambda: TrainingSpec(10, nan, 0.1), "t_batch"),
+    (lambda: TrainingSpec(10, 0.1, inf), "t_grad"),
+    (lambda: NasSpec(10, inf, 3.0), "hours_per_architecture"),
+    (lambda: NasSpec(0, inf, 3.0), "hours_per_architecture"),
+    (lambda: NasSpec(10, 2.0, nan), "price_per_gpu_hour"),
+    (lambda: WorkflowSpec(1, 1, 1, inf), "bytes_per_run"),  # --mb-per-run inf, 1e303
+    (lambda: WorkflowSpec(0, 1, 1, 1), "n_structures"),
+    (lambda: WorkflowSpec(1, 1, 1, 0), "bytes_per_run"),  # --mb-per-run 1e-7
+    (lambda: TrainingSpec(0, 0.1, 0.1), "n_steps"),
+    (lambda: NasSpec(-1, 2.0, 3.0), "n_architectures"),
+])
+def test_the_library_rejects_each_bad_flag_value_by_name(call, quantity):
+    with pytest.raises(ValueError, match=f"^{quantity} "):
+        call()
 
 
 def test_stdout_is_strict_json_even_on_overflow(capsys):

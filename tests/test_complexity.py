@@ -10,7 +10,6 @@ from matscale.complexity import (
     SissoSpec,
     nn_descriptor,
     rf_descriptor,
-    rf_param_breakdown,
     sisso_descriptor,
     weighted_complexity,
 )
@@ -67,11 +66,6 @@ def test_rf_two_trees():
 def test_rf_leaves_minus_splits_is_tree_count(leaves):
     total, splits = rf_descriptor(RfSpec(leaves))
     assert total - splits == len(leaves)
-
-
-def test_rf_breakdown_is_additive_only():
-    b = rf_param_breakdown(RfSpec([3, 5]))
-    assert (b.additive, b.linear, b.nonlinear) == (8, 0, 0)
 
 
 def test_sisso_without_bias():

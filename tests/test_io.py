@@ -353,6 +353,16 @@ HEADER = "entry_id,formula,spacegroup,bandgap\n"
     ("t.json", '[{"entry_id": "a", "formula": "MgF2", "spacegroup": 12, '
      '"properties": {"e": 1.5}}, {"entry_id": "b", "formula": "MgF2", "spacegroup": 12, '
      '"properties": {"e": "1_0.5"}}]', 2, "property 'e' must be a number, got '1_0.5'"),
+    # a JSON source is a string; only null and "" take the file stem
+    ("t.json", '[{"entry_id": "a", "formula": "MgF2", "spacegroup": 12, "source": 5}]', 1,
+     "source must be a string, got 5"),
+    ("t.json", '[{"entry_id": "a", "formula": "MgF2", "spacegroup": 12, "source": "MP"}, '
+     '{"entry_id": "b", "formula": "MgF2", "spacegroup": 12, "source": 0}]', 2,
+     "source must be a string, got 0"),
+    ("t.json", '[{"entry_id": "a", "formula": "MgF2", "spacegroup": 12, "source": false}]', 1,
+     "source must be a string, got False"),
+    ("t.json", '[{"entry_id": "a", "formula": "MgF2", "spacegroup": 12, "source": []}]', 1,
+     "source must be a string, got []"),
 ])
 def test_bad_structure_row_names_file_and_row(tmp_path, name, text, row, message):
     path = tmp_path / name
@@ -542,13 +552,15 @@ def _structure_from_row(row, default_source):
     props = row.get("properties", {})
     if not isinstance(props, dict):
         raise ValueError(f"properties must be an object, got {props!r}")
-    return Structure(
-        entry_id=entry_id,
-        composition=composition,
-        spacegroup=_integer(_required(row, "spacegroup"), "spacegroup"),
-        properties={name: _number(v, f"property {name!r}") for name, v in props.items()},
-        source=row.get("source") or default_source,
-    )
+    spacegroup = _integer(_required(row, "spacegroup"), "spacegroup")
+    properties = {name: _number(v, f"property {name!r}") for name, v in props.items()}
+    source = row.get("source")
+    if source in (None, ""):
+        source = default_source
+    elif not isinstance(source, str):
+        raise ValueError(f"source must be a string, got {source!r}")
+    return Structure(entry_id=entry_id, composition=composition, spacegroup=spacegroup,
+                     properties=properties, source=source)
 
 
 def _required(row, key):
@@ -708,7 +720,7 @@ _wild_record = _record({
                              10**400])),
                         max_size=3),
         st.sampled_from([5, None, []])),
-    "source": st.sampled_from([_missing, None, "", "MP", 5]),
+    "source": st.sampled_from([_missing, None, "", "MP", 5, 0, False, []]),
 })
 _json_record = st.one_of(_clean_record, _clean_record, _clean_record, _wild_record,
                          st.sampled_from([5, "x", None, []]))

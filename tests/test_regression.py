@@ -10,7 +10,6 @@ from matscale import BLAS_THREAD_ENV, regression
 from matscale.lattice import Cluster, SymmetryGroup
 from matscale.polyfeatures import MAX_EXPANSION_BYTES, check_expansion_size, feature_count
 from matscale.regression import (
-    DesignMatrix,
     FitTrace,
     OmpModel,
     TracePoint,
@@ -174,8 +173,7 @@ def test_omp_deterministic_selection():
 def _loop_omp_fit(X, y, max_features, tol=1e-12):
     """omp_fit as it was: each step refits, predicts for the residual, then
     predicts again inside rmse."""
-    dm = DesignMatrix(X, y)
-    X, y = dm.X, dm.y
+    X, y = regression._design_matrix(X, y)
     sd = X.std(axis=0)
     Xs = np.where(sd > 0, (X - X.mean(axis=0)) / np.where(sd > 0, sd, 1.0), 0.0)
     selected = []

@@ -108,6 +108,51 @@ def test_bin_integral_points_equal_np_unique(x, edges):
     assert seen[0].tobytes() == want.tobytes()
 
 
+def _add_at_bin_integrals(x, y, edges):
+    """_bin_integrals with each bin's segments summed by np.add.at."""
+    inner = x[(x > edges[0]) & (x < edges[-1])]
+    pts = np.unique(np.concatenate([edges, inner]))
+    vals = np.interp(pts, x, y, left=0.0, right=0.0)
+    seg = 0.5 * (vals[:-1] + vals[1:]) * np.diff(pts)
+    mids = 0.5 * (pts[:-1] + pts[1:])
+    seg[(mids < x[0]) | (mids > x[-1])] = 0.0
+    heights = np.zeros(edges.size - 1)
+    np.add.at(heights, np.searchsorted(edges, pts[:-1], side="right") - 1, seg)
+    return heights
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.lists(_tie_value, min_size=2, max_size=12, unique=True).map(sorted),
+       y=st.lists(st.floats(0, 1e308) | st.sampled_from([0.0, 1e-300, 5e-324]),
+                  min_size=12, max_size=12),
+       edges=st.lists(_tie_value, min_size=2, max_size=8, unique=True).map(sorted))
+def test_bin_integrals_equal_np_add_at(x, y, edges):
+    from matscale import spectra
+
+    x, y, edges = np.array(x), np.array(y[:len(x)]), np.array(edges)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = spectra._bin_integrals(x, y, edges)
+        want = _add_at_bin_integrals(x, y, edges)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("x, edges, segment_bin", [
+    # each segment's midpoint rounds down onto its left edge
+    ([0.0, 5e-324], [0.0, 1.0, 2.0], 0),
+    ([0.0, 1.0, 1.0 + 2**-52], [0.0, 1.0, 2.0], 1),
+])
+def test_a_segment_lands_in_the_bin_that_holds_it(x, edges, segment_bin):
+    from matscale import spectra
+
+    x, edges = np.array(x), np.array(edges)
+    y = np.zeros(x.size)
+    y[-1] = 1e300  # only the last segment, one float step wide, has an integral
+    heights = spectra._bin_integrals(x, y, edges)
+    assert heights[segment_bin] > 0
+    assert np.count_nonzero(heights) == 1
+
+
 # --- make_fingerprint -------------------------------------------------------
 
 def test_flat_zero_dos_gives_all_zero_fingerprint():
@@ -160,7 +205,7 @@ def test_raster_fingerprint_stores_column_heights():
     rng = np.random.default_rng(5)
     s = Spectrum(np.linspace(-10, 10, 200), rng.uniform(0, 3, 200), 0.0)
     fp = make_fingerprint(s, grid=(32, 16), mode="raster", h_max=None)
-    assert fp.data.shape == (32,) and fp.data.dtype == np.int64
+    assert fp.data.shape == (32,) and fp.data.dtype == np.uint8  # min_scalar_type(16)
     assert fp.to_raster().shape == (32, 16)
     assert fp.to_raster().sum(axis=1).tolist() == fp.data.tolist()
 
@@ -307,7 +352,8 @@ def _pairwise_fill(items):
 @st.composite
 def fingerprint_items(draw):
     n = draw(st.integers(1, 7))
-    n_e, n_d = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    # n_dos past 255 and 65535 stores heights as uint16 and uint32
+    n_e, n_d = draw(st.integers(1, 6)), draw(st.integers(1, 6) | st.sampled_from([256, 70000]))
     if draw(st.booleans()):
         # all-zero columns are likely, all-zero rasters possible
         cols = st.integers(0, n_d) | st.just(0)
