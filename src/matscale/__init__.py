@@ -26,6 +26,10 @@ __version__ = "0.1.0"
 # least one is set and every one that is set is "1".
 BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
+# The largest float64 array a size that a caller chooses (an expansion degree,
+# a grid, a bin count) may make the library allocate.
+MAX_ARRAY_BYTES = 2**31
+
 _SUBMODULE = {
     "curation": (
         "Structure",

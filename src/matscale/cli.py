@@ -2,12 +2,14 @@
 
 Every subcommand prints a machine-readable JSON summary to stdout and
 writes its file outputs atomically. Exit codes: 0 success, 1 module
-error, 2 configuration error (bad flags, missing inputs).
+error, 2 configuration error (bad flags, missing inputs). Flag text
+becomes values by ``io``'s rule for file text, and each flag error is one
+``matscale:`` line on stderr.
 
 Importing this module loads no numpy and no other matscale module: each
-``cmd_*`` function imports what it runs when it is called, so ``complexity``
-and ``estimate`` never load numpy. The names are looked up on each call, so
-a rebound module attribute (``io.read_structures``,
+``cmd_*`` function, and each flag's type, imports what it runs when it is
+called, so ``complexity`` and ``estimate`` never load numpy. The names are
+looked up on each call, so a rebound module attribute (``io.read_structures``,
 ``regression.compare_feature_spaces``) takes effect on the next call.
 """
 
@@ -18,8 +20,10 @@ import gc
 import json
 import math
 import os
+import re
 import sys
 from collections import Counter
+from itertools import cycle
 from pathlib import Path
 
 from . import BLAS_THREAD_ENV
@@ -29,26 +33,33 @@ class ConfigError(Exception):
     pass
 
 
-def _parse_fractions(text: str) -> tuple[float, ...]:
+def _value(kind, text: str, what: str):
+    """text as an int, a float or a str, read by io's rule for file text; a
+    text the rule refuses is an error of the flag being parsed."""
+    from . import io
+
     try:
-        return tuple(float(p) for p in text.split(","))
-    except ValueError:
-        raise ConfigError(f"bad fraction in --split: {text!r}") from None
+        return {int: io._integer, float: io._number, str: io._string}[kind](text, what)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(exc) from None
 
 
-def _parse_hist_spec(text: str) -> tuple[str, np.ndarray]:
-    from . import curation
+def _read(*kinds, sep=None):
+    """The argparse type of a flag: its text, or each of its sep-separated parts
+    (any case of sep, so --grid takes 256X64), read by _value. One kind reads
+    any number of parts; several kinds read one part each."""
 
-    parts = text.split(":")
-    if len(parts) != 4:
-        raise ConfigError(f"--hist expects property:lo:hi:nbins, got {text!r}")
-    try:
-        name, lo, hi, nbins = parts[0], float(parts[1]), float(parts[2]), int(parts[3])
-    except ValueError:
-        raise ConfigError(f"bad --hist values: {text!r}") from None
-    if os.sep in name or (os.altsep and os.altsep in name):  # it names an output file
-        raise ConfigError(f"--hist property name holds a path separator: {text!r}")
-    return name, _flag_spec(f"--hist {text!r}", curation.histogram_edges, lo, hi, nbins)
+    def read(text: str):
+        if sep is None:
+            return _value(kinds[0], text, "value")
+        parts = re.split(sep, text, flags=re.IGNORECASE)
+        if len(kinds) > 1 and len(parts) != len(kinds):
+            raise argparse.ArgumentTypeError(
+                f"expects {len(kinds)} {sep!r}-separated values, got {text!r}")
+        return tuple(_value(kind, part, f"each value in {text!r}")
+                     for kind, part in zip(cycle(kinds), parts))
+
+    return read
 
 
 def _require_file(path: str) -> Path:
@@ -69,17 +80,20 @@ def cmd_curate(args):
 
     input_path = _require_file(args.input)
     other_path = _require_file(args.other) if args.other else None
-    fractions = _parse_fractions(args.split)
-    _flag_spec("--split", curation.check_fractions, fractions)
+    _flag_spec("--split", curation.check_fractions, args.split)
     _flag_spec("--seed", curation.check_seed, args.seed)
-    hist_specs = [_parse_hist_spec(h) for h in args.hist or []]
+    hist_specs = [(name, _flag_spec(f"--hist {name}", curation.histogram_edges, *bounds))
+                  for name, *bounds in args.hist or []]
     # outputs are named by input stem and property, so a repeat would overwrite one
     if other_path is not None and other_path.stem == input_path.stem:
         raise ConfigError(f"--input and --other have the same file stem {input_path.stem!r}")
-    names = [name for name, *_ in hist_specs]
+    names = [name for name, _ in hist_specs]
     repeated = [name for k, name in enumerate(names) if name in names[:k]]
     if repeated:
         raise ConfigError(f"two --hist specs name the property {repeated[0]!r}")
+    for name in names:
+        if os.sep in name or (os.altsep and os.altsep in name):  # it names an output file
+            raise ConfigError(f"--hist property name {name!r} holds a path separator")
     outdir = _outdir(args)
 
     entries = io.read_structures(input_path)
@@ -101,7 +115,7 @@ def cmd_curate(args):
 
     split_counts = {}
     for path, data in datasets:
-        assignment = curation.grouped_split(data, fractions, args.seed, shared)
+        assignment = curation.grouped_split(data, args.split, args.seed, shared)
         out_path = outdir / f"{path.stem}_split.csv"
         io.write_split_csv(out_path, data, assignment)
         summary["outputs"].append(str(out_path))
@@ -123,34 +137,19 @@ def cmd_curate(args):
     return summary
 
 
-def _parse_similarity_flags(args) -> tuple[tuple[float, float], tuple[int, int]]:
-    """Parse --window and --grid; check every similarity flag by spectra's rules."""
-    from . import spectra
-
-    try:
-        lo, hi = (float(x) for x in args.window.split(","))
-    except ValueError:
-        raise ConfigError(f"--window expects lo,hi, got {args.window!r}") from None
-    _flag_spec("--window", spectra.check_window, (lo, hi))
-    try:
-        ne, nd = (int(x) for x in args.grid.lower().split("x"))
-    except ValueError:
-        raise ConfigError(f"--grid expects NExND, got {args.grid!r}") from None
-    _flag_spec("--grid", spectra.check_grid, (ne, nd))
-    if args.h_max is not None:
-        _flag_spec("--h-max", spectra.check_h_max, args.h_max)
-    return (lo, hi), (ne, nd)
-
-
 def cmd_similarity(args):
     from . import io, spectra
 
-    window, grid = _parse_similarity_flags(args)
+    _flag_spec("--window", spectra.check_window, args.window)
+    _flag_spec("--grid", spectra.check_grid, args.grid)
+    if args.h_max is not None:
+        _flag_spec("--h-max", spectra.check_h_max, args.h_max)
     spectra_dir = _require_file(args.spectra)
     outdir = _outdir(args)
 
     items = io.read_spectra_dir(spectra_dir)
-    fps = spectra.fingerprint_set([s for s, _ in items], window, grid, args.mode, args.h_max)
+    fps = spectra.fingerprint_set([s for s, _ in items], args.window, args.grid, args.mode,
+                                   args.h_max)
     matrix = spectra.similarity_matrix(list(zip(fps, [m for _, m in items])))
     if args.sort:
         matrix = spectra.sort_by_settings(matrix)
@@ -165,24 +164,6 @@ def cmd_similarity(args):
         "mean_off_diagonal": matrix.mean_off_diagonal(),
         "outputs": [str(csv_path), str(manifest_path)],
     }
-
-
-def _parse_ce_fit_flags(args) -> list[int]:
-    """Parse --degree; check every numeric ce-fit flag by the library's rules."""
-    from . import polyfeatures, regression
-
-    try:
-        degrees = [int(d) for d in args.degree.split(",")]
-    except ValueError:
-        raise ConfigError(f"--degree expects integers like 1,2,3: {args.degree!r}")
-    for d in degrees:
-        _flag_spec("--degree", polyfeatures.check_degree, d)
-    _flag_spec("--max-features", regression.check_max_features, args.max_features)
-    if args.plateau_window is not None:
-        _flag_spec("--plateau-window", regression.check_plateau_window, args.plateau_window)
-    _flag_spec("--tol", regression.check_tol, args.tol)
-    _flag_spec("--plateau-eps", regression.check_tol, args.plateau_eps, "eps")
-    return degrees
 
 
 def _read_clusters(path: Path) -> list[Cluster]:
@@ -214,7 +195,13 @@ def _read_group(path: Path) -> SymmetryGroup:
 def cmd_ce_fit(args):
     from . import io, polyfeatures, regression
 
-    degrees = _parse_ce_fit_flags(args)
+    for d in args.degree:
+        _flag_spec("--degree", polyfeatures.check_degree, d)
+    _flag_spec("--max-features", regression.check_max_features, args.max_features)
+    if args.plateau_window is not None:
+        _flag_spec("--plateau-window", regression.check_plateau_window, args.plateau_window)
+    _flag_spec("--tol", regression.check_tol, args.tol)
+    _flag_spec("--plateau-eps", regression.check_tol, args.plateau_eps, "eps")
     configs_path = _require_file(args.configs)
     clusters_path = _require_file(args.clusters)
     group_path = _require_file(args.group)
@@ -223,11 +210,11 @@ def cmd_ce_fit(args):
     ids, occupations, targets = io.read_ce_configs(configs_path)
     clusters = _read_clusters(clusters_path)
     _flag_spec("--degree", polyfeatures.check_expansion_size,
-               len(occupations), len(clusters), max(degrees))
+               len(occupations), len(clusters), max(args.degree))
     group = _read_group(group_path)
 
     traces = regression.compare_feature_spaces(
-        occupations, targets, clusters, group, degrees,
+        occupations, targets, clusters, group, args.degree,
         max_features=args.max_features, tol=args.tol,
     )
 
@@ -252,23 +239,14 @@ def cmd_complexity(args):
     from . import complexity as cx
 
     if args.nn:
-        try:
-            widths = [int(w) for w in args.nn.split(",")]
-        except ValueError:
-            raise ConfigError(f"--nn expects widths like 2,3,1: {args.nn!r}")
-        weights, biases = cx.nn_descriptor(_flag_spec("--nn", cx.NnSpec, widths))
-        return {"model": "nn", "layer_widths": widths, "weights": weights,
+        weights, biases = cx.nn_descriptor(_flag_spec("--nn", cx.NnSpec, args.nn))
+        return {"model": "nn", "layer_widths": args.nn, "weights": weights,
                 "biases": biases, "parameters": weights + biases}
     if args.rf:
-        try:
-            leaves = [int(l) for l in args.rf.split(",")]
-        except ValueError:
-            raise ConfigError(f"--rf expects leaf counts like 3,5: {args.rf!r}")
-        total_leaves, splits = cx.rf_descriptor(_flag_spec("--rf", cx.RfSpec, leaves))
-        return {"model": "rf", "leaves_per_tree": leaves, "leaves": total_leaves,
-                "splits": splits, "n_trees": len(leaves)}
-    spec = _parse_sisso(args.sisso)
-    rung, dimension = cx.sisso_descriptor(spec)
+        total_leaves, splits = cx.rf_descriptor(_flag_spec("--rf", cx.RfSpec, args.rf))
+        return {"model": "rf", "leaves_per_tree": args.rf, "leaves": total_leaves,
+                "splits": splits, "n_trees": len(args.rf)}
+    rung, dimension = cx.sisso_descriptor(_flag_spec("--sisso", cx.SissoSpec, *args.sisso))
     return {"model": "sisso", "rung": rung, "dimension": dimension}
 
 
@@ -280,9 +258,8 @@ def _flag_spec(flag: str, spec, *values):
         raise ConfigError(f"{flag}: {exc}") from None
 
 
-def _parse_sisso(text: str) -> cx.SissoSpec:
-    from . import complexity as cx
-
+def _sisso(text: str) -> tuple[int, int, bool]:
+    """The argparse type of --sisso rung=R,dim=D[,bias]: (rung, dim, bias)."""
     values = {}
     bias = False
     for token in text.split(","):
@@ -291,15 +268,12 @@ def _parse_sisso(text: str) -> cx.SissoSpec:
         if token == "bias":
             bias = True
         elif sep and key in ("rung", "dim"):
-            try:
-                values[key] = int(value)
-            except ValueError:
-                raise ConfigError(f"--sisso {token!r} is not an integer") from None
+            values[key] = _value(int, value, repr(token))
         else:
-            raise ConfigError(f"bad --sisso token {token!r} in {text!r}")
+            raise argparse.ArgumentTypeError(f"bad token {token!r} in {text!r}")
     if set(values) != {"rung", "dim"}:
-        raise ConfigError(f"--sisso needs rung=R,dim=D[,bias], got {text!r}")
-    return _flag_spec("--sisso", cx.SissoSpec, values["rung"], values["dim"], bias)
+        raise argparse.ArgumentTypeError(f"needs rung=R,dim=D[,bias], got {text!r}")
+    return values["rung"], values["dim"], bias
 
 
 # The cost spec field that each estimate flag fills, by flag; costs checks each.
@@ -355,13 +329,19 @@ def cmd_estimate(args):
     return payload
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A flag error is one stderr line; it exits 2 as argparse's own does."""
+        self.exit(2, f"matscale: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="matscale",
         description="Dataset curation, DOS similarity, cluster-expansion "
         "fitting, and infrastructure cost estimation.",
     )
-    parser.add_argument("--threads", type=int, default=1,
+    parser.add_argument("--threads", type=_read(int), default=1,
                         help="accepted for compatibility and unused: the similarity "
                         "fill is serial, and the BLAS runs on one thread unless "
                         "OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS "
@@ -374,19 +354,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--other", help="second dataset; overlap is computed and "
                    "shared identities land in the same split on both sides")
-    p.add_argument("--split", default="0.8,0.1,0.1")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hist", action="append",
+    p.add_argument("--split", type=_read(float, sep=","), default="0.8,0.1,0.1")
+    p.add_argument("--seed", type=_read(int), default=0)
+    p.add_argument("--hist", action="append", type=_read(str, float, float, int, sep=":"),
                    help="property:lo:hi:nbins (repeatable)")
     p.add_argument("--output-dir", default=".")
     p.set_defaults(func=cmd_curate)
 
     p = sub.add_parser("similarity", help="fingerprint spectra, build the matrix")
     p.add_argument("--spectra", required=True, help="directory of CSV+JSON pairs")
-    p.add_argument("--window", default="-10,10")
-    p.add_argument("--grid", default="256x64")
+    p.add_argument("--window", type=_read(float, float, sep=","), default="-10,10")
+    p.add_argument("--grid", type=_read(int, int, sep="x"), default="256x64")
     p.add_argument("--mode", choices=["raster", "vector"], default="raster")
-    p.add_argument("--h-max", type=float, default=None)
+    p.add_argument("--h-max", type=_read(float), default=None)
     p.add_argument("--sort", action="store_true")
     p.add_argument("--output-dir", default=".")
     p.set_defaults(func=cmd_similarity)
@@ -395,38 +375,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--configs", required=True)
     p.add_argument("--clusters", required=True)
     p.add_argument("--group", required=True)
-    p.add_argument("--degree", default="1")
-    p.add_argument("--max-features", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--plateau-window", type=int, default=None)
-    p.add_argument("--plateau-eps", type=float, default=0.0)
+    p.add_argument("--degree", type=_read(int, sep=","), default="1")
+    p.add_argument("--max-features", type=_read(int), default=None)
+    p.add_argument("--tol", type=_read(float), default=1e-12)
+    p.add_argument("--plateau-window", type=_read(int), default=None)
+    p.add_argument("--plateau-eps", type=_read(float), default=0.0)
     p.add_argument("--output-dir", default=".")
     p.set_defaults(func=cmd_ce_fit)
 
     p = sub.add_parser("complexity", help="model-complexity descriptors")
     g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--nn", help="layer widths, e.g. 2,3,1")
-    g.add_argument("--rf", help="leaves per tree, e.g. 3,5")
-    g.add_argument("--sisso", help="rung=R,dim=D[,bias]")
+    g.add_argument("--nn", type=_read(int, sep=","), help="layer widths, e.g. 2,3,1")
+    g.add_argument("--rf", type=_read(int, sep=","), help="leaves per tree, e.g. 3,5")
+    g.add_argument("--sisso", type=_sisso, help="rung=R,dim=D[,bias]")
     p.set_defaults(func=cmd_complexity)
 
     p = sub.add_parser("estimate", help="workflow and training budgets")
     est = p.add_subparsers(dest="kind", required=True)
     w = est.add_parser("workflow")
-    w.add_argument("--structures", type=int, required=True)
-    w.add_argument("--settings", type=int, required=True)
-    w.add_argument("--files-per-run", type=int, required=True)
-    w.add_argument("--mb-per-run", type=float, required=True)
+    w.add_argument("--structures", type=_read(int), required=True)
+    w.add_argument("--settings", type=_read(int), required=True)
+    w.add_argument("--files-per-run", type=_read(int), required=True)
+    w.add_argument("--mb-per-run", type=_read(float), required=True)
     w.add_argument("--binary", action="store_true",
                    help="display binary (KiB/MiB/...) units")
     t = est.add_parser("training")
-    t.add_argument("--steps", type=int, required=True)
-    t.add_argument("--t-batch", type=float, required=True)
-    t.add_argument("--t-grad", type=float, required=True)
+    t.add_argument("--steps", type=_read(int), required=True)
+    t.add_argument("--t-batch", type=_read(float), required=True)
+    t.add_argument("--t-grad", type=_read(float), required=True)
     n = est.add_parser("nas")
-    n.add_argument("--archs", type=int, required=True)
-    n.add_argument("--hours", type=float, required=True)
-    n.add_argument("--price", type=float, required=True)
+    n.add_argument("--archs", type=_read(int), required=True)
+    n.add_argument("--hours", type=_read(float), required=True)
+    n.add_argument("--price", type=_read(float), required=True)
     for q in (w, t, n):
         q.add_argument("--format", choices=["json", "human"], default="json")
     p.set_defaults(func=cmd_estimate)

@@ -9,13 +9,9 @@ from dataclasses import dataclass
 
 @dataclass
 class NnSpec:
-    """Fully connected feed-forward net, described by its layer widths.
-
-    The activation is recorded as a tag only; it is never evaluated.
-    """
+    """Fully connected feed-forward net, described by its layer widths."""
 
     layer_widths: list[int]
-    activation: str = "relu"
 
     def __post_init__(self):
         if len(self.layer_widths) < 2:

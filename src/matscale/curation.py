@@ -18,6 +18,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from . import MAX_ARRAY_BYTES
 from .elements import ELECTRONEGATIVITY_RANK
 
 SPLIT_NAMES = ("train", "validation", "test")
@@ -444,6 +445,10 @@ def _checked_edges(bin_edges) -> np.ndarray:
 
 def histogram_edges(lo: float, hi: float, nbins: int) -> np.ndarray:
     """nbins + 1 evenly spaced edges from lo to hi, checked as property_histogram
-    checks its edges: a step that overflows or underflows fails that check."""
+    checks its edges: a step that overflows or underflows fails that check, and
+    edges over MAX_ARRAY_BYTES are refused before they are made."""
+    if (nbins + 1) * 8 > MAX_ARRAY_BYTES:
+        raise ValueError(f"nbins {nbins} needs {(nbins + 1) * 8} bytes of bin edges, "
+                         f"over the {MAX_ARRAY_BYTES}-byte limit")
     with np.errstate(all="ignore"):
         return _checked_edges(np.linspace(lo, hi, nbins + 1))

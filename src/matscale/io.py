@@ -1,9 +1,9 @@
 """File formats: structure tables, spectra directories, CE inputs, and the
-CSV/JSON outputs the CLI emits. File text becomes values through
-``_plain``, ``_integer``, ``_number`` and ``_string``, except spectrum
-bodies: ``np.loadtxt`` parses those and takes the same number spellings.
-All writers write UTF-8 through an atomic temp-file-and-rename, so
-interrupted jobs never leave partial outputs."""
+CSV/JSON outputs the CLI emits. File text, and the CLI's flag text, becomes
+values through ``_plain``, ``_integer``, ``_number`` and ``_string``, except
+spectrum bodies: ``np.loadtxt`` parses those and takes the same number
+spellings. All writers write UTF-8 through an atomic temp-file-and-rename,
+so interrupted jobs never leave partial outputs."""
 
 from __future__ import annotations
 
@@ -16,8 +16,6 @@ import tempfile
 from itertools import chain, islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
-
-import numpy as np
 
 if TYPE_CHECKING:  # each function imports what it builds, so a command loads only its own
     from .curation import Histogram, SplitAssignment, Structure, StructureTable
@@ -51,7 +49,7 @@ def _load_json(path):
             raise ValueError(f"{path}: invalid JSON: nesting too deep") from None
 
 
-# --- text to values: the one rule every reader decodes file text by ----------
+# --- text to values: the one rule for file text and flag text ---------------
 
 def _plain(text: str) -> bool:
     """Whether a number's text has no digit separator and no non-ASCII
@@ -198,6 +196,8 @@ def _read_two_column_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
     A bad line raises ValueError("<file>: bad data row K: ..."), K counting
     physical lines from 1.
     """
+    import numpy as np
+
     try:
         with open(path, encoding="utf-8-sig") as fh:
             lines = fh.read().split("\n")
@@ -219,6 +219,8 @@ def _read_two_column_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _is_data_row(line: str) -> bool:
+    import numpy as np
+
     try:
         np.loadtxt([line], **_SPECTRUM_ROW)
     except ValueError:
@@ -235,6 +237,8 @@ def write_matrix(path_csv, path_manifest, m: SimilarityMatrix) -> None:
 
 def _matrix_lines(values) -> Iterable[str]:
     """Each row of the matrix as a CSV line of "%.17g" cells, made as it is written."""
+    import numpy as np
+
     n, cell = len(values), "%.17g,"
     # "%.17g" formats through float, so cells whose float64 bits match print alike
     bits = np.asarray(values, dtype=np.float64).view(np.uint64)
@@ -258,6 +262,8 @@ def read_ce_configs(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     A malformed row, or one that ``lattice.as_occupations`` rejects, raises
     ValueError naming the file and the row's line.
     """
+    import numpy as np
+
     from .lattice import as_occupations
 
     ids, occupations, targets = [], [], []

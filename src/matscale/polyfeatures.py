@@ -15,10 +15,12 @@ from math import comb
 
 import numpy as np
 
+from . import MAX_ARRAY_BYTES
+
 _MAX_COUNT = 2**63 - 1  # counts past a signed 64-bit integer are refused
 # The largest float64 expansion check_expansion_size allows. A fit holds at
 # most three arrays that size: F and the two largest degrees' standardized copies.
-MAX_EXPANSION_BYTES = 2**31
+MAX_EXPANSION_BYTES = MAX_ARRAY_BYTES
 
 
 @dataclass(frozen=True)

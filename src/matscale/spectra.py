@@ -16,6 +16,8 @@ from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
+from . import MAX_ARRAY_BYTES
+
 DEFAULT_WINDOW = (-10.0, 10.0)
 DEFAULT_GRID = (256, 64)
 
@@ -173,9 +175,14 @@ def check_window(window: tuple[float, float]) -> None:
 
 
 def check_grid(grid: Sequence[int]) -> None:
-    """Raise ValueError unless every grid dimension (n_energy, n_dos) is >= 1."""
+    """Raise ValueError unless every grid dimension (n_energy, n_dos) is >= 1, the
+    n_energy + 1 float64 bin edges fit in MAX_ARRAY_BYTES, and the raster bits are
+    below 2**62, as the int64 similarity sums of two rasters need."""
     if min(grid) < 1:
         raise ValueError(f"grid dimensions must be >= 1, got {grid}")
+    if (grid[0] + 1) * 8 > MAX_ARRAY_BYTES or math.prod(grid) >= 2**62:
+        raise ValueError(f"grid {grid} exceeds {MAX_ARRAY_BYTES} bytes of bin edges "
+                         "or 2**62 - 1 raster bits")
 
 
 def check_h_max(h_max: float) -> None:

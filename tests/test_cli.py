@@ -10,10 +10,16 @@ import pytest
 import matscale
 from matscale.cli import main
 from matscale.costs import NasSpec, TrainingSpec, WorkflowSpec
+from matscale.curation import histogram_edges
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """(exit code, stdout, stderr) of main(argv); a flag error that argparse
+    finds exits through SystemExit, as `matscale` itself does."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -139,7 +145,11 @@ def test_curate_bad_row_exits_one_naming_file_and_row(tmp_path, capsys, name, te
                                   "a/b:0:1:2", "/:0:1:2", "../e:0:1:2",
                                   # the bin width overflows / underflows
                                   "formation_energy:-1e308:1e308:4",
-                                  "formation_energy:0:5e-324:4"])
+                                  "formation_energy:0:5e-324:4",
+                                  # text that is not property:lo:hi:nbins
+                                  "e:0:1", "e:0:1:2:3", "e:0:x:4", "e:0:1:2.5", "e:0:1:1_0",
+                                  # 10**12 + 1 float64 edges are over 2**31 bytes
+                                  "formation_energy:0:1:1000000000000"])
 def test_curate_bad_hist_exits_two_before_reading(curate_inputs, tmp_path, capsys, hist):
     a, _ = curate_inputs
     out = tmp_path / "out"
@@ -148,6 +158,7 @@ def test_curate_bad_hist_exits_two_before_reading(curate_inputs, tmp_path, capsy
     )
     assert (code, stdout) == (2, "")
     assert "--hist" in stderr
+    assert stderr.startswith("matscale: ") and stderr.count("\n") == 1
     assert not out.exists()  # no <stem>_split.csv either
 
 
@@ -174,7 +185,8 @@ def test_curate_colliding_outputs_exit_two_before_reading(curate_inputs, tmp_pat
 
 
 @pytest.mark.parametrize("split", ["0.5,0.5,nan", "nan,0.5,0.5", "0.5,inf,0",
-                                   "0.5,0.6,-0.1", "0.5,0.6,0.1"])
+                                   "0.5,0.6,-0.1", "0.5,0.6,0.1",
+                                   "0.8,x,0.1", "0.8,0.1,", "0.8,0_1,0.1"])
 def test_curate_non_finite_split_exits_two(curate_inputs, tmp_path, capsys, split):
     a, _ = curate_inputs
     out = tmp_path / "out"
@@ -384,6 +396,8 @@ def test_bad_flags_exit_code_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["curate"])  # --input is required
     assert exc.value.code == 2
+    assert capsys.readouterr() == ("", "matscale: the following arguments are required: "
+                                       "--input\n")
 
     a = tmp_path / "a.csv"
     write_structures(a, [["x", "H1", 1, 0.0]])
@@ -393,6 +407,7 @@ def test_bad_flags_exit_code_two(tmp_path, capsys):
     )
     assert code == 2
     assert "three" in stderr
+    assert stderr.startswith("matscale: --split: ") and stderr.count("\n") == 1
 
 
 def test_module_error_exit_code_one(tmp_path, capsys):
@@ -415,6 +430,13 @@ def test_module_error_exit_code_one(tmp_path, capsys):
     (["--degree=1,-2"], "--degree"),
     (["--max-features", "-1"], "--max-features"),
     (["--plateau-window", "0"], "--plateau-window"),
+    # text that the file rule does not read as integers or numbers
+    (["--degree", "1,x"], "--degree"),
+    (["--degree", "1,,2"], "--degree"),
+    (["--degree", "\u0661,\u0662"], "--degree"),  # Arabic-Indic 1,2
+    (["--max-features", "2_0"], "--max-features"),
+    (["--tol", "1e-1_2"], "--tol"),
+    (["--plateau-window", "x"], "--plateau-window"),
 ])
 def test_ce_fit_bad_flags_exit_two_before_reading(ce_inputs, tmp_path, capsys,
                                                   flags, message):
@@ -514,7 +536,23 @@ def test_deeply_nested_json_exits_one_naming_file(ce_inputs, spectra_dir, tmp_pa
     (["--window", "nan,1"], "--window"),
     (["--grid", "0x4"], "--grid"),
     (["--grid", "8x0"], "--grid"),
+    (["--grid", "0X4"], "--grid: grid dimensions must be >= 1"),  # read as 0x4
     (["--h-max", "0"], "--h-max"),
+    # text that is not lo,hi or NExND of plain ASCII numbers
+    (["--window", "1"], "--window"),
+    (["--window", "1,2,3"], "--window"),
+    (["--window=-1,x"], "--window"),
+    (["--window=-1_0,1_0"], "--window"),
+    (["--grid", "256"], "--grid"),
+    (["--grid", "8x4x2"], "--grid"),
+    (["--grid", "8xy"], "--grid"),
+    (["--grid", "2_56x6_4", "--window=-1_0,1_0"], "--grid"),
+    (["--grid", "8x4.0"], "--grid"),
+    (["--h-max", "1_0"], "--h-max"),
+    # a grid too large: its bin edges over 2**31 bytes, or two rasters' bits over int64
+    (["--grid", "1000000000000x4"], "--grid"),
+    (["--grid", "4x1180591620717411303424"], "--grid"),
+    (["--grid", "2x2305843009213693952"], "--grid"),  # 2**62 bits
 ])
 def test_similarity_bad_flags_exit_two_before_reading(tmp_path, capsys, flags,
                                                       message):
@@ -525,6 +563,7 @@ def test_similarity_bad_flags_exit_two_before_reading(tmp_path, capsys, flags,
     )
     assert (code, stdout) == (2, "")
     assert message in stderr  # the flag, not the missing input, is reported
+    assert stderr.startswith("matscale: ") and stderr.count("\n") == 1
     assert not out.exists()
 
 
@@ -554,11 +593,39 @@ def test_similarity_bad_flags_exit_two_before_reading(tmp_path, capsys, flags,
     (["complexity", "--nn", "2"], "--nn"),
     (["complexity", "--rf", "0"], "--rf"),
     (["complexity", "--sisso", "rung=-1,dim=1"], "--sisso"),
+    # text that the file rule does not read: digit separators, non-ASCII digits
+    (["curate", "--input", "x", "--seed", "abc"], "--seed"),
+    (["curate", "--input", "x", "--seed", "0_7"], "--seed"),
+    (["curate", "--input", "x", "--seed", "\uff17"], "--seed"),  # fullwidth 7
+    (["estimate", "training", "--steps", "2_000_000", "--t-batch", "0.001",
+      "--t-grad", "0.002"], "--steps"),
+    (["estimate", "training", "--steps", "10", "--t-batch", "1_0",
+      "--t-grad", "0.002"], "--t-batch"),
+    (["estimate", "workflow", "--structures", "1.5", "--settings", "1",
+      "--files-per-run", "1", "--mb-per-run", "1"], "--structures"),
+    (["ce-fit", "--configs", "c", "--clusters", "k", "--group", "g",
+      "--max-features", "2_0"], "--max-features"),
+    (["ce-fit", "--configs", "c", "--clusters", "k", "--group", "g",
+      "--degree", "\u0661,\u0662"], "--degree"),
+    (["complexity", "--nn", "2,x"], "--nn"),
+    (["complexity", "--nn", "2,3_0"], "--nn"),
+    (["complexity", "--rf", "3,"], "--rf"),
+    (["complexity", "--sisso", "rung=1"], "--sisso"),
+    (["complexity", "--sisso", "rung=1,dim=2,cubic"], "--sisso"),
+    (["--threads", "two", "complexity", "--nn", "2,3"], "--threads"),
+    # errors that argparse finds itself
+    (["curate"], "--input"),
+    (["curate", "--input"], "--input"),
+    (["curate", "--input", "x", "--no-such-flag"], "--no-such-flag"),
+    (["complexity"], "--nn"),
+    (["complexity", "--nn", "2,3", "--rf", "3"], "--rf"),
+    (["similarity", "--spectra", "s", "--mode", "bitmap"], "--mode"),
 ])
 def test_non_finite_or_non_integer_flags_exit_two(capsys, argv, message):
     code, stdout, stderr = run_cli(capsys, *argv)
     assert (code, stdout) == (2, "")
     assert message in stderr
+    assert stderr.startswith("matscale: ") and stderr.count("\n") == 1
 
 
 def _fingerprint(**settings):
@@ -597,7 +664,10 @@ nan, inf = float("nan"), float("inf")
     *[(lambda h=h: _fingerprint(h_max=h), "h_max") for h in (nan, inf, -1.0, 0.0)],
     *[(lambda w=w: _fingerprint(window=w), "window")
       for w in ((-inf, inf), (5.0, 1.0), (nan, 1.0))],
-    *[(lambda g=g: _fingerprint(grid=g), "grid") for g in ((0, 4), (8, 0))],
+    *[(lambda g=g: _fingerprint(grid=g), "grid")
+      for g in ((0, 4), (8, 0), (10**12, 4), (4, 2**70), (2, 2**61))],
+    # test_curate_bad_hist_exits_two_before_reading
+    (lambda: histogram_edges(0.0, 1.0, 10**12), "nbins"),
     # test_ce_fit_bad_flags_exit_two_before_reading
     *[(lambda t=t: _ce_fit(tol=t), "tol") for t in (nan, -1e-9, inf)],
     *[(lambda e=e: _plateau(2, e), "eps") for e in (nan, -0.1)],

@@ -410,6 +410,12 @@ def test_histogram_rejects_unsorted_edges():
         property_histogram([], "fe", [0.0])
 
 
+def test_histogram_edges_refuses_edges_over_the_array_limit_before_making_them(monkeypatch):
+    monkeypatch.setattr(np, "linspace", None)  # a refused call never reaches it
+    with pytest.raises(ValueError, match="^nbins 268435456 needs 2147483656 bytes"):
+        curation.histogram_edges(0.0, 1.0, 2**28)  # 2**28 + 1 float64 edges
+
+
 @given(
     st.lists(st.floats(-5, 5, allow_nan=False), max_size=40),
     st.integers(2, 8),

@@ -10,6 +10,7 @@ from matscale.spectra import (
     Spectrum,
     bin_heights,
     block_stats,
+    check_grid,
     fingerprint_set,
     make_fingerprint,
     similarity_matrix,
@@ -244,6 +245,14 @@ def test_fingerprint_rejects_bad_window(window):
     s = Spectrum([0.0, 1.0, 2.0], [0.5, 1.5, 0.5], 1.0)
     with pytest.raises(ValueError, match="window"):
         make_fingerprint(s, window=window, grid=(4, 4), mode="vector")
+
+
+def test_check_grid_bounds_the_bin_edges_and_the_raster_bits():
+    check_grid((2**28 - 1, 1))  # 2**28 float64 edges: 2**31 bytes
+    check_grid((1, 2**62 - 1))  # two full rasters sum to 2**63 - 2, inside int64
+    for grid in ((2**28, 1), (2, 2**61), (0, 4)):
+        with pytest.raises(ValueError, match="^grid"):
+            check_grid(grid)
 
 
 def test_fingerprint_set_bins_each_spectrum_once(monkeypatch):
