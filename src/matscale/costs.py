@@ -23,8 +23,16 @@ _LEAST = {"n_structures": 1, "settings_per_structure": 1, "files_per_run": 1,
 
 def check_field(name: str, value) -> None:
     """Raise ValueError unless value is finite and at least the spec field
-    ``name``'s least value. An int is compared as it is, never as a float."""
+    ``name``'s least value, and an int converts to a float, as the estimates
+    that multiply a count by a time need. An int is compared as it is, never
+    as a float, and one too large for a float is not printed."""
     least = _LEAST[name]
+    if isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError(f"{name} must convert to a float, got an integer of "
+                             f"{value.bit_length()} bits") from None
     if not least <= value < math.inf:
         raise ValueError(f"{name} must be a finite number >= {least}, got {value}")
 

@@ -144,26 +144,33 @@ def write_histogram_csv(path, hist: Histogram) -> None:
 
 def read_spectra_dir(path) -> list[tuple[Spectrum, CalcMetadata]]:
     """Read NAME.csv (energy, dos) + NAME.json sidecar pairs, sorted by name."""
-    from .spectra import Spectrum
+    return [_read_spectrum(csv_path) for csv_path in _spectrum_files(Path(path))]
 
-    path = Path(path)
+
+def _spectrum_files(path: Path) -> list[Path]:
+    """The spectrum CSV files of a directory, sorted by name; there must be one."""
     csv_files = sorted(path.glob("*.csv"))
     if not csv_files:
         raise ValueError(f"{path}: no spectrum CSV files found")
-    out = []
-    for csv_path in csv_files:
-        sidecar = csv_path.with_suffix(".json")
-        try:
-            fermi_energy, metadata = _read_sidecar(sidecar)
-        except FileNotFoundError:
-            raise ValueError(f"{csv_path}: missing metadata sidecar {sidecar.name}") from None
-        energies, dos = _read_two_column_csv(csv_path)
-        try:
-            spectrum = Spectrum(energies, dos, fermi_energy, source=str(csv_path))
-        except ValueError as exc:
-            raise ValueError(f"{csv_path}: {exc}") from None
-        out.append((spectrum, metadata))
-    return out
+    return csv_files
+
+
+def _read_spectrum(csv_path: Path) -> tuple[Spectrum, CalcMetadata]:
+    """One spectrum CSV and its JSON sidecar: the sidecar is read first, and
+    every error names the file."""
+    from .spectra import Spectrum
+
+    sidecar = csv_path.with_suffix(".json")
+    try:
+        fermi_energy, metadata = _read_sidecar(sidecar)
+    except FileNotFoundError:
+        raise ValueError(f"{csv_path}: missing metadata sidecar {sidecar.name}") from None
+    energies, dos = _read_two_column_csv(csv_path)
+    try:
+        spectrum = Spectrum(energies, dos, fermi_energy, source=str(csv_path))
+    except ValueError as exc:
+        raise ValueError(f"{csv_path}: {exc}") from None
+    return spectrum, metadata
 
 
 def _read_sidecar(path: Path) -> tuple[float, CalcMetadata]:

@@ -9,14 +9,13 @@ column units.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import BLAS_THREAD_ENV
+from ._workers import cpu_workers
 from .lattice import Cluster, SymmetryGroup, correlation_matrix
 from .polyfeatures import (check_degree, check_expansion_size, enumerate_monomials,
                            feature_count, feature_matrix)
@@ -171,16 +170,6 @@ def plateau_detect(trace: FitTrace, window: int, eps: float) -> Optional[int]:
     return None
 
 
-def _fit_workers(n_fits: int) -> int:
-    """1, unless the BLAS runs on one thread (at least one of BLAS_THREAD_ENV is
-    set and every one set is "1"): then n_fits, up to the CPUs the process may use."""
-    if {os.environ[name] for name in BLAS_THREAD_ENV if name in os.environ} != {"1"}:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return min(n_fits, len(os.sched_getaffinity(0)))
-    return min(n_fits, os.cpu_count() or 1)
-
-
 def compare_feature_spaces(
     configs: Sequence,
     targets,
@@ -195,9 +184,9 @@ def compare_feature_spaces(
     The (n, p) correlations are expanded once, to the highest degree. The expansion
     is degree-major, so its leading feature_count(p, d) columns are the
     degree-d expansion. Each trace carries its final predictions as ``fitted``.
-    The fits share no state, so with a one-thread BLAS they run on
-    _fit_workers threads; the traces, and the first failing degree's error in
-    degree order, are the serial loop's.
+    The fits share no state, so they run on _workers.cpu_workers threads; the
+    traces, and the first failing degree's error in degree order, are the
+    serial loop's.
     """
     for d in degrees:
         check_degree(d)
@@ -224,7 +213,7 @@ def compare_feature_spaces(
                 results[d] = exc
 
     workers = [threading.Thread(target=fit_pending, daemon=True)
-               for _ in range(_fit_workers(len(order)) - 1)]
+               for _ in range(cpu_workers(len(order)) - 1)]
     for worker in workers:
         worker.start()
     fit_pending()

@@ -264,7 +264,13 @@ def fingerprint_set(
         raise ValueError(f"mode must be 'raster' or 'vector', got {mode!r}")
     if h_max is not None:
         check_h_max(h_max)
-    all_heights = [bin_heights(s, window, grid[0]) for s in spectra]
+    return _fingerprints([bin_heights(s, window, grid[0]) for s in spectra],
+                         window, grid, mode, h_max)
+
+
+def _fingerprints(all_heights, window, grid, mode, h_max) -> list[Fingerprint]:
+    """The fingerprints of a set's bin heights; an h_max of None is the largest
+    height in the set."""
     if h_max is None:
         h_max = float(max(h.max() for h in all_heights))
     return [_from_heights(h, window, grid, mode, h_max) for h in all_heights]

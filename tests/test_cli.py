@@ -590,6 +590,13 @@ def test_similarity_bad_flags_exit_two_before_reading(tmp_path, capsys, flags,
     (["estimate", "training", "--steps", "0", "--t-batch", "0.1",
       "--t-grad", "0.1"], "--steps"),
     (["estimate", "nas", "--archs", "-1", "--hours", "2", "--price", "3"], "--archs"),
+    # a count too large for a float: named by its flag, not printed
+    (["estimate", "training", "--steps", "1" + "0" * 400, "--t-batch", "0.1",
+      "--t-grad", "0.1"], "--steps"),
+    (["estimate", "nas", "--archs", "1" + "0" * 400, "--hours", "2", "--price", "3"],
+     "--archs"),
+    (["estimate", "workflow", "--structures", "1" + "0" * 400, "--settings", "1",
+      "--files-per-run", "1", "--mb-per-run", "1"], "--structures"),
     (["complexity", "--nn", "2"], "--nn"),
     (["complexity", "--rf", "0"], "--rf"),
     (["complexity", "--sisso", "rung=-1,dim=1"], "--sisso"),
@@ -626,6 +633,7 @@ def test_non_finite_or_non_integer_flags_exit_two(capsys, argv, message):
     assert (code, stdout) == (2, "")
     assert message in stderr
     assert stderr.startswith("matscale: ") and stderr.count("\n") == 1
+    assert len(stderr) < 200
 
 
 def _fingerprint(**settings):
@@ -685,6 +693,10 @@ nan, inf = float("nan"), float("inf")
     (lambda: WorkflowSpec(1, 1, 1, 0), "bytes_per_run"),  # --mb-per-run 1e-7
     (lambda: TrainingSpec(0, 0.1, 0.1), "n_steps"),
     (lambda: NasSpec(-1, 2.0, 3.0), "n_architectures"),
+    (lambda: TrainingSpec(10**400, 0.1, 0.1), "n_steps"),
+    (lambda: NasSpec(10**400, 2.0, 3.0), "n_architectures"),
+    (lambda: WorkflowSpec(10**400, 1, 1, 1), "n_structures"),
+    (lambda: WorkflowSpec(-10**400, 1, 1, 1), "n_structures"),
 ])
 def test_the_library_rejects_each_bad_flag_value_by_name(call, quantity):
     with pytest.raises(ValueError, match=f"^{quantity} "):

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -48,6 +50,15 @@ def test_workflow_overflow_is_explicit():
 def test_float_overflow_is_explicit(estimate, message):
     with pytest.raises(OverflowError, match=message):
         estimate()
+
+
+def test_an_int_count_must_convert_to_a_float():
+    # the largest int that float() takes, and the least that rounds past the float range
+    largest = int(sys.float_info.max)
+    assert training_time(TrainingSpec(largest, 0.0, 0.0)) == 0.0
+    with pytest.raises(ValueError, match="^n_steps must convert to a float, got an integer "
+                                         "of 1024 bits$"):
+        TrainingSpec(largest + 2**970, 0.0, 0.0)
 
 
 def test_workflow_rejects_non_positive():

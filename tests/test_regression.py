@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matscale import BLAS_THREAD_ENV, regression
+from matscale import BLAS_THREAD_ENV, _workers, regression
 from matscale.lattice import Cluster, SymmetryGroup
 from matscale.polyfeatures import MAX_EXPANSION_BYTES, check_expansion_size, feature_count
 from matscale.regression import (
@@ -371,7 +371,7 @@ def cpus(monkeypatch):
     def set_cpus(k):
         for name in BLAS_THREAD_ENV:
             monkeypatch.setenv(name, "1")
-        monkeypatch.setattr(regression.os, "sched_getaffinity", lambda pid: set(range(k)),
+        monkeypatch.setattr(_workers.os, "sched_getaffinity", lambda pid: set(range(k)),
                             raising=False)
     return set_cpus
 
@@ -444,7 +444,7 @@ def test_no_thread_starts_unless_the_blas_runs_on_one_thread(monkeypatch, preset
         monkeypatch.delenv(name, raising=False)
     for name, value in preset.items():
         monkeypatch.setenv(name, value)
-    monkeypatch.setattr(regression.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+    monkeypatch.setattr(_workers.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
                         raising=False)
     monkeypatch.setattr(regression.threading, "Thread", no_thread)
     traces = compare_feature_spaces(*_ce_problem(), [1, 2, 3])

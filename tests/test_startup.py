@@ -101,9 +101,9 @@ def numpy_loads(tmp_path_factory):
     ("curate", NOT_CURATE | {"matscale.spectra"} | NUMPY_MA,
      {"numpy", "matscale.structure_io"}),
     ("similarity", NOT_CURATE | {"matscale.structure_io", "matscale.curation"} | NUMPY_MA,
-     {"numpy", "matscale.spectra"}),
+     {"numpy", "matscale.spectra", "matscale._workers"}),
     ("ce-fit", {"matscale.structure_io", "matscale.curation", "matscale.spectra"} | NUMPY_MA,
-     {"numpy", "matscale.regression"}),
+     {"numpy", "matscale.regression", "matscale._workers"}),
     ("complexity", {"numpy"}, {"matscale.complexity"}),
     ("estimate workflow", {"numpy"}, {"matscale.costs"}),
     ("estimate training", {"numpy"}, {"matscale.costs"}),
