@@ -1,12 +1,8 @@
-"""How many CPUs a command may use, and a map over chunks of work in forked
-processes. Standard library only; the commands that use it import it when they
-run, so ``import matscale.cli`` loads no more than before.
-
-One rule sets every worker count: work goes to more than one worker only
-when the BLAS runs on one thread, so that workers do not contend with BLAS
-threads, and then to at most one worker per CPU in the process's affinity
-mask. ``ce-fit`` fits its degrees on that many threads; ``similarity``
-reads and bins its spectra in that many processes.
+"""The one way a command uses more than one CPU: split_map, a map over strided
+chunks of a list in forked processes, each pinned to its own CPU. ``ce-fit``
+fits its degrees, and ``similarity`` reads and bins its spectra, with it.
+Standard library only; the commands import it when they run, so
+``import matscale.cli`` loads no more than before.
 """
 
 from __future__ import annotations
@@ -21,26 +17,39 @@ from typing import Callable, Optional, Sequence
 from . import BLAS_THREAD_ENV
 
 
-def cpu_workers(n_tasks: int) -> int:
-    """1, unless the BLAS runs on one thread (at least one of BLAS_THREAD_ENV is
-    set and every one set is "1") and the platform reports the process's
-    affinity mask: then n_tasks, up to the CPUs in that mask, and at least 1."""
-    if {os.environ[name] for name in BLAS_THREAD_ENV if name in os.environ} != {"1"}:
-        return 1
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return max(1, min(n_tasks, len(os.sched_getaffinity(0))))
-
-
 def process_workers(n_items: int, min_per_process: int) -> int:
-    """The processes that n_items may be split over, with at least
-    min_per_process items each: cpu_workers(n_items // min_per_process), or 1
-    where os.fork is missing or another Python thread is running. A forked
-    child holds only the thread that forked, so a lock that another thread
-    held at the fork would never be released in it."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
+    """The processes that n_items may be split over: 1, unless the BLAS runs on
+    one thread (at least one of BLAS_THREAD_ENV is set and every one set is
+    "1"), so that processes do not contend with BLAS threads, os.fork and
+    os.sched_getaffinity exist, and no other Python thread is running (a forked
+    child holds only the thread that forked, so a lock another thread held
+    would never be released in it). Then n_items // min_per_process, up to the
+    CPUs in the affinity mask, and at least 1."""
+    if ({os.environ[name] for name in BLAS_THREAD_ENV if name in os.environ} != {"1"}
+            or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
         return 1
-    return cpu_workers(n_items // min_per_process)
+    return max(1, min(n_items // min_per_process, len(os.sched_getaffinity(0))))
+
+
+def split_map(func: Callable[[list], list], items: list, min_per_process: int = 1) -> list:
+    """func(items), for a func that maps a list to one result per item.
+
+    With n = process_workers(len(items), min_per_process) > 1, fork_map runs
+    func on the chunks items[k::n], and their results go back in item order.
+    When n is 1, any chunk fails or a chunk returns the wrong number of
+    results, func(items) runs in this process, which raises its error.
+    """
+    n = process_workers(len(items), min_per_process)
+    if n > 1:
+        chunks = [items[k::n] for k in range(n)]
+        results = fork_map(func, chunks)
+        if results is not None and list(map(len, results)) == list(map(len, chunks)):
+            merged = [None] * len(items)
+            for k, result in enumerate(results):
+                merged[k::n] = result
+            return merged
+    return func(items)
 
 
 def fork_map(func: Callable, chunks: Sequence) -> Optional[list]:

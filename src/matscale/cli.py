@@ -23,7 +23,7 @@ import os
 import re
 import sys
 from collections import Counter
-from itertools import chain, cycle
+from itertools import cycle
 from pathlib import Path
 
 from . import BLAS_THREAD_ENV
@@ -150,35 +150,32 @@ MIN_SPECTRA_PER_PROCESS = 64
 def _fingerprint_dir(spectra_dir: Path, args) -> tuple[list[Fingerprint], list[CalcMetadata]]:
     """The fingerprints and labels of the spectra in spectra_dir, in file order.
 
-    When _workers allows more than one process, contiguous chunks of the
-    sorted files are read and binned in forked processes, and this process
-    applies fingerprint_set's shared h_max to the heights they send back.
-    Otherwise, and whenever the forked pass fails, read_spectra_dir and
-    fingerprint_set do the work here and raise its error: the first bad file,
-    before any binning error. Both ways give the same fingerprints.
+    The sorted files are read and binned by _workers.split_map, one Spectrum at
+    a time, and this process applies fingerprint_set's shared h_max to the
+    heights. The errors are those of read_spectra_dir then fingerprint_set: the
+    first bad file, else the first binning error.
     """
     from . import _workers, io, spectra
 
-    files = io._spectrum_files(spectra_dir)
-    n = _workers.process_workers(len(files), MIN_SPECTRA_PER_PROCESS)
-    if n > 1:
-        def read_and_bin(paths):
-            pairs = []
-            for path in paths:
-                spectrum, metadata = io._read_spectrum(path)
-                pairs.append((spectra.bin_heights(spectrum, args.window, args.grid[0]), metadata))
-            return pairs
+    def read_and_bin(paths):
+        pairs, bin_error = [], None
+        for path in paths:
+            spectrum, metadata = io._read_spectrum(path)
+            if bin_error is None:  # read on after it: a later read error wins
+                try:
+                    pairs.append((spectra.bin_heights(spectrum, args.window, args.grid[0]),
+                                  metadata))
+                except ValueError as exc:
+                    bin_error = exc
+        if bin_error is not None:
+            raise bin_error
+        return pairs
 
-        bounds = [len(files) * k // n for k in range(n + 1)]
-        chunks = _workers.fork_map(read_and_bin, [files[a:b] for a, b in zip(bounds, bounds[1:])])
-        if chunks is not None:
-            heights, labels = zip(*chain.from_iterable(chunks))
-            return (spectra._fingerprints(heights, args.window, args.grid, args.mode, args.h_max),
-                    list(labels))
-    items = io.read_spectra_dir(spectra_dir)
-    fps = spectra.fingerprint_set([s for s, _ in items], args.window, args.grid, args.mode,
-                                  args.h_max)
-    return fps, [m for _, m in items]
+    pairs = _workers.split_map(read_and_bin, io._spectrum_files(spectra_dir),
+                               MIN_SPECTRA_PER_PROCESS)
+    heights, labels = zip(*pairs)
+    return (spectra._fingerprints(heights, args.window, args.grid, args.mode, args.h_max),
+            list(labels))
 
 
 def cmd_similarity(args):
@@ -254,6 +251,13 @@ def cmd_ce_fit(args):
     _flag_spec("--degree", polyfeatures.check_expansion_size,
                len(occupations), len(clusters), max(args.degree))
     group = _read_group(group_path)
+    if occupations.shape[1] != group.n_sites:
+        raise ValueError(f"{configs_path}: configurations have {occupations.shape[1]} sites "
+                         f"but the group in {group_path} acts on {group.n_sites}")
+    for k, cluster in enumerate(clusters):
+        if cluster.sites and cluster.sites[-1] >= group.n_sites:
+            raise ValueError(f"{clusters_path}: entry {k}: cluster touches site "
+                             f"{cluster.sites[-1]} but the group acts on {group.n_sites} sites")
 
     traces = regression.compare_feature_spaces(
         occupations, targets, clusters, group, args.degree,
@@ -388,10 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "similarity fill is serial, and the BLAS runs on one thread "
                         "unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or "
                         "MKL_NUM_THREADS is set; only while it does, ce-fit fits its "
-                        "degrees concurrently, and similarity reads and bins its "
-                        "spectra in parallel processes (64 or more spectra each), on "
-                        "the CPUs in the process's affinity mask; outputs do not "
-                        "depend on the thread or process count")
+                        "degrees, and similarity reads and bins its spectra (64 or "
+                        "more each), in forked processes, one pinned to each CPU in "
+                        "the process's affinity mask; outputs do not depend on the "
+                        "thread or process count")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("curate", help="dedup identities, splits, histograms")

@@ -97,6 +97,9 @@ def _as_permutation_rows(permutations) -> np.ndarray:
             f"permutation {k} has {sizes[k]} entries "
             f"but permutation 0 has {sizes[0]}"
         ) from None
+    except OverflowError:  # name the first row holding an index past int64
+        k = next(k for k, p in enumerate(permutations) if not all(-2**63 <= i < 2**63 for i in p))
+        raise ValueError(f"permutation {k} holds an index outside the int64 range") from None
     if perms.ndim != 2 or perms.shape[0] < 1:
         raise ValueError("permutations must be a non-empty list of index lists")
     return perms

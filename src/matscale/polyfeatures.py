@@ -18,8 +18,8 @@ import numpy as np
 from . import MAX_ARRAY_BYTES
 
 _MAX_COUNT = 2**63 - 1  # counts past a signed 64-bit integer are refused
-# The largest float64 expansion check_expansion_size allows. A fit holds at
-# most three arrays that size: F and the two largest degrees' standardized copies.
+# The largest float64 expansion check_expansion_size allows. On c CPUs ce-fit holds at
+# most c + 1 arrays that size: F, which its processes share, and one standardized copy each.
 MAX_EXPANSION_BYTES = MAX_ARRAY_BYTES
 
 

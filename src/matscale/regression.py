@@ -9,13 +9,12 @@ column units.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ._workers import cpu_workers
+from ._workers import split_map
 from .lattice import Cluster, SymmetryGroup, correlation_matrix
 from .polyfeatures import (check_degree, check_expansion_size, enumerate_monomials,
                            feature_count, feature_matrix)
@@ -184,9 +183,9 @@ def compare_feature_spaces(
     The (n, p) correlations are expanded once, to the highest degree. The expansion
     is degree-major, so its leading feature_count(p, d) columns are the
     degree-d expansion. Each trace carries its final predictions as ``fitted``.
-    The fits share no state, so they run on _workers.cpu_workers threads; the
-    traces, and the first failing degree's error in degree order, are the
-    serial loop's.
+    The fits share no state, so the distinct degrees are split over processes by
+    _workers.split_map; the traces, and the error of the first failing degree in
+    the given order, are the serial loop's.
     """
     for d in degrees:
         check_degree(d)
@@ -196,30 +195,13 @@ def compare_feature_spaces(
     n, p = base.shape
     features = feature_matrix(base, enumerate_monomials(p, max(degrees)))
     order = list(dict.fromkeys(degrees))
-    pending = sorted(order)  # pop() takes the largest, slowest fit first
-    results = {}
 
-    def fit_pending():
-        while True:
-            try:
-                d = pending.pop()
-            except IndexError:
-                return
+    def fit(fit_degrees):
+        traces = []
+        for d in fit_degrees:
             q = feature_count(p, d)
             cap = min(n - 1, q) if max_features is None else min(n - 1, q, max_features)
-            try:
-                results[d] = omp_fit(features[:, :q], targets, cap, tol)
-            except Exception as exc:  # raised below, in degree order
-                results[d] = exc
+            traces.append(omp_fit(features[:, :q], targets, cap, tol))
+        return traces
 
-    workers = [threading.Thread(target=fit_pending, daemon=True)
-               for _ in range(cpu_workers(len(order)) - 1)]
-    for worker in workers:
-        worker.start()
-    fit_pending()
-    for worker in workers:
-        worker.join()
-    for d in order:
-        if isinstance(results[d], Exception):
-            raise results[d]
-    return {d: results[d] for d in order}
+    return dict(zip(order, split_map(fit, order)))

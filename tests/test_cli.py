@@ -466,6 +466,11 @@ def test_ce_fit_bad_flags_exit_two_before_reading(ce_inputs, tmp_path, capsys,
     ("configs", "entry_id,occupations,target\nc0,1 1 1 1 1 1,0\udcff\n",
      "can't decode byte 0xff"),
     ("clusters", "[]", "no clusters"),
+    ("group", f"[[0, 1, 2, 3, 4, 5], [1, 0, 2, 3, 4, {2**63}]]",
+     "permutation 1 holds an index outside the int64 range"),
+    ("configs", "entry_id,occupations,target\nc0,1 1 1 1,0\n",
+     "configurations have 4 sites but the group in"),
+    ("clusters", "[[0], [0, 6]]", "entry 1: cluster touches site 6 but the group acts on 6 sites"),
 ])
 def test_ce_fit_bad_input_names_file(ce_inputs, tmp_path, capsys,
                                      target, text, message):

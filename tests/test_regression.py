@@ -1,5 +1,4 @@
-import sys
-import threading
+import os
 
 import numpy as np
 import pytest
@@ -354,7 +353,7 @@ def test_each_degree_fits_as_its_own_expansion(seed, p, degrees, max_features, e
         assert trace.fitted.tobytes() == trace.final.model.predict(F).tobytes()
 
 
-# --- concurrent degree fits ----------------------------------------------------
+# --- degree fits split over forked processes --------------------------------------
 
 
 def _ce_problem(seed=3, n=14):
@@ -367,27 +366,39 @@ def _ce_problem(seed=3, n=14):
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """cpus(k): the process may use k CPUs, and the BLAS runs on one thread."""
+    """cpus(k): the process may use k CPUs, and the BLAS runs on one thread. No
+    pin takes effect, so k may exceed the machine's CPUs."""
     def set_cpus(k):
         for name in BLAS_THREAD_ENV:
             monkeypatch.setenv(name, "1")
         monkeypatch.setattr(_workers.os, "sched_getaffinity", lambda pid: set(range(k)),
                             raising=False)
+    monkeypatch.setattr(_workers.os, "sched_setaffinity", lambda pid, cpus: None,
+                        raising=False)
     return set_cpus
 
 
 @pytest.fixture
-def thread_starts(monkeypatch):
-    """The number of threads compare_feature_spaces starts."""
-    started = []
+def forks(monkeypatch):
+    """The os.fork calls that compare_feature_spaces makes; each still forks."""
+    calls = []
+    real_fork = os.fork
 
-    class CountingThread(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
+    def counting_fork():
+        calls.append(os.getpid())
+        return real_fork()
 
-    monkeypatch.setattr(regression.threading, "Thread", CountingThread)
-    return started
+    monkeypatch.setattr(_workers.os, "fork", counting_fork)
+    return calls
+
+
+def _fits(*args, **kwargs):
+    """compare_feature_spaces(*args, **kwargs), after which no child is left."""
+    try:
+        return compare_feature_spaces(*args, **kwargs)
+    finally:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def _assert_fits_equal(got, want):
@@ -397,37 +408,19 @@ def _assert_fits_equal(got, want):
         assert got[d].fitted.tobytes() == want[d].fitted.tobytes()
 
 
-@pytest.mark.parametrize("degrees", [[1, 2, 3], [3, 1, 2], [2, 3, 1, 3]])
-def test_concurrent_fits_equal_the_serial_loop(cpus, thread_starts, degrees):
-    problem = _ce_problem()
+@pytest.mark.parametrize("degrees", [[1, 2, 3], [3, 1, 2], [2, 3, 1, 3],
+                                     [5, 1, 8, 3, 2, 7, 4, 6]])
+def test_forked_fits_equal_the_serial_loop(cpus, forks, degrees):
+    problem = _ce_problem(seed=5, n=20)
     cpus(1)
-    serial = compare_feature_spaces(*problem, degrees, max_features=8)
-    assert thread_starts == []
+    serial = _fits(*problem, degrees, max_features=8)
+    assert forks == []
+    distinct = len(set(degrees))
     for k in (2, 3, 8):
         cpus(k)
-        _assert_fits_equal(compare_feature_spaces(*problem, degrees, max_features=8), serial)
-    # min(distinct degrees, CPUs) workers, the calling thread one of them
-    assert len(thread_starts) == 1 + 2 + 2
-
-
-def test_more_workers_than_cores_lose_no_degree(cpus, thread_starts):
-    # eight workers on a short switch interval: a degree popped twice or a
-    # result lost would change the traces or drop a key
-    configs, y, clusters, g = _ce_problem(seed=5, n=20)
-    clusters = clusters[:2]
-    degrees = [5, 1, 8, 3, 2, 7, 4, 6]
-    cpus(1)
-    serial = compare_feature_spaces(configs, y, clusters, g, degrees)
-    cpus(8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            _assert_fits_equal(compare_feature_spaces(configs, y, clusters, g, degrees), serial)
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(thread_starts) == 5 * 7
-    assert not any(t.is_alive() for t in thread_starts)
+        _assert_fits_equal(_fits(*problem, degrees, max_features=8), serial)
+    # min(distinct degrees, CPUs) processes, this one among them
+    assert len(forks) == sum(min(distinct, k) - 1 for k in (2, 3, 8))
 
 
 @pytest.mark.parametrize("preset", [
@@ -436,70 +429,75 @@ def test_more_workers_than_cores_lose_no_degree(cpus, thread_starts):
     {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"},
     {"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": ""},
 ])
-def test_no_thread_starts_unless_the_blas_runs_on_one_thread(monkeypatch, preset):
-    def no_thread(*args, **kwargs):
-        raise AssertionError("a fit thread was started")
-
+def test_no_fork_unless_the_blas_runs_on_one_thread(monkeypatch, forks, preset):
     for name in BLAS_THREAD_ENV:
         monkeypatch.delenv(name, raising=False)
     for name, value in preset.items():
         monkeypatch.setenv(name, value)
     monkeypatch.setattr(_workers.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
                         raising=False)
-    monkeypatch.setattr(regression.threading, "Thread", no_thread)
-    traces = compare_feature_spaces(*_ce_problem(), [1, 2, 3])
+    traces = _fits(*_ce_problem(), [1, 2, 3])
     assert list(traces) == [1, 2, 3]
+    assert forks == []
 
 
-def test_nan_target_raises_the_serial_error(cpus, thread_starts):
+def test_nan_target_raises_the_serial_error(cpus, forks):
     configs, y, clusters, g = _ce_problem()
     y[4] = np.nan
     cpus(1)
     with pytest.raises(ValueError) as serial:
-        compare_feature_spaces(configs, y, clusters, g, [1, 2, 3])
+        _fits(configs, y, clusters, g, [1, 2, 3])
     cpus(3)
-    with pytest.raises(ValueError) as concurrent:
-        compare_feature_spaces(configs, y, clusters, g, [1, 2, 3])
-    assert len(thread_starts) == 2
-    assert str(concurrent.value) == str(serial.value) == "design matrix contains non-finite entries"
+    with pytest.raises(ValueError) as forked:
+        _fits(configs, y, clusters, g, [1, 2, 3])
+    assert len(forks) == 2
+    assert str(forked.value) == str(serial.value) == "design matrix contains non-finite entries"
 
 
-def test_a_worker_failure_is_raised_in_degree_order(cpus, monkeypatch):
-    # four workers for four degrees; the barrier holds each fit until all four
-    # are running, so the calling thread fits one degree and three threads the
-    # others. The degree order is neither ascending nor descending, so raising
-    # in sorted or pop order would pick another failure.
-    problem = _ce_problem()
-    degree_of = {feature_count(3, d): d for d in (1, 2, 3, 4)}
-    barrier = threading.Barrier(4, timeout=30)
-    caller, on_caller = threading.current_thread(), []
-    real_omp_fit = regression.omp_fit
-
-    def omp_fit_failing_off_the_calling_thread(X, *args):
-        barrier.wait()
-        d = degree_of[X.shape[1]]
-        if threading.current_thread() is not caller:
-            raise ValueError(f"degree {d} failed")
-        on_caller.append(d)
-        return real_omp_fit(X, *args)
-
-    monkeypatch.setattr(regression, "omp_fit", omp_fit_failing_off_the_calling_thread)
-    cpus(4)
-    degrees = [3, 1, 4, 2]
-    with pytest.raises(ValueError) as info:
-        compare_feature_spaces(*problem, degrees)
-    assert len(on_caller) == 1
-    first_failure = next(d for d in degrees if d not in on_caller)
-    assert str(info.value) == f"degree {first_failure} failed"
-
-
-def test_repeated_degree_gives_one_trace(cpus, thread_starts):
+def test_a_failing_child_falls_back_to_the_serial_loop(cpus, forks, monkeypatch):
     problem = _ce_problem()
     cpus(1)
-    serial = compare_feature_spaces(*problem, [2])
+    serial = _fits(*problem, [3, 1, 4, 2])
+    parent, real_omp_fit = os.getpid(), regression.omp_fit
+
+    def omp_fit_failing_in_a_child(*args):
+        if os.getpid() != parent:
+            raise ValueError("a child failed")
+        return real_omp_fit(*args)
+
+    monkeypatch.setattr(regression, "omp_fit", omp_fit_failing_in_a_child)
     cpus(4)
-    _assert_fits_equal(compare_feature_spaces(*problem, [2, 2]), serial)
-    assert thread_starts == []  # one distinct degree needs one worker
+    _assert_fits_equal(_fits(*problem, [3, 1, 4, 2]), serial)
+    assert len(forks) == 3
+
+
+def test_the_first_failing_degree_in_the_given_order_is_raised(cpus, forks, monkeypatch):
+    # one process per degree: this one fits 3, children fit 1, 4 and 2. Degrees 4
+    # and 2 fail in every process; raising in sorted order would name 2
+    problem = _ce_problem()
+    degree_of = {feature_count(3, d): d for d in (1, 2, 3, 4)}
+    real_omp_fit = regression.omp_fit
+
+    def omp_fit_failing_on_even_degrees(X, *args):
+        d = degree_of[X.shape[1]]
+        if d % 2 == 0:
+            raise ValueError(f"degree {d} failed")
+        return real_omp_fit(X, *args)
+
+    monkeypatch.setattr(regression, "omp_fit", omp_fit_failing_on_even_degrees)
+    cpus(4)
+    with pytest.raises(ValueError, match="^degree 4 failed$"):
+        _fits(*problem, [3, 1, 4, 2])
+    assert len(forks) == 3
+
+
+def test_repeated_degree_gives_one_trace(cpus, forks):
+    problem = _ce_problem()
+    cpus(1)
+    serial = _fits(*problem, [2])
+    cpus(4)
+    _assert_fits_equal(_fits(*problem, [2, 2]), serial)
+    assert forks == []  # one distinct degree needs one process
 
 
 # --- the expansion-size bound ----------------------------------------------------

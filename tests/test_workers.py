@@ -1,6 +1,7 @@
-"""The worker rule, and similarity's forked ingest: the same bytes and the same
-errors as one process, and no child process left behind."""
+"""The worker rule, split_map, and similarity's forked ingest: the same bytes and
+the same errors as one process, and no child process left behind."""
 
+import argparse
 import json
 import os
 import signal
@@ -9,6 +10,7 @@ import threading
 import pytest
 
 from matscale import BLAS_THREAD_ENV, _workers, cli, io
+from matscale.spectra import fingerprint_set
 
 MIN = cli.MIN_SPECTRA_PER_PROCESS
 N = 3 * MIN  # enough spectra for three processes
@@ -55,16 +57,16 @@ def cpus(monkeypatch, pins):
 
 
 @pytest.fixture
-def serial_reads(monkeypatch):
-    """The calls of the one-process path, read_spectra_dir."""
+def reads(monkeypatch):
+    """The spectrum files that this process reads; a child's reads are not seen."""
     calls = []
-    read_spectra_dir = io.read_spectra_dir
+    read_spectrum = io._read_spectrum
 
     def counting_read(path):
         calls.append(path)
-        return read_spectra_dir(path)
+        return read_spectrum(path)
 
-    monkeypatch.setattr(io, "read_spectra_dir", counting_read)
+    monkeypatch.setattr(io, "_read_spectrum", counting_read)
     return calls
 
 
@@ -99,7 +101,7 @@ def similarity(capsys, spectra, out, *flags):
 @pytest.mark.parametrize("flags", [[], ["--sort"], ["--mode", "vector", "--sort"],
                                    ["--h-max", "0.5"]])
 def test_outputs_do_not_depend_on_the_process_count(capsys, tmp_path, spectra_dir, cpus,
-                                                    forks, serial_reads, pins, flags):
+                                                    forks, reads, pins, flags):
     runs = []
     for k in (1, 2, 3):
         cpus(k)
@@ -107,16 +109,33 @@ def test_outputs_do_not_depend_on_the_process_count(capsys, tmp_path, spectra_di
     assert runs[0][0] == 0 and runs[0][2] == ""
     assert runs[1] == runs[0] and runs[2] == runs[0]
     assert len(forks) == 0 + 1 + 2
-    assert len(serial_reads) == 1  # the forked passes did not fall back
+    # this process read only its own chunk of each forked pass: none fell back
+    assert len(reads) == N + N // 2 + N // 3
     # pinned to the first CPU for each forked pass, then given its mask back
     assert pins == [{0}, {0, 1}, {0}, {0, 1, 2}]
 
 
-def test_contiguous_chunks_keep_the_file_order(capsys, tmp_path, spectra_dir, cpus, forks):
+@pytest.mark.parametrize("mode, h_max", [("raster", None), ("vector", None), ("raster", 0.5)])
+def test_fingerprints_are_the_library_fingerprints(spectra_dir, cpus, mode, h_max):
+    items = io.read_spectra_dir(spectra_dir)
+    window, grid = (-3.0, 3.0), (32, 16)
+    want = fingerprint_set([s for s, _ in items], window, grid, mode, h_max)
+    args = argparse.Namespace(window=window, grid=grid, mode=mode, h_max=h_max)
+    for k in (1, 3):
+        cpus(k)
+        fps, labels = cli._fingerprint_dir(spectra_dir, args)
+        assert_no_child_left()
+        assert labels == [m for _, m in items]
+        assert [(fp.window, fp.grid, fp.mode, fp.data.dtype, fp.data.tobytes()) for fp in fps] \
+            == [(fp.window, fp.grid, fp.mode, fp.data.dtype, fp.data.tobytes()) for fp in want]
+
+
+def test_strided_chunks_keep_the_file_order(capsys, tmp_path, spectra_dir, cpus, forks):
     cpus(3)
     code, _, _, files = similarity(capsys, spectra_dir, tmp_path / "out")
     manifest = json.loads(files["similarity_manifest.json"])
     assert (code, len(forks)) == (0, 2)
+    # process k holds files k, k + 3, ...: labels merged chunk by chunk would read 4..4, 5..5
     assert [label["n_kpt"] for label in manifest["labels"]] == [4 + i % 3 for i in range(N)]
 
 
@@ -133,13 +152,16 @@ def _outside_the_window(directory, i):
 
 
 @pytest.mark.parametrize("damage, named", [
-    # a bad CSV in the last child's chunk
+    # a bad CSV in the last child's chunk (file k goes to process k % 3)
     ([(_bad_csv, N - 1)], f"s{N - 1:03d}.csv: bad data row 3"),
     # a bad sidecar in this process's chunk
     ([(_bad_sidecar, 0)], "s000.json: invalid JSON"),
     # a spectrum outside the window in this process's chunk, a bad CSV in a child's:
-    # the spectra are all read before any is binned, so the read error wins
-    ([(_outside_the_window, 1), (_bad_csv, N - 2)], f"s{N - 2:03d}.csv: bad data row 3"),
+    # the read error wins over the binning error
+    ([(_outside_the_window, 0), (_bad_csv, N - 1)], f"s{N - 1:03d}.csv: bad data row 3"),
+    # both in one chunk, whatever the process count: the chunk reads on after the
+    # binning error, and the later read error wins
+    ([(_outside_the_window, 6), (_bad_csv, N - 6)], f"s{N - 6:03d}.csv: bad data row 3"),
     ([(_outside_the_window, N - 1)], "does not overlap"),
 ])
 def test_errors_are_the_serial_errors(capsys, tmp_path, spectra_dir, cpus, forks, damage,
@@ -182,13 +204,14 @@ def _results_cut_short(monkeypatch, parent):
     _results_cut_short,
 ], ids=["killed", "silent", "cut-short"])
 def test_a_failed_child_falls_back_to_one_process(capsys, tmp_path, spectra_dir, cpus,
-                                                  forks, serial_reads, monkeypatch, sabotage):
+                                                  forks, reads, monkeypatch, sabotage):
     cpus(1)
     serial = similarity(capsys, spectra_dir, tmp_path / "serial")
     sabotage(monkeypatch, os.getpid())
     cpus(2)
     assert similarity(capsys, spectra_dir, tmp_path / "forked") == serial
-    assert (len(forks), len(serial_reads)) == (1, 2)
+    # one serial pass, then this process's chunk and the fallback's whole pass
+    assert (len(forks), len(reads)) == (1, N + N // 2 + N)
 
 
 @pytest.mark.parametrize("preset", [
@@ -255,3 +278,31 @@ def test_fork_map_is_none_when_any_chunk_raises(pins, failing):
 
     assert _workers.fork_map(square_or_fail, [0, 1, 2]) is None
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("n_items, n_cpus", [(3, 8), (4, 4), (7, 3)])
+def test_split_map_keeps_the_item_order(cpus, forks, n_items, n_cpus):
+    cpus(n_cpus)
+    items = list(range(10, 10 + n_items))
+    results = _workers.split_map(lambda chunk: [(x, os.getpid()) for x in chunk], items)
+    assert_no_child_left()
+    n = min(n_items, n_cpus)
+    assert [x for x, _ in results] == items
+    assert len(forks) == n - 1
+    # item i is computed by process i % n, process 0 being this one
+    assert [pid == os.getpid() for _, pid in results] == [i % n == 0 for i in range(n_items)]
+    assert len({pid for _, pid in results}) == n
+
+
+def test_split_map_falls_back_when_a_child_returns_the_wrong_count(cpus, forks):
+    cpus(3)
+    parent = os.getpid()
+
+    def square_but_drop_one_in_a_child(chunk):
+        squares = [(x * x, os.getpid()) for x in chunk]
+        return squares if os.getpid() == parent else squares[1:]
+
+    results = _workers.split_map(square_but_drop_one_in_a_child, list(range(7)))
+    assert_no_child_left()
+    assert len(forks) == 2
+    assert results == [(x * x, parent) for x in range(7)]
