@@ -19,13 +19,17 @@ _BINARY_UNITS = ["B", "KiB", "MiB", "GiB", "TiB", "PiB", "EiB"]
 _LEAST = {"n_structures": 1, "settings_per_structure": 1, "files_per_run": 1,
           "bytes_per_run": 1, "n_steps": 1, "t_batch": 0, "t_grad": 0,
           "n_architectures": 0, "hours_per_architecture": 0, "price_per_gpu_hour": 0}
+# The fields that workflow_estimate multiplies in 64-bit integer math.
+_INT64_FIELDS = frozenset(("n_structures", "settings_per_structure", "files_per_run",
+                           "bytes_per_run"))
 
 
 def check_field(name: str, value) -> None:
     """Raise ValueError unless value is finite and at least the spec field
     ``name``'s least value, and an int converts to a float, as the estimates
-    that multiply a count by a time need. An int is compared as it is, never
-    as a float, and one too large for a float is not printed."""
+    that multiply a count by a time need; a workflow field must also be at
+    most 2**63 - 1. An int is compared as it is, never as a float, and one
+    too large for a float or for 64 bits is not printed."""
     least = _LEAST[name]
     if isinstance(value, int):
         try:
@@ -35,6 +39,8 @@ def check_field(name: str, value) -> None:
                              f"{value.bit_length()} bits") from None
     if not least <= value < math.inf:
         raise ValueError(f"{name} must be a finite number >= {least}, got {value}")
+    if name in _INT64_FIELDS and value > _INT64_MAX:
+        raise ValueError(f"{name} must be at most 2**63 - 1, the 64-bit integer range")
 
 
 class _Checked:

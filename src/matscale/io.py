@@ -225,7 +225,22 @@ def _read_two_column_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
     return table[:, 0], table[:, 1]
 
 
+# Each character that a number field np.loadtxt reads can hold once its
+# whitespace is stripped: digits, a sign, a point, an exponent, and the letters
+# of inf, infinity and nan in any case.
+_NUMBER_CHARS = frozenset("0123456789+-.eEinftyaINFTYA")
+
+
 def _is_data_row(line: str) -> bool:
+    """Whether np.loadtxt reads line as one spectrum row.
+
+    A line with no quote whose first field holds any other character is not
+    one, and is answered without numpy: np.loadtxt strips the whitespace that
+    str.strip() strips, refuses non-ASCII text and parses the rest by
+    PyOS_string_to_double, which reads no other character.
+    """
+    if '"' not in line and not _NUMBER_CHARS.issuperset(line.partition(",")[0].strip()):
+        return False
     import numpy as np
 
     try:

@@ -191,10 +191,22 @@ def check_h_max(h_max: float) -> None:
         raise ValueError(f"h_max must be a finite number > 0, got {h_max}")
 
 
+def bin_edges(window: tuple[float, float], n_energy_bins: int) -> np.ndarray:
+    """The n_energy_bins + 1 edges that split the window into equal bins."""
+    check_window(window)
+    check_grid((n_energy_bins,))
+    return np.linspace(window[0], window[1], n_energy_bins + 1)
+
+
 def bin_heights(
-    spectrum: Spectrum, window: tuple[float, float], n_energy_bins: int
+    spectrum: Spectrum, window: tuple[float, float], n_energy_bins: int,
+    edges: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Per-bin trapezoidal DOS integrals on the Fermi-shifted window."""
+    """Per-bin trapezoidal DOS integrals on the Fermi-shifted window.
+
+    A caller that bins many spectra on one window may make the edges once and
+    pass them to each call; given edges must be bin_edges(window, n_energy_bins).
+    """
     check_window(window)
     check_grid((n_energy_bins,))
     lo, hi = window
@@ -205,25 +217,14 @@ def bin_heights(
             f"{where}window {window} does not overlap the spectrum range "
             f"[{shifted[0]:g}, {shifted[-1]:g}] after Fermi shift"
         )
-    edges = np.linspace(lo, hi, n_energy_bins + 1)
+    if edges is None:
+        edges = bin_edges(window, n_energy_bins)
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         heights = _bin_integrals(shifted, spectrum.dos, edges)
     if not np.all(np.isfinite(heights)):
         raise ValueError(f"{where}a DOS bin integral in window {window} overflows "
                          "to a non-finite value")
     return heights
-
-
-def _from_heights(heights, window, grid, mode, h_max) -> Fingerprint:
-    """The fingerprint of one spectrum's bin heights; rasters scale by h_max."""
-    n_energy, n_dos = grid
-    if mode == "vector":
-        return Fingerprint(tuple(window), (n_energy, n_dos), mode, heights)
-    n_bits = np.zeros(n_energy, dtype=np.int64)
-    if h_max > 0:
-        clamped = np.clip(heights, 0.0, h_max)
-        n_bits = np.minimum((n_dos * clamped / h_max).astype(np.int64), n_dos)
-    return Fingerprint(tuple(window), (n_energy, n_dos), mode, n_bits)
 
 
 def make_fingerprint(
@@ -259,21 +260,31 @@ def fingerprint_set(
     """
     if not spectra:
         raise ValueError("no spectra given")
-    check_grid(grid)  # bin_heights checks the window
+    check_grid(grid)
     if mode not in ("raster", "vector"):
         raise ValueError(f"mode must be 'raster' or 'vector', got {mode!r}")
     if h_max is not None:
         check_h_max(h_max)
-    return _fingerprints([bin_heights(s, window, grid[0]) for s in spectra],
+    edges = bin_edges(window, grid[0])
+    return _fingerprints([bin_heights(s, window, grid[0], edges) for s in spectra],
                          window, grid, mode, h_max)
 
 
 def _fingerprints(all_heights, window, grid, mode, h_max) -> list[Fingerprint]:
     """The fingerprints of a set's bin heights; an h_max of None is the largest
-    height in the set."""
+    height in the set. Rasters are quantized for the whole set at once."""
+    window, grid = tuple(window), tuple(grid)
+    if mode == "vector":
+        return [Fingerprint(window, grid, mode, h) for h in all_heights]
+    heights = np.stack(all_heights)
     if h_max is None:
-        h_max = float(max(h.max() for h in all_heights))
-    return [_from_heights(h, window, grid, mode, h_max) for h in all_heights]
+        h_max = float(heights.max())
+    n_dos = grid[1]
+    n_bits = np.zeros(heights.shape, dtype=np.int64)
+    if h_max > 0:
+        clamped = np.clip(heights, 0.0, h_max)
+        n_bits = np.minimum((n_dos * clamped / h_max).astype(np.int64), n_dos)
+    return [Fingerprint(window, grid, mode, row) for row in n_bits]
 
 
 def tanimoto(f1: Fingerprint, f2: Fingerprint) -> float:
@@ -306,8 +317,10 @@ def similarity_matrix(
     """Pairwise Tanimoto matrix; ordering is the identity permutation.
 
     Every cell equals tanimoto() of its pair bit for bit: raster inner products
-    are exact int64 sums of minima; vector ones are np.dot's ddot, batched per row
-    through matmul's vector-vector path (a gemv would round differently).
+    are exact integer sums of minima, in uint32 while the n_energy * n_dos raster
+    bits stay below 2**32 and in int64 past that; vector ones are np.dot's ddot,
+    batched per row through matmul's vector-vector path (a gemv would round
+    differently).
     """
     if not items:
         raise ValueError("need at least one (fingerprint, metadata) item")
@@ -320,13 +333,16 @@ def similarity_matrix(
     n = len(fps)
     data = np.stack([fp.data.ravel() for fp in fps])
     raster = fps[0].mode == "raster"
-    # int64 sums: an unsigned self term beside an int64 ab would promote to float64
+    # int64 self terms: an unsigned one beside an int64 ab would promote to float64,
+    # while a uint32 ab beside them stays int64
     self_terms = (data.sum(axis=1, dtype=np.int64) if raster
                   else np.matmul(data[:, None, :], data[:, :, None])[:, 0, 0])
+    # a sum of minima is at most n_energy * n_dos, so below 2**32 it fits in uint32
+    ab_type = np.uint32 if math.prod(fps[0].grid) < 2**32 else np.int64
     values = np.ones((n, n))
     for i in range(n - 1):
         if raster:
-            ab = np.minimum(data[i], data[i + 1:]).sum(axis=1, dtype=np.int64)
+            ab = np.minimum(data[i], data[i + 1:]).sum(axis=1, dtype=ab_type)
         else:
             ab = np.matmul(data[i + 1:, None, :], data[i, :, None])[:, 0, 0]
         denom = self_terms[i] + self_terms[i + 1:] - ab

@@ -632,6 +632,11 @@ def test_similarity_bad_flags_exit_two_before_reading(tmp_path, capsys, flags,
     (["complexity"], "--nn"),
     (["complexity", "--nn", "2,3", "--rf", "3"], "--rf"),
     (["similarity", "--spectra", "s", "--mode", "bitmap"], "--mode"),
+    # a workflow count past 2**63 - 1: named by its flag, not printed
+    (["estimate", "workflow", "--structures", "1", "--settings", "1",
+      "--files-per-run", "1", "--mb-per-run", "1e300"], "--mb-per-run"),
+    (["estimate", "workflow", "--structures", "1" + "0" * 30, "--settings", "1",
+      "--files-per-run", "1", "--mb-per-run", "1"], "--structures"),
 ])
 def test_non_finite_or_non_integer_flags_exit_two(capsys, argv, message):
     code, stdout, stderr = run_cli(capsys, *argv)
@@ -702,6 +707,8 @@ nan, inf = float("nan"), float("inf")
     (lambda: NasSpec(10**400, 2.0, 3.0), "n_architectures"),
     (lambda: WorkflowSpec(10**400, 1, 1, 1), "n_structures"),
     (lambda: WorkflowSpec(-10**400, 1, 1, 1), "n_structures"),
+    (lambda: WorkflowSpec(1, 1, 1, round(1e300 * 10**6)), "bytes_per_run"),  # --mb-per-run 1e300
+    (lambda: WorkflowSpec(10**30, 1, 1, 1), "n_structures"),
 ])
 def test_the_library_rejects_each_bad_flag_value_by_name(call, quantity):
     with pytest.raises(ValueError, match=f"^{quantity} "):

@@ -898,7 +898,11 @@ _bad_line = st.sampled_from(
 
 @settings(max_examples=300, deadline=None)
 @given(
-    header=st.sampled_from([None, "energy,dos", "E (eV),DOS (states/eV),note", "energy"]),
+    # first lines for each branch of the header check: refused without numpy,
+    # refused or read by np.loadtxt
+    header=st.sampled_from([None, "energy,dos", "E (eV),DOS (states/eV),note", "energy",
+                            "nan,1", "-Infinity,2", " 1e5 ,3", '"energy",dos', "1.0,x",
+                            " energy,dos"]),
     body=st.lists(st.one_of(_data_line, _data_line, st.just(""), _bad_line), max_size=8),
     leading_blank=st.booleans(),
     newline=st.sampled_from(["\n", "\r\n"]),
@@ -914,6 +918,35 @@ def test_spectrum_csv_reader_matches_row_loop(header, body, leading_blank, newli
         path.write_bytes(text.encode())
         assert _outcome(io._read_two_column_csv, path) == \
             _outcome(_loop_read_two_column_csv, path)
+
+
+def _loadtxt_reads(line):
+    try:
+        np.loadtxt([line], **io._SPECTRUM_ROW)
+    except ValueError:
+        return False
+    return True
+
+
+# text near the header check's edges: number characters, whitespace numpy strips,
+# quotes, other letters and non-ASCII digits
+_line_chars = st.sampled_from(list('0123456789+-.eEinftyaINFTYAx,"_ \t\r\x0b\x1c\xa0\u3000\u0661'))
+
+
+@settings(max_examples=500, deadline=None)
+@given(line=st.text(_line_chars, min_size=1, max_size=12) | _data_line | _bad_line)
+def test_data_row_check_agrees_with_loadtxt(line):
+    assert io._is_data_row(line) == _loadtxt_reads(line)
+
+
+def test_spectrum_csv_header_costs_no_loadtxt_call(tmp_path, monkeypatch):
+    path = tmp_path / "calc.csv"
+    path.write_text("energy,dos\n0.0,1.0\n1.0,2.0\n")
+    calls, loadtxt = [], np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
+    energies, dos = io._read_two_column_csv(path)
+    assert (energies.tolist(), dos.tolist()) == ([0.0, 1.0], [1.0, 2.0])
+    assert len(calls) == 1  # the body's parse; the header needs no probe
 
 
 @st.composite

@@ -8,6 +8,7 @@ from matscale.spectra import (
     Fingerprint,
     SimilarityMatrix,
     Spectrum,
+    _fingerprints,
     bin_heights,
     block_stats,
     check_grid,
@@ -410,6 +411,13 @@ def test_mean_off_diagonal_bits_equal_the_sum_over_the_cell_list(n, data):
         assert float.hex(got) == float.hex(sum(off_diag) / len(off_diag))
 
 
+def test_matrix_sums_minima_in_int64_from_2_to_the_32_raster_bits():
+    # n_energy * n_dos = 2**32: a uint32 sum of the minimum 2**32 would wrap to 0
+    fp = Fingerprint((-10.0, 10.0), (1, 2**32), "raster", np.array([2**32]))
+    m = similarity_matrix([(fp, meta()), (fp, meta(xc="LDA"))])
+    assert float.hex(m.values[0, 1]) == float.hex(tanimoto(fp, fp)) == float.hex(1.0)
+
+
 def test_matrix_all_zero_fingerprints_compare_as_one():
     zero = Fingerprint((-10.0, 10.0), (3, 4), "raster", np.zeros(3, dtype=int))
     other = Fingerprint((-10.0, 10.0), (3, 4), "raster", np.array([1, 0, 4]))
@@ -526,3 +534,27 @@ def test_fingerprint_set_shares_normalization():
     # shared h_max comes from the strong spectrum, so the weak raster is shorter
     assert fps[0].to_raster().sum() < fps[1].to_raster().sum()
     assert fps[1].to_raster().sum(axis=1).max() == 8
+
+
+def _quantize_each(all_heights, n_dos, h_max):
+    """The per-spectrum raster quantization fingerprint_set ran before, kept as an oracle."""
+    if h_max is None:
+        h_max = float(max(h.max() for h in all_heights))
+    if h_max == 0:
+        return [np.zeros(h.size, dtype=np.int64) for h in all_heights]
+    return [np.minimum((n_dos * np.clip(h, 0.0, h_max) / h_max).astype(np.int64), n_dos)
+            for h in all_heights]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 5), n_e=st.integers(1, 8), n_d=st.sampled_from([1, 3, 64, 255, 70000]),
+       h_max=st.none() | st.floats(1e-300, 1e300), data=st.data())
+def test_set_quantization_equals_the_per_spectrum_loop(n, n_e, n_d, h_max, data):
+    heights = st.floats(0, 1e300) | st.sampled_from([0.0, 5e-324, 1.0, 2.5])
+    all_heights = [np.array(data.draw(st.lists(heights, min_size=n_e, max_size=n_e)))
+                   for _ in range(n)]
+    fps = _fingerprints(all_heights, [-1.0, 1.0], [n_e, n_d], "raster", h_max)
+    for fp, expected in zip(fps, _quantize_each(all_heights, n_d, h_max)):
+        assert (fp.window, fp.grid, fp.data.dtype) == ((-1.0, 1.0), (n_e, n_d),
+                                                       np.min_scalar_type(n_d))
+        assert fp.data.tolist() == expected.tolist()
