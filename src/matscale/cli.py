@@ -157,16 +157,14 @@ def _fingerprint_dir(spectra_dir: Path, args) -> tuple[list[Fingerprint], list[C
     """
     from . import _workers, io, spectra
 
-    edges = spectra.bin_edges(args.window, args.grid[0])
-
     def read_and_bin(paths):
         pairs, bin_error = [], None
         for path in paths:
             spectrum, metadata = io._read_spectrum(path)
             if bin_error is None:  # read on after it: a later read error wins
                 try:
-                    pairs.append((spectra.bin_heights(spectrum, args.window, args.grid[0],
-                                                      edges), metadata))
+                    pairs.append((spectra.bin_heights(spectrum, args.window, args.grid[0]),
+                                  metadata))
                 except ValueError as exc:
                     bin_error = exc
         if bin_error is not None:

@@ -191,22 +191,10 @@ def check_h_max(h_max: float) -> None:
         raise ValueError(f"h_max must be a finite number > 0, got {h_max}")
 
 
-def bin_edges(window: tuple[float, float], n_energy_bins: int) -> np.ndarray:
-    """The n_energy_bins + 1 edges that split the window into equal bins."""
-    check_window(window)
-    check_grid((n_energy_bins,))
-    return np.linspace(window[0], window[1], n_energy_bins + 1)
-
-
 def bin_heights(
-    spectrum: Spectrum, window: tuple[float, float], n_energy_bins: int,
-    edges: Optional[np.ndarray] = None,
+    spectrum: Spectrum, window: tuple[float, float], n_energy_bins: int
 ) -> np.ndarray:
-    """Per-bin trapezoidal DOS integrals on the Fermi-shifted window.
-
-    A caller that bins many spectra on one window may make the edges once and
-    pass them to each call; given edges must be bin_edges(window, n_energy_bins).
-    """
+    """Per-bin trapezoidal DOS integrals on the Fermi-shifted window."""
     check_window(window)
     check_grid((n_energy_bins,))
     lo, hi = window
@@ -217,8 +205,7 @@ def bin_heights(
             f"{where}window {window} does not overlap the spectrum range "
             f"[{shifted[0]:g}, {shifted[-1]:g}] after Fermi shift"
         )
-    if edges is None:
-        edges = bin_edges(window, n_energy_bins)
+    edges = np.linspace(lo, hi, n_energy_bins + 1)
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         heights = _bin_integrals(shifted, spectrum.dos, edges)
     if not np.all(np.isfinite(heights)):
@@ -260,13 +247,12 @@ def fingerprint_set(
     """
     if not spectra:
         raise ValueError("no spectra given")
-    check_grid(grid)
+    check_grid(grid)  # bin_heights checks the window
     if mode not in ("raster", "vector"):
         raise ValueError(f"mode must be 'raster' or 'vector', got {mode!r}")
     if h_max is not None:
         check_h_max(h_max)
-    edges = bin_edges(window, grid[0])
-    return _fingerprints([bin_heights(s, window, grid[0], edges) for s in spectra],
+    return _fingerprints([bin_heights(s, window, grid[0]) for s in spectra],
                          window, grid, mode, h_max)
 
 
@@ -276,14 +262,20 @@ def _fingerprints(all_heights, window, grid, mode, h_max) -> list[Fingerprint]:
     window, grid = tuple(window), tuple(grid)
     if mode == "vector":
         return [Fingerprint(window, grid, mode, h) for h in all_heights]
-    heights = np.stack(all_heights)
+    heights = np.stack(all_heights, dtype=float)
     if h_max is None:
         h_max = float(heights.max())
     n_dos = grid[1]
-    n_bits = np.zeros(heights.shape, dtype=np.int64)
     if h_max > 0:
-        clamped = np.clip(heights, 0.0, h_max)
-        n_bits = np.minimum((n_dos * clamped / h_max).astype(np.int64), n_dos)
+        # n_dos * clamp(h, 0, h_max) / h_max in place, in that order, so each
+        # row gets the bits of quantizing its spectrum alone
+        np.clip(heights, 0.0, h_max, out=heights)
+        np.multiply(heights, n_dos, out=heights)
+        np.divide(heights, h_max, out=heights)
+        n_bits = heights.astype(np.int64)
+        np.minimum(n_bits, n_dos, out=n_bits)
+    else:
+        n_bits = np.zeros(heights.shape, dtype=np.int64)
     return [Fingerprint(window, grid, mode, row) for row in n_bits]
 
 
