@@ -178,6 +178,8 @@ def _read_sidecar(path: Path) -> tuple[float, CalcMetadata]:
     from .spectra import CalcMetadata
 
     meta = _load_json(path)
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(meta).__name__}")
     try:
         return _number(meta["fermi_energy"], "fermi_energy"), CalcMetadata(
             xc=_string(meta["xc"], "xc"),
@@ -188,7 +190,7 @@ def _read_sidecar(path: Path) -> tuple[float, CalcMetadata]:
         )
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:  # TypeError: the file is not an object
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 

@@ -105,7 +105,7 @@ class Fingerprint:
             n_energy, n_dos = self.grid
             h = np.asarray(self.data)
             if (h.shape != (n_energy,) or h.dtype.kind not in "iu"
-                    or np.any((h < 0) | (h > n_dos))):
+                    or h.size and (h.min() < 0 or h.max() > n_dos)):
                 raise ValueError(f"raster data must be {n_energy} integer column heights "
                                  f"in [0, {n_dos}], got {h.dtype} of shape {h.shape}")
             self.data = h.astype(np.min_scalar_type(n_dos))

@@ -749,40 +749,3 @@ def test_importing_the_cli_does_not_load_the_structure_decoder():
                             text=True, check=True)
     assert result.stdout.strip() == "[]"
 
-
-def test_outputs_do_not_depend_on_the_locale(tmp_path):
-    # an ASCII locale without UTF-8 mode must neither fail on a non-ASCII
-    # entry_id nor change a byte of stdout or of any output file
-    (tmp_path / "s.csv").write_text(
-        "entry_id,formula,spacegroup\nü1,Mg2F4,136\nb2,BaTiO3,221\n", encoding="utf-8")
-    (tmp_path / "c.csv").write_text(
-        "entry_id,occupations,target\nü1,1 -1 1 -1,0.5\nc2,1 1 1 1,1.5\n"
-        "c3,-1 -1 1 1,0.25\n", encoding="utf-8")
-    (tmp_path / "clusters.json").write_text("[[0], [0, 1]]")
-    (tmp_path / "group.json").write_text("[[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]]")
-    src = Path(matscale.__file__).resolve().parents[1]
-    commands = [
-        ["curate", "--input", str(tmp_path / "s.csv"), "--output-dir", "out"],
-        ["ce-fit", "--configs", str(tmp_path / "c.csv"), "--clusters",
-         str(tmp_path / "clusters.json"), "--group", str(tmp_path / "group.json"),
-         "--output-dir", "out"],
-    ]
-
-    def run(name, **locale):
-        env = {key: value for key, value in os.environ.items() if key != "PYTHONIOENCODING"}
-        env.update(locale, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        cwd = tmp_path / name
-        cwd.mkdir()
-        stdouts = []
-        for argv in commands:
-            result = subprocess.run([sys.executable, "-m", "matscale.cli", *argv], env=env,
-                                    cwd=cwd, capture_output=True)
-            assert result.returncode == 0, result.stderr.decode(errors="replace")
-            stdouts.append(result.stdout)
-        files = {p.relative_to(cwd): p.read_bytes() for p in sorted(cwd.rglob("*")) if p.is_file()}
-        return stdouts, files
-
-    utf8 = run("utf8", PYTHONUTF8="1")
-    assert "ü1".encode() in utf8[1][Path("out/s_split.csv")]
-    assert run("ascii", LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0") == utf8

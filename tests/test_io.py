@@ -807,7 +807,7 @@ SIDECAR = {"fermi_energy": 0.0, "xc": "LDA", "n_kpt": 4, "n_basis": 40,
     ("0,1\n1,1\n", {**SIDECAR, "n_kpt": None}, "calc.json",
      "n_kpt must be an integer, got None"),
     ("0,1\n1,1\n", {**SIDECAR, "relativistic": "full"}, "calc.json", "relativistic"),
-    ("0,1\n1,1\n", [1, 2], "calc.json", "list indices"),
+    ("0,1\n1,1\n", [1, 2], "calc.json", "expected a JSON object, got list"),
     ("1,1\n0,1\n", SIDECAR, "calc.csv", "strictly ascending"),
     ("0,1\n1,-1\n", SIDECAR, "calc.csv", "non-negative"),
     ("0,1\n1,1\n", {**SIDECAR, "fermi_energy": float("nan")}, "calc.csv", "non-finite"),
@@ -832,6 +832,8 @@ SIDECAR = {"fermi_energy": 0.0, "xc": "LDA", "n_kpt": 4, "n_basis": 40,
     ("0,1\n1,1\n", {**SIDECAR, "xc": None}, "calc.json", "xc must be a string, got None"),
     ("0,1\n1,1\n", {**SIDECAR, "settings_tier": ["light"]}, "calc.json",
      r"settings_tier must be a string, got \['light'\]"),
+    ("0,1\n1,1\n", '"x"', "calc.json", "expected a JSON object, got str"),
+    ("0,1\n1,1\n", 5, "calc.json", "expected a JSON object, got int"),
 ])
 def test_spectra_dir_bad_file_is_named(tmp_path, csv_text, sidecar, where, message):
     (tmp_path / "calc.csv").write_text(csv_text, errors="surrogateescape")

@@ -219,10 +219,16 @@ def test_raster_fingerprint_stores_column_heights():
     np.array([0, 1, 2]),                   # wrong length
     np.array([0, 1, 2, 4]),                # taller than n_dos
     np.array([0, -1, 2, 3]),
+    np.array([0, 1, 2, 2**40]),            # int64 far above n_dos
 ])
 def test_raster_fingerprint_rejects_bad_heights(data):
     with pytest.raises(ValueError, match="column heights"):
         Fingerprint((-10.0, 10.0), (4, 3), "raster", data)
+
+
+def test_raster_fingerprint_accepts_an_empty_grid():
+    fp = Fingerprint((-10.0, 10.0), (0, 4), "raster", np.array([], dtype=int))
+    assert fp.data.shape == (0,) and fp.data.dtype == np.uint8
 
 
 def test_to_raster_needs_raster_mode():
