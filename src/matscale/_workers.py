@@ -1,8 +1,10 @@
 """The one way a command uses more than one CPU: split_map, a map over strided
 chunks of a list in forked processes, each pinned to its own CPU. ``ce-fit``
-fits its degrees, and ``similarity`` reads and bins its spectra, with it.
-Standard library only; the commands import it when they run, so
-``import matscale.cli`` loads no more than before.
+fits its degrees, ``similarity`` reads and bins its spectra, and ``curate``
+curates its two datasets with it; the function that split_map runs may swap
+values between the processes once, by gather. Standard library only; the
+commands import it when they run, so ``import matscale.cli`` loads no more
+than before.
 """
 
 from __future__ import annotations
@@ -10,11 +12,14 @@ from __future__ import annotations
 import gc
 import os
 import pickle
-import signal
 import threading
 from typing import Callable, Optional, Sequence
 
 from . import BLAS_THREAD_ENV
+
+# gather's round in this process while a forked map runs, else None. Only a
+# process with one thread forks (process_workers), so no other thread sees it.
+_round: Optional[Callable[[list], list]] = None
 
 
 def process_workers(n_items: int, min_per_process: int) -> int:
@@ -32,91 +37,174 @@ def process_workers(n_items: int, min_per_process: int) -> int:
     return max(1, min(n_items // min_per_process, len(os.sched_getaffinity(0))))
 
 
+def gather(values: list) -> list:
+    """Every item's value, in item order, for the func that split_map runs: it
+    may call gather once, with one value per item of its chunk. In one
+    process that is values itself; in a forked map the values cross between
+    the processes in one round (fork_map)."""
+    return values if _round is None else _round(values)
+
+
 def split_map(func: Callable[[list], list], items: list, min_per_process: int = 1) -> list:
     """func(items), for a func that maps a list to one result per item.
 
     With n = process_workers(len(items), min_per_process) > 1, fork_map runs
-    func on the chunks items[k::n], and their results go back in item order.
-    When n is 1, any chunk fails or a chunk returns the wrong number of
-    results, func(items) runs in this process, which raises its error.
+    func on the chunks items[k::n], and their results, and the values of a
+    gather, go back in item order. When n is 1, any chunk fails, or a chunk
+    gives the wrong number of results or gather values, func(items) runs in
+    this process, which raises its error.
     """
     n = process_workers(len(items), min_per_process)
     if n > 1:
         chunks = [items[k::n] for k in range(n)]
-        results = fork_map(func, chunks)
-        if results is not None and list(map(len, results)) == list(map(len, chunks)):
+
+        def in_item_order(per_chunk: list) -> list:
             merged = [None] * len(items)
-            for k, result in enumerate(results):
-                merged[k::n] = result
+            for k, values in enumerate(per_chunk):
+                merged[k::n] = values  # a ValueError unless len(values) == len(chunks[k])
             return merged
+
+        results = fork_map(func, chunks, in_item_order)
+        if results is not None:
+            try:
+                return in_item_order(results)
+            except ValueError:
+                pass
     return func(items)
 
 
-def fork_map(func: Callable, chunks: Sequence) -> Optional[list]:
+def fork_map(func: Callable, chunks: Sequence, merge: Callable[[list], list] = list
+             ) -> Optional[list]:
     """[func(chunk) for chunk in chunks], or None when any call fails.
 
     The first chunk runs in this process. Each other chunk runs in a child
-    forked for it, which pickles its result into a pipe and ends with
-    os._exit. Each process is pinned to its own CPU of the affinity mask,
-    and this one gets its mask back at the end: on a 2-vCPU KVM guest the
-    scheduler left a forked child on its parent's CPU for a whole pass in 2
-    of 6 trials, so that the pass took twice as long as one process.
+    forked for it, which sends its result up a pipe and ends with os._exit.
+    Each process is pinned to its own CPU of the affinity mask, and this one
+    gets its mask back at the end: on a 2-vCPU KVM guest the scheduler left a
+    forked child on its parent's CPU for a whole pass in 2 of 6 trials, so
+    that the pass took twice as long as one process.
+
+    Each call may run one gather round. A child sends its values up its pipe
+    and waits on a second pipe; this process collects every chunk's values,
+    in chunk order, and answers each child with merge of them, which is also
+    what gather returns here. Every message is tagged as a gather or a result.
 
     The result is None when func raises here or in a child, when a child
-    dies, or when a result arrives short; the caller then does the work in
-    one process, where any error is raised as that process raises it, so no
-    exception crosses a pipe. Every child is reaped before this returns or
-    raises.
+    dies, or when a message arrives short or with the wrong tag; the caller
+    then does the work in one process, where any error is raised as that
+    process raises it, so no exception crosses a pipe. Every child is reaped
+    before this returns or raises.
     """
+    global _round
     mask = os.sched_getaffinity(0)
     cpus = sorted(mask)
-    pending = {}  # pid -> the read end of its pipe, for each child not yet reaped
+    # pid -> (the read end of its pipe, the write end of its reply pipe), for
+    # each child not yet reaped
+    pending = {}
+
+    def gather_here(values):
+        per_chunk = [values] + [_receive(up, "gather") for up, _ in pending.values()]
+        merged = merge(per_chunk)
+        reply = _message("gather", merged)
+        for _, down in pending.values():
+            _write(down, reply)
+        return merged
+
     try:
         os.sched_setaffinity(0, cpus[:1])
         for k, chunk in enumerate(chunks[1:], 1):
-            read_fd, write_fd = os.pipe()
+            fds = []  # up read, up write, down read, down write
             try:
+                fds += os.pipe()
+                fds += os.pipe()
                 pid = os.fork()
             except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
+                for fd in fds:
+                    os.close(fd)
                 return None
-            if pid == 0:
-                _run_child(func, chunk, write_fd, cpus[k % len(cpus)])  # never returns
-            os.close(write_fd)
-            pending[pid] = read_fd
+            if pid == 0:  # never returns
+                _run_child(func, chunk, fds[1], fds[2], cpus[k % len(cpus)],
+                           [fds[0], fds[3], *(fd for pair in pending.values() for fd in pair)])
+            os.close(fds[1])
+            os.close(fds[2])
+            pending[pid] = (fds[0], fds[3])
+        _round = gather_here
         results = [func(chunks[0])]
-        for pid, read_fd in list(pending.items()):
-            # drained before the wait: a child blocks on a full pipe until it is read
-            with open(read_fd, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            os.close(read_fd)
+        for pid, (up, down) in list(pending.items()):
+            # read before the wait: a child blocks on a full pipe until it is read
+            result = _receive(up, "result")
+            os.close(up)
+            os.close(down)
             del pending[pid]
             if os.waitpid(pid, 0)[1] != 0:
                 return None
-            results.append(pickle.loads(data))
+            results.append(result)
         return results
     except Exception:  # the caller redoes the work in one process and raises there
         return None
     finally:
-        for pid, read_fd in pending.items():
-            os.close(read_fd)
+        _round = None
+        for pid, fds in pending.items():  # children left by a failure
+            import signal  # here, so that a map that succeeds does not load it
+
+            for fd in fds:
+                os.close(fd)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         os.sched_setaffinity(0, mask)
 
 
-def _run_child(func: Callable, chunk, write_fd: int, cpu: int) -> None:
-    """On CPU cpu, write the pickle of func(chunk) to write_fd and exit: status
-    0 when it was all written, else 1. It never returns, so the child never
-    runs the parent's cleanup: no atexit handler, no flush of buffered output."""
+def _run_child(func: Callable, chunk, up: int, down: int, cpu: int, inherited: list) -> None:
+    """On CPU cpu, send func(chunk) up the pipe up and exit: status 0 when it
+    was all written, else 1. A gather sends its values up and reads the
+    answer from down. The parent's ends of every pipe, inherited, are closed
+    first, so each pipe has one reader and one writer. It never returns, so
+    the child never runs the parent's cleanup: no atexit handler, no flush of
+    buffered output."""
+    global _round
     code = 1
     try:
         # the collector could run finalizers of the parent's garbage here
         gc.disable()
+        for fd in inherited:
+            os.close(fd)
         os.sched_setaffinity(0, (cpu,))
-        with open(write_fd, "wb") as pipe:
-            pipe.write(pickle.dumps(func(chunk), pickle.HIGHEST_PROTOCOL))
+
+        def gather_in_child(values):
+            _write(up, _message("gather", values))
+            return _receive(down, "gather")
+
+        _round = gather_in_child
+        _write(up, _message("result", func(chunk)))
         code = 0
     finally:
         os._exit(code)
+
+
+def _message(tag: str, value) -> bytes:
+    """A message: the 8-byte length of the pickle of (tag, value), then the pickle."""
+    data = pickle.dumps((tag, value), pickle.HIGHEST_PROTOCOL)
+    return len(data).to_bytes(8, "little") + data
+
+
+def _write(fd: int, data: bytes) -> None:
+    with open(fd, "wb", closefd=False) as pipe:
+        pipe.write(data)
+
+
+def _receive(fd: int, tag: str):
+    """The value of the next message on fd; an error unless it is whole and tagged tag."""
+    got, value = pickle.loads(_read(fd, int.from_bytes(_read(fd, 8), "little")))
+    if got != tag:
+        raise ValueError(f"expected a {tag} message, got {got!r}")
+    return value
+
+
+def _read(fd: int, size: int) -> bytes:
+    data = bytearray()
+    while len(data) < size:
+        block = os.read(fd, min(size - len(data), 1 << 20))
+        if not block:
+            raise EOFError(f"a pipe closed {size - len(data)} bytes short")
+        data += block
+    return bytes(data)

@@ -71,12 +71,18 @@ def _require_file(path: str) -> Path:
 
 def _outdir(args) -> Path:
     out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--output-dir: {exc}") from None
     return out
 
 
 def cmd_curate(args):
-    from . import curation, io
+    # numpy.random and structure_io load here, once, rather than in each forked process
+    import numpy.random  # noqa: F401
+
+    from . import _workers, curation, io, structure_io  # noqa: F401
 
     input_path = _require_file(args.input)
     other_path = _require_file(args.other) if args.other else None
@@ -95,45 +101,44 @@ def cmd_curate(args):
         if os.sep in name or (os.altsep and os.altsep in name):  # it names an output file
             raise ConfigError(f"--hist property name {name!r} holds a path separator")
     outdir = _outdir(args)
+    paths = [input_path] + ([other_path] if other_path is not None else [])
 
-    entries = io.read_structures(input_path)
-    summary = {"input": str(input_path), "n_entries": len(entries), "outputs": []}
+    def curate(chunk):
+        """Read each dataset of chunk, swap identity sets with the other process
+        once (_workers.gather), then split, write and histogram each dataset;
+        only write errors can follow the swap."""
+        tables = [io.read_structures(path) for path in chunk]
+        ids = _workers.gather([set(table.identities) for table in tables])
+        common = ids[0] & ids[1] if len(ids) == 2 else None
+        results = []
+        for path, table in zip(chunk, tables):
+            assignment = curation.grouped_split(table, args.split, args.seed, common)
+            io.write_split_csv(outdir / f"{path.stem}_split.csv", table, assignment)
+            tally = Counter(assignment.assignment.values())
+            hists = []
+            for name, edges in hist_specs:
+                hist = curation.property_histogram(table, name, edges)
+                io.write_histogram_csv(outdir / f"{path.stem}_hist_{name}.csv", hist)
+                hists.append({"binned": int(hist.counts.sum()), "missing": hist.n_missing,
+                              "out_of_range": hist.n_out_of_range})
+            results.append({"n_entries": len(table), "n_ids": list(map(len, ids)),
+                            "n_common": len(common or ()), "hists": hists,
+                            "counts": {name: tally[name] for name in curation.SPLIT_NAMES}})
+        return results
 
-    shared = None
+    # one process per dataset, the input's in this one (_workers.split_map)
+    results = _workers.split_map(curate, paths)
+    first = results[0]
+    outputs = [str(outdir / f"{path.stem}_split.csv") for path in paths]
+    summary = {"input": str(input_path), "n_entries": first["n_entries"], "outputs": outputs}
     if other_path is not None:
-        other = io.read_structures(other_path)
-        n_a, n_b, common = curation.dataset_overlap(entries, other)
-        shared = common
-        summary["other"] = str(other_path)
-        summary["unique_ids_input"] = n_a
-        summary["unique_ids_other"] = n_b
-        summary["n_common_ids"] = len(common)
-
-    datasets = [(input_path, entries)]
-    if other_path is not None:
-        datasets.append((other_path, other))
-
-    split_counts = {}
-    for path, data in datasets:
-        assignment = curation.grouped_split(data, args.split, args.seed, shared)
-        out_path = outdir / f"{path.stem}_split.csv"
-        io.write_split_csv(out_path, data, assignment)
-        summary["outputs"].append(str(out_path))
-        tally = Counter(assignment.assignment.values())
-        split_counts[path.stem] = {name: tally[name] for name in curation.SPLIT_NAMES}
-    summary["split_counts"] = split_counts
-
-    for name, edges in hist_specs:
-        for path, data in datasets:
-            hist = curation.property_histogram(data, name, edges)
-            out_path = outdir / f"{path.stem}_hist_{name}.csv"
-            io.write_histogram_csv(out_path, hist)
-            summary["outputs"].append(str(out_path))
-            summary.setdefault("histograms", {})[f"{path.stem}:{name}"] = {
-                "binned": int(hist.counts.sum()),
-                "missing": hist.n_missing,
-                "out_of_range": hist.n_out_of_range,
-            }
+        summary.update(other=str(other_path), unique_ids_input=first["n_ids"][0],
+                       unique_ids_other=first["n_ids"][1], n_common_ids=first["n_common"])
+    summary["split_counts"] = {path.stem: result["counts"] for path, result in zip(paths, results)}
+    for j, (name, _) in enumerate(hist_specs):
+        for path, result in zip(paths, results):
+            outputs.append(str(outdir / f"{path.stem}_hist_{name}.csv"))
+            summary.setdefault("histograms", {})[f"{path.stem}:{name}"] = result["hists"][j]
     return summary
 
 
@@ -171,10 +176,9 @@ def _fingerprint_dir(spectra_dir: Path, args) -> tuple[list[Fingerprint], list[C
             raise bin_error
         return pairs
 
-    pairs = _workers.split_map(read_and_bin, io._spectrum_files(spectra_dir),
-                               MIN_SPECTRA_PER_PROCESS)
-    heights, labels = zip(*pairs)
-    return (spectra._fingerprints(heights, args.window, args.grid, args.mode, args.h_max),
+    files = io._spectrum_files(spectra_dir)
+    heights, labels = zip(*_workers.split_map(read_and_bin, files, MIN_SPECTRA_PER_PROCESS))
+    return (spectra._fingerprints(heights, args.window, args.grid, args.mode, args.h_max, files),
             list(labels))
 
 
@@ -392,10 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "similarity fill is serial, and the BLAS runs on one thread "
                         "unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or "
                         "MKL_NUM_THREADS is set; only while it does, ce-fit fits its "
-                        "degrees, and similarity reads and bins its spectra (64 or "
-                        "more each), in forked processes, one pinned to each CPU in "
-                        "the process's affinity mask; outputs do not depend on the "
-                        "thread or process count")
+                        "degrees, similarity reads and bins its spectra (64 or more "
+                        "each), and curate curates its two datasets, in forked "
+                        "processes, one pinned to each CPU in the process's affinity "
+                        "mask; outputs do not depend on the thread or process count")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("curate", help="dedup identities, splits, histograms")

@@ -10,6 +10,7 @@ of the bit rasters or the vectors.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import chain
 from typing import Hashable, Optional, Sequence
@@ -20,6 +21,10 @@ from . import MAX_ARRAY_BYTES
 
 DEFAULT_WINDOW = (-10.0, 10.0)
 DEFAULT_GRID = (256, 64)
+
+# The largest inner product <a,a> of a vector fingerprint with itself: past it,
+# a Tanimoto denominator <a,a> + <b,b> - <a,b> can overflow float64.
+MAX_SELF_TERM = sys.float_info.max / 2
 
 _XC_RANK = {"LDA": 0, "PBE": 1}
 _TIER_RANK = {"light": 0, "tight": 1, "really_tight": 2}
@@ -253,20 +258,28 @@ def fingerprint_set(
     if h_max is not None:
         check_h_max(h_max)
     return _fingerprints([bin_heights(s, window, grid[0]) for s in spectra],
-                         window, grid, mode, h_max)
+                         window, grid, mode, h_max, [s.source for s in spectra])
 
 
-def _fingerprints(all_heights, window, grid, mode, h_max) -> list[Fingerprint]:
+def _fingerprints(all_heights, window, grid, mode, h_max, sources=()) -> list[Fingerprint]:
     """The fingerprints of a set's bin heights; an h_max of None is the largest
-    height in the set. Rasters are quantized for the whole set at once."""
+    height in the set. Rasters are quantized for the whole set at once. A
+    vector whose self term passes MAX_SELF_TERM is an error that names its
+    source (sources[k] for the k-th heights, when given)."""
     window, grid = tuple(window), tuple(grid)
     if mode == "vector":
+        _check_self_terms(_vector_self_terms(np.stack(all_heights)), sources)
         return [Fingerprint(window, grid, mode, h) for h in all_heights]
     heights = np.stack(all_heights, dtype=float)
     if h_max is None:
         h_max = float(heights.max())
     n_dos = grid[1]
     if h_max > 0:
+        if math.isinf(h_max * n_dos):
+            # an exact power of two keeps every product's bits, short of overflow
+            scale = 2.0 ** -int(n_dos).bit_length()
+            np.multiply(heights, scale, out=heights)
+            h_max *= scale
         # n_dos * clamp(h, 0, h_max) / h_max in place, in that order, so each
         # row gets the bits of quantizing its spectrum alone
         np.clip(heights, 0.0, h_max, out=heights)
@@ -279,11 +292,30 @@ def _fingerprints(all_heights, window, grid, mode, h_max) -> list[Fingerprint]:
     return [Fingerprint(window, grid, mode, row) for row in n_bits]
 
 
+def _vector_self_terms(data: np.ndarray) -> np.ndarray:
+    """<a,a> of each row a of data: one ddot each, as np.dot makes it, batched
+    through matmul's vector-vector path; one may overflow (_check_self_terms)."""
+    with np.errstate(over="ignore"):
+        return np.matmul(data[:, None, :], data[:, :, None])[:, 0, 0]
+
+
+def _check_self_terms(terms, names=()) -> None:
+    """Raise ValueError, naming the first vector by names (else by its index),
+    unless every self term is at most MAX_SELF_TERM."""
+    bad = np.flatnonzero(~(np.asarray(terms) <= MAX_SELF_TERM))
+    if bad.size:
+        k = int(bad[0])
+        name = names[k] if len(names) else f"fingerprint {k}"
+        raise ValueError(f"{name}: the vector's inner product with itself, {terms[k]:g}, "
+                         f"exceeds {MAX_SELF_TERM:g}, so its similarities overflow float64")
+
+
 def tanimoto(f1: Fingerprint, f2: Fingerprint) -> float:
     """Tanimoto coefficient <a,b> / (<a,a> + <b,b> - <a,b>) in [0, 1].
 
     Raster columns share min(k, k') bits, so <a,b> sums the height minima.
-    Both-all-zero fingerprints compare as 1.0 (defined limit).
+    Both-all-zero fingerprints compare as 1.0 (defined limit). Vectors whose
+    self terms pass MAX_SELF_TERM are an error.
     """
     if not f1.same_config(f2):
         raise ValueError("fingerprints have mismatched window/grid/mode")
@@ -294,9 +326,11 @@ def tanimoto(f1: Fingerprint, f2: Fingerprint) -> float:
         aa = int(a.sum(dtype=np.int64))
         bb = int(b.sum(dtype=np.int64))
     else:
-        ab = float(np.dot(a, b))
-        aa = float(np.dot(a, a))
-        bb = float(np.dot(b, b))
+        with np.errstate(over="ignore"):  # only past the check below
+            ab = float(np.dot(a, b))
+            aa = float(np.dot(a, a))
+            bb = float(np.dot(b, b))
+        _check_self_terms([aa, bb], ("f1", "f2"))
     denom = aa + bb - ab
     if denom == 0:
         return 1.0
@@ -312,7 +346,7 @@ def similarity_matrix(
     are exact integer sums of minima, in uint32 while the n_energy * n_dos raster
     bits stay below 2**32 and in int64 past that; vector ones are np.dot's ddot,
     batched per row through matmul's vector-vector path (a gemv would round
-    differently).
+    differently). Vectors whose self terms pass MAX_SELF_TERM are an error.
     """
     if not items:
         raise ValueError("need at least one (fingerprint, metadata) item")
@@ -327,8 +361,11 @@ def similarity_matrix(
     raster = fps[0].mode == "raster"
     # int64 self terms: an unsigned one beside an int64 ab would promote to float64,
     # while a uint32 ab beside them stays int64
-    self_terms = (data.sum(axis=1, dtype=np.int64) if raster
-                  else np.matmul(data[:, None, :], data[:, :, None])[:, 0, 0])
+    if raster:
+        self_terms = data.sum(axis=1, dtype=np.int64)
+    else:
+        self_terms = _vector_self_terms(data)
+        _check_self_terms(self_terms)
     # a sum of minima is at most n_energy * n_dos, so below 2**32 it fits in uint32
     ab_type = np.uint32 if math.prod(fps[0].grid) < 2**32 else np.int64
     values = np.ones((n, n))

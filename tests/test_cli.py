@@ -285,6 +285,35 @@ def test_similarity_overflowing_dos_fails_before_writing(tmp_path, capsys, mode)
     assert not (out / "similarity_matrix.csv").exists()
 
 
+@pytest.mark.filterwarnings("error")  # numpy's overflow warnings fail the test
+@pytest.mark.parametrize("flags, code, error", [
+    # bin heights up to 6.25e306: n_dos times one is past the float64 range
+    ([], 0, None),
+    (["--h-max", "1e308"], 0, None),
+    # the vectors' inner products with themselves overflow
+    (["--mode", "vector"], 1, "the vector's inner product with itself, inf, exceeds"),
+])
+def test_similarity_dos_near_the_float_maximum(tmp_path, capsys, flags, code, error):
+    sdir = tmp_path / "spectra"
+    sdir.mkdir()
+    for name in ("calc_a", "calc_b"):
+        (sdir / f"{name}.csv").write_text("energy,dos\n-1,8e307\n0,8e307\n1,8e307\n")
+        (sdir / f"{name}.json").write_text(json.dumps({
+            "fermi_energy": 0.0, "xc": "LDA", "n_kpt": 4, "n_basis": 40,
+            "settings_tier": "light", "relativistic": "ZORA",
+        }))
+    out = tmp_path / "simout"
+    result = run_cli(capsys, "similarity", "--spectra", str(sdir), "--output-dir", str(out),
+                     *flags)
+    if error is None:
+        assert result[0::2] == (0, "")
+        assert (out / "similarity_matrix.csv").read_text() == "1,1\n1,1\n"
+    else:
+        assert result == (code, "", f"matscale: {sdir / 'calc_a.csv'}: {error} "
+                                    "8.98847e+307, so its similarities overflow float64\n")
+        assert list(out.iterdir()) == []
+
+
 @pytest.fixture
 def ce_inputs(tmp_path):
     """Targets equal the product of the two single-site correlations."""
@@ -637,6 +666,11 @@ def test_similarity_bad_flags_exit_two_before_reading(tmp_path, capsys, flags,
       "--files-per-run", "1", "--mb-per-run", "1e300"], "--mb-per-run"),
     (["estimate", "workflow", "--structures", "1" + "0" * 30, "--settings", "1",
       "--files-per-run", "1", "--mb-per-run", "1"], "--structures"),
+    # an output directory that is a file, or under one (this file)
+    (["curate", "--input", __file__, "--output-dir", __file__],
+     "--output-dir: [Errno 17] File exists"),
+    (["curate", "--input", __file__, "--output-dir", os.path.join(__file__, "x")],
+     "--output-dir: [Errno 20] Not a directory"),
 ])
 def test_non_finite_or_non_integer_flags_exit_two(capsys, argv, message):
     code, stdout, stderr = run_cli(capsys, *argv)

@@ -122,7 +122,8 @@ VARIANTS = {
 ALL_CPUS = ["many-raster", "many-vector", "many-ce-fit"]
 # (row, part, runs that must digest alike over that part)
 GROUPS = [
-    # the checks of CI's demo step
+    # the checks of CI's demo step; run_demo.py's in-process curate is one
+    # process (it sets no BLAS thread variable), the CLI's forks one per dataset
     ("curate rerun", "out/curate/", ["run_demo@default", "curate@default"]),
     ("installed script: curate", "out/curate/", ["run_demo@default", "curate@script"]),
     ("installed script: raster similarity", "out/similarity/",
@@ -141,12 +142,14 @@ GROUPS = [
     ("degree 3 alone", "out/ce/predictions_d3.csv", ["ce-fit@blas1", "ce-fit-d3@default"]),
     ("ASCII locale: curate", "", ["curate@default", "curate@ascii"]),
     ("ASCII locale: ce-fit", "", ["ce-fit@blas1", "ce-fit@ascii"]),
-    # by default similarity reads and bins its spectra, and ce-fit fits its
-    # four degrees, in forked processes; on one CPU, or with three BLAS
-    # threads, in one
+    # by default similarity reads and bins its spectra, ce-fit fits its four
+    # degrees, and curate curates its two datasets, in forked processes; on
+    # one CPU, or with three BLAS threads, in one
     *((f"192 spectra, forked vs one CPU vs 3 BLAS threads: {command}", "",
        [f"{command}@{variant}" for variant in ("default", "one-cpu", "blas3")])
       for command in ALL_CPUS),
+    ("forked vs one CPU vs 3 BLAS threads: curate", "",
+     ["curate@default", "curate@one-cpu", "curate@blas3"]),
     # an ASCII locale against UTF-8 mode
     ("locale: curate", "", ["locale-curate@utf8", "locale-curate@ascii"]),
     ("locale: ce-fit", "", ["locale-ce-fit@utf8", "locale-ce-fit@ascii"]),

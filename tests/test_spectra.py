@@ -1,9 +1,13 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matscale.spectra import (
+    MAX_SELF_TERM,
     CalcMetadata,
     Fingerprint,
     SimilarityMatrix,
@@ -83,6 +87,60 @@ def test_bin_heights_rejects_overflowing_integrals():
         bin_heights(s, (-1.0, 1.0), 4)
     with pytest.raises(ValueError, match="overflows"):
         fingerprint_set([s, s], (-1.0, 1.0), (4, 4), mode="vector")
+
+
+# finite DOS values whose bin heights (up to 6.25e306) times 64 are past the float64 range
+HUGE = Spectrum([-1.0, 0.0, 1.0], [8e307] * 3, 0.0, source="huge.csv")
+
+
+@pytest.mark.filterwarnings("error")  # numpy's overflow warnings fail the test
+@pytest.mark.parametrize("h_max", [None, 1e308])
+def test_raster_quantizes_heights_past_the_float_range_over_n_dos(h_max):
+    heights = bin_heights(HUGE, (-10.0, 10.0), 256)
+    [fp] = fingerprint_set([HUGE], (-10.0, 10.0), (256, 64), h_max=h_max)
+    # the bits of the heights and h_max scaled by 2**-7 first, exactly
+    scaled = None if h_max is None else h_max * 2.0**-7
+    assert fp.data.tolist() == _quantize_each([heights * 2.0**-7], 64, scaled)[0].tolist()
+    assert fp.data.max() == (64 if h_max is None else 4)  # floor(64 * 6.25e306 / 1e308)
+
+
+@pytest.mark.filterwarnings("error")
+def test_vectors_whose_inner_products_overflow_are_refused():
+    small = Spectrum([-1.0, 0.0, 1.0], [1.0] * 3, 0.0, source="small.csv")
+    with pytest.raises(ValueError, match="^huge.csv: the vector's inner product with itself"):
+        fingerprint_set([small, HUGE], mode="vector")
+    a, b = vector_fp([1e200, 1e200]), vector_fp([1e200, 2e200])
+    with pytest.raises(ValueError, match="^f1: .* inf, exceeds 8.98847e[+]307"):
+        tanimoto(a, b)
+    with pytest.raises(ValueError, match="^fingerprint 1: "):
+        similarity_matrix([(vector_fp([1.0, 2.0]), meta()), (b, meta())])
+    # at the bound, <a,a> + <b,b> is finite
+    x = math.sqrt(MAX_SELF_TERM)
+    while x * x > MAX_SELF_TERM:
+        x = math.nextafter(x, 0)
+    edge, past = vector_fp([x, 0.0]), vector_fp([0.0, math.nextafter(x, math.inf) * 2])
+    assert tanimoto(edge, vector_fp([0.0, x])) == 0.0
+    assert similarity_matrix([(edge, meta()), (edge, meta())]).values.tolist() == [[1, 1], [1, 1]]
+    with pytest.raises(ValueError, match="^f2: "):
+        tanimoto(edge, past)
+
+
+@settings(max_examples=200, deadline=None)
+@given(xs=st.lists(st.floats(-1e200, 1e200) | st.sampled_from([0.0, 1e160, -1e160, 1e154]),
+                   min_size=3, max_size=3),
+       ys=st.lists(st.floats(-1e200, 1e200) | st.sampled_from([0.0, 1e160, -1e160, 1e154]),
+                   min_size=3, max_size=3))
+def test_vector_similarity_is_a_number_or_an_error(xs, ys):
+    """Never NaN: each cell is tanimoto's value or both raise ValueError."""
+    a, b = vector_fp(xs), vector_fp(ys)
+    try:
+        value = tanimoto(a, b)
+    except ValueError:
+        with pytest.raises(ValueError):
+            similarity_matrix([(a, meta()), (b, meta())])
+        return
+    assert math.isfinite(value)
+    assert similarity_matrix([(a, meta()), (b, meta())]).values[0, 1] == value
 
 
 # signed zeros and subnormal neighbours, so that edges and energies often tie
@@ -564,3 +622,18 @@ def test_set_quantization_equals_the_per_spectrum_loop(n, n_e, n_d, h_max, data)
         assert (fp.window, fp.grid, fp.data.dtype) == ((-1.0, 1.0), (n_e, n_d),
                                                        np.min_scalar_type(n_d))
         assert fp.data.tolist() == expected.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_d=st.sampled_from([1, 3, 64, 255, 70000]),
+       h_max=st.none() | st.floats(1e300, sys.float_info.max), data=st.data())
+def test_quantization_near_the_float_maximum_equals_it_scaled_down(n_d, h_max, data):
+    # heights far from subnormal: scaling them by a power of two keeps every bit
+    heights = st.floats(1e290, sys.float_info.max) | st.sampled_from([0.0, sys.float_info.max])
+    all_heights = [np.array(data.draw(st.lists(heights, min_size=4, max_size=4)))
+                   for _ in range(2)]
+    fps = _fingerprints(all_heights, [-1.0, 1.0], [4, n_d], "raster", h_max)
+    scale = 2.0**-20
+    expected = _quantize_each([h * scale for h in all_heights], n_d,
+                              None if h_max is None else h_max * scale)
+    assert [fp.data.tolist() for fp in fps] == [e.tolist() for e in expected]

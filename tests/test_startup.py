@@ -99,7 +99,7 @@ def numpy_loads(tmp_path_factory):
 
 @pytest.mark.parametrize("command, absent, present", [
     ("curate", NOT_CURATE | {"matscale.spectra"} | NUMPY_MA,
-     {"numpy", "matscale.structure_io"}),
+     {"numpy", "matscale.structure_io", "matscale._workers"}),
     ("similarity", NOT_CURATE | {"matscale.structure_io", "matscale.curation"} | NUMPY_MA,
      {"numpy", "matscale.spectra", "matscale._workers"}),
     ("ce-fit", {"matscale.structure_io", "matscale.curation", "matscale.spectra"} | NUMPY_MA,

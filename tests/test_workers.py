@@ -1,5 +1,6 @@
-"""The worker rule, split_map, and similarity's forked ingest: the same bytes and
-the same errors as one process, and no child process left behind."""
+"""The worker rule, split_map and its gather round, similarity's forked ingest and
+curate's forked datasets: the same bytes and the same errors as one process, and
+no child process left behind."""
 
 import argparse
 import json
@@ -306,3 +307,153 @@ def test_split_map_falls_back_when_a_child_returns_the_wrong_count(cpus, forks):
     assert_no_child_left()
     assert len(forks) == 2
     assert results == [(x * x, parent) for x in range(7)]
+
+
+@pytest.mark.parametrize("n_items, n_cpus", [(2, 2), (5, 3), (7, 3)])
+def test_gather_gives_every_value_in_item_order(cpus, forks, n_items, n_cpus):
+    items = list(range(10, 10 + n_items))
+
+    def with_every_square(chunk):
+        squares = _workers.gather([x * x for x in chunk])
+        return [(x, squares, os.getpid()) for x in chunk]
+
+    cpus(1)
+    serial = _workers.split_map(with_every_square, items)
+    cpus(n_cpus)
+    forked = _workers.split_map(with_every_square, items)
+    assert_no_child_left()
+    assert len(forks) == n_cpus - 1
+    assert len({pid for _, _, pid in forked}) == n_cpus  # no fallback ran
+    every = [x * x for x in items]
+    assert [(x, squares) for x, squares, _ in forked] == [(x, every) for x in items] \
+        == [(x, squares) for x, squares, _ in serial]
+
+
+def test_fork_map_gathers_each_chunks_values_in_chunk_order(pins):
+    def tag(chunk):
+        return [_workers.gather([len(chunk), *chunk]), os.getpid()]
+
+    results = _workers.fork_map(tag, [[1, 2], [], [3]])
+    assert_no_child_left()
+    assert [gathered for gathered, _ in results] == [[[2, 1, 2], [0], [1, 3]]] * 3
+    assert len({pid for _, pid in results}) == 3
+
+
+def _fail_in_child(parent, x):
+    if os.getpid() != parent:
+        raise ValueError(x)
+
+
+def _killed_in_child(parent, x):
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _fail_here(parent, x):
+    if os.getpid() == parent:
+        raise ValueError(x)
+
+
+@pytest.mark.parametrize("before, skip_gather", [
+    (_fail_in_child, None), (_killed_in_child, None), (_fail_here, None),
+    # a result where a gather message belongs: the wrong tag, either way
+    (None, "child"), (None, "here"),
+])
+def test_a_failure_before_the_gather_falls_back_to_one_process(cpus, forks, before,
+                                                               skip_gather):
+    parent, items = os.getpid(), list(range(6))
+    chunks_here = []
+
+    def sum_of_all(chunk):
+        here = os.getpid() == parent
+        if here:
+            chunks_here.append(chunk)
+        if len(chunk) < len(items):  # the forked attempt, not the fallback
+            if before:
+                before(parent, chunk)
+            if skip_gather == ("here" if here else "child"):
+                return [-1] * len(chunk)
+        return [sum(_workers.gather(chunk))] * len(chunk)
+
+    cpus(2)
+    assert _workers.split_map(sum_of_all, items) == [15] * 6
+    assert_no_child_left()
+    assert len(forks) == 1
+    # this process's chunk, then the whole list in this process
+    assert chunks_here == [items[0::2], items]
+
+
+def write_table(path, prefix, rows):
+    """A structure table; row k is (formula, spacegroup) of rows[k]."""
+    path.write_text("entry_id,formula,spacegroup,formation_energy\n" + "".join(
+        f"{prefix}{k},{formula},{spacegroup},{-k / 7:.3f}\n"
+        for k, (formula, spacegroup) in enumerate(rows)))
+    return path
+
+
+@pytest.fixture
+def tables(tmp_path):
+    """Two tables that share some identities, in a directory of their own."""
+    data = tmp_path / "tables"
+    data.mkdir()
+    kinds = [("Mg2F4", 136), ("Ti2O4", 136), ("BaTiO3", 221), ("K1Cl1", 225), ("H2O1", 1),
+             ("Na1Cl1", 225), ("Si2O4", 152)]
+    alpha = write_table(data / "alpha.csv", "a", [kinds[k * 3 % 7] for k in range(40)])
+    beta = write_table(data / "beta.csv", "b", [kinds[(k * 5 + 2) % 7] for k in range(5, 25)])
+    return alpha, beta
+
+
+def curate(capsys, out, *argv):
+    """(exit code, stdout with the output directory masked, stderr, output files)."""
+    code = cli.main(["curate", *argv, "--output-dir", str(out)])
+    captured = capsys.readouterr()
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+    assert_no_child_left()
+    return code, captured.out.replace(str(out), "OUT"), captured.err, files
+
+
+@pytest.mark.parametrize("flags", [
+    [], ["--hist", "formation_energy:-6:0:8", "--hist", "band_gap:0:1:2"],
+    ["--split", "0.5,0.25,0.25", "--seed", "9"],
+])
+def test_forked_curate_writes_what_one_process_writes(capsys, tmp_path, tables, cpus, forks,
+                                                      flags):
+    alpha, beta = tables
+    argv = ["--input", str(alpha), "--other", str(beta), *flags]
+    cpus(1)
+    serial = curate(capsys, tmp_path / "serial", *argv)
+    assert forks == []
+    cpus(2)
+    assert curate(capsys, tmp_path / "forked", *argv) == serial
+    assert len(forks) == 1
+    code, stdout, stderr, files = serial
+    assert (code, stderr) == (0, "")
+    summary = json.loads(stdout)
+    assert summary["n_common_ids"] > 0 and summary["n_entries"] == 40
+    assert summary["outputs"][:2] == ["OUT/alpha_split.csv", "OUT/beta_split.csv"]
+    # a single dataset does not fork
+    assert curate(capsys, tmp_path / "one", "--input", str(alpha), *flags)[0] == 0
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("bad, named", [
+    (["alpha"], "alpha"), (["beta"], "beta"), (["alpha", "beta"], "alpha"),
+])
+def test_forked_curate_errors_are_the_serial_errors(capsys, tmp_path, tables, cpus, forks, bad,
+                                                    named):
+    paths = dict(zip(["alpha", "beta"], tables))
+    for name in bad:
+        with open(paths[name], "a") as table:
+            table.write("x,MgF2,12,low\n")
+    argv = ["--input", str(paths["alpha"]), "--other", str(paths["beta"]),
+            "--hist", "formation_energy:-6:0:8"]
+    runs = []
+    for k in (1, 2):
+        cpus(k)
+        runs.append(curate(capsys, tmp_path / f"out{k}", *argv))
+    assert runs[1] == runs[0]
+    code, stdout, stderr, files = runs[0]
+    # no file is written before the identity sets are swapped
+    assert (code, stdout, files) == (1, "", {})
+    assert stderr.startswith(f"matscale: {paths[named]}: row ") and stderr.count("\n") == 1
+    assert len(forks) == 1
