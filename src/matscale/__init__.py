@@ -23,8 +23,8 @@ __version__ = "0.1.0"
 
 # The BLAS thread variables. cli.run() sets all of them to "1" when the
 # caller has set none; _workers gives a command more than one worker (ce-fit's
-# degree fits, similarity's ingest) only when at least one is set and every
-# one that is set is "1".
+# degree fits, similarity's ingest, curate's two datasets) only when at least
+# one is set and every one that is set is "1".
 BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # The largest float64 array a size that a caller chooses (an expansion degree,

@@ -90,18 +90,30 @@ def cmd_curate(args):
     _flag_spec("--seed", curation.check_seed, args.seed)
     hist_specs = [(name, _flag_spec(f"--hist {name}", curation.histogram_edges, *bounds))
                   for name, *bounds in args.hist or []]
-    # outputs are named by input stem and property, so a repeat would overwrite one
-    if other_path is not None and other_path.stem == input_path.stem:
-        raise ConfigError(f"--input and --other have the same file stem {input_path.stem!r}")
-    names = [name for name, _ in hist_specs]
-    repeated = [name for k, name in enumerate(names) if name in names[:k]]
-    if repeated:
-        raise ConfigError(f"two --hist specs name the property {repeated[0]!r}")
-    for name in names:
+    for name, _ in hist_specs:
         if os.sep in name or (os.altsep and os.altsep in name):  # it names an output file
             raise ConfigError(f"--hist property name {name!r} holds a path separator")
-    outdir = _outdir(args)
-    paths = [input_path] + ([other_path] if other_path is not None else [])
+
+    def output(path: Path, name: str | None = None) -> Path:
+        """Dataset path's split file, or its histogram file of property name."""
+        return Path(args.output_dir, f"{path.stem}_split.csv" if name is None
+                    else f"{path.stem}_hist_{name}.csv")
+
+    # each dataset's split file, then each --hist's file per dataset; a path
+    # written twice would keep only the output of the process that renames last
+    datasets = [("--input", input_path)] + ([("--other", other_path)] if other_path else [])
+    writes = [(output(path), flag) for flag, path in datasets]
+    for name, *bounds in args.hist or []:
+        spec = ":".join(map(str, (name, *bounds)))
+        writes += [(output(path, name), f"{flag} with --hist {spec}") for flag, path in datasets]
+    writer = {}
+    for path, flags in writes:
+        if path in writer:
+            raise ConfigError(f"{path} would be written by both {writer[path]} and {flags}")
+        writer[path] = flags
+    outputs = [str(path) for path, _ in writes]
+    _outdir(args)
+    paths = [path for _, path in datasets]
 
     def curate(chunk):
         """Read each dataset of chunk, swap identity sets with the other process
@@ -113,12 +125,12 @@ def cmd_curate(args):
         results = []
         for path, table in zip(chunk, tables):
             assignment = curation.grouped_split(table, args.split, args.seed, common)
-            io.write_split_csv(outdir / f"{path.stem}_split.csv", table, assignment)
+            io.write_split_csv(output(path), table, assignment)
             tally = Counter(assignment.assignment.values())
             hists = []
             for name, edges in hist_specs:
                 hist = curation.property_histogram(table, name, edges)
-                io.write_histogram_csv(outdir / f"{path.stem}_hist_{name}.csv", hist)
+                io.write_histogram_csv(output(path, name), hist)
                 hists.append({"binned": int(hist.counts.sum()), "missing": hist.n_missing,
                               "out_of_range": hist.n_out_of_range})
             results.append({"n_entries": len(table), "n_ids": list(map(len, ids)),
@@ -129,7 +141,6 @@ def cmd_curate(args):
     # one process per dataset, the input's in this one (_workers.split_map)
     results = _workers.split_map(curate, paths)
     first = results[0]
-    outputs = [str(outdir / f"{path.stem}_split.csv") for path in paths]
     summary = {"input": str(input_path), "n_entries": first["n_entries"], "outputs": outputs}
     if other_path is not None:
         summary.update(other=str(other_path), unique_ids_input=first["n_ids"][0],
@@ -137,49 +148,8 @@ def cmd_curate(args):
     summary["split_counts"] = {path.stem: result["counts"] for path, result in zip(paths, results)}
     for j, (name, _) in enumerate(hist_specs):
         for path, result in zip(paths, results):
-            outputs.append(str(outdir / f"{path.stem}_hist_{name}.csv"))
             summary.setdefault("histograms", {})[f"{path.stem}:{name}"] = result["hists"][j]
     return summary
-
-
-# The fewest spectra per process for which similarity forks. Measured on a
-# 2-vCPU KVM guest, reading and binning 1000-point spectra in two processes
-# against one (paired, alternating runs in one warm process): 16 spectra per
-# process were slower (8 of 40 pairs faster), 32 won 28 of 30 pairs in one
-# session but 14 of 40 in another, 64 won 24 of 30 and 32 of 40. A forked
-# child took 26.6 ms for 64 spectra that took 21.5 ms in its parent: the fork,
-# its exit and the copy-on-write faults.
-MIN_SPECTRA_PER_PROCESS = 64
-
-
-def _fingerprint_dir(spectra_dir: Path, args) -> tuple[list[Fingerprint], list[CalcMetadata]]:
-    """The fingerprints and labels of the spectra in spectra_dir, in file order.
-
-    The sorted files are read and binned by _workers.split_map, one Spectrum at
-    a time, and this process applies fingerprint_set's shared h_max to the
-    heights. The errors are those of read_spectra_dir then fingerprint_set: the
-    first bad file, else the first binning error.
-    """
-    from . import _workers, io, spectra
-
-    def read_and_bin(paths):
-        pairs, bin_error = [], None
-        for path in paths:
-            spectrum, metadata = io._read_spectrum(path)
-            if bin_error is None:  # read on after it: a later read error wins
-                try:
-                    pairs.append((spectra.bin_heights(spectrum, args.window, args.grid[0]),
-                                  metadata))
-                except ValueError as exc:
-                    bin_error = exc
-        if bin_error is not None:
-            raise bin_error
-        return pairs
-
-    files = io._spectrum_files(spectra_dir)
-    heights, labels = zip(*_workers.split_map(read_and_bin, files, MIN_SPECTRA_PER_PROCESS))
-    return (spectra._fingerprints(heights, args.window, args.grid, args.mode, args.h_max, files),
-            list(labels))
 
 
 def cmd_similarity(args):
@@ -192,8 +162,9 @@ def cmd_similarity(args):
     spectra_dir = _require_file(args.spectra)
     outdir = _outdir(args)
 
-    fps, labels = _fingerprint_dir(spectra_dir, args)
-    matrix = spectra.similarity_matrix(list(zip(fps, labels)))
+    fps, labels = io.read_fingerprint_set(spectra_dir, args.window, args.grid, args.mode,
+                                          args.h_max)
+    matrix = spectra.similarity_matrix(fps, labels)
     if args.sort:
         matrix = spectra.sort_by_settings(matrix)
 

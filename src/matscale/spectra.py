@@ -107,13 +107,7 @@ class Fingerprint:
 
     def __post_init__(self):
         if self.mode == "raster":
-            n_energy, n_dos = self.grid
-            h = np.asarray(self.data)
-            if (h.shape != (n_energy,) or h.dtype.kind not in "iu"
-                    or h.size and (h.min() < 0 or h.max() > n_dos)):
-                raise ValueError(f"raster data must be {n_energy} integer column heights "
-                                 f"in [0, {n_dos}], got {h.dtype} of shape {h.shape}")
-            self.data = h.astype(np.min_scalar_type(n_dos))
+            self.data = _raster_heights(self.data, self.grid, 1)
 
     def to_raster(self) -> np.ndarray:
         """The (n_energy, n_dos) bool bit raster of a raster fingerprint."""
@@ -127,6 +121,56 @@ class Fingerprint:
             and self.grid == other.grid
             and self.mode == other.mode
         )
+
+
+def _raster_heights(data, grid, ndim: int) -> np.ndarray:
+    """data as raster column heights of dtype np.min_scalar_type(n_dos): integers
+    in [0, n_dos], n_energy to a row, in ndim dimensions; else a ValueError."""
+    n_energy, n_dos = grid
+    h = np.asarray(data)
+    if (h.ndim != ndim or h.shape[-1] != n_energy or h.dtype.kind not in "iu"
+            or h.size and (h.min() < 0 or h.max() > n_dos)):
+        raise ValueError(f"raster data must be {n_energy} integer column heights "
+                         f"in [0, {n_dos}], got {h.dtype} of shape {h.shape}")
+    return h.astype(np.min_scalar_type(n_dos))
+
+
+@dataclass
+class FingerprintSet:
+    """n fingerprints of one window, grid and mode as one (n, n_energy) array:
+    raster column heights as a Fingerprint stores them, or float64 vectors.
+    len(fps) is n and fps[k] is the k-th Fingerprint."""
+
+    window: tuple[float, float]
+    grid: tuple[int, int]
+    mode: str
+    data: np.ndarray
+
+    def __post_init__(self):
+        if self.mode == "raster":
+            self.data = _raster_heights(self.data, self.grid, 2)
+        else:
+            self.data = np.asarray(self.data, dtype=np.float64)
+            if self.data.ndim != 2:
+                raise ValueError(f"vector data must be one row per fingerprint, "
+                                 f"got shape {self.data.shape}")
+
+    @classmethod
+    def of(cls, fps: Sequence[Fingerprint]) -> "FingerprintSet":
+        """The set of fingerprints that share one window, grid and mode."""
+        if not fps:
+            raise ValueError("need at least one fingerprint")
+        for fp in fps[1:]:
+            if not fp.same_config(fps[0]):
+                raise ValueError("all fingerprints must share window/grid/mode")
+        return cls(fps[0].window, fps[0].grid, fps[0].mode,
+                   np.stack([fp.data.ravel() for fp in fps]))
+
+    def __len__(self) -> int:
+        return len(self.data)
+
+    def __getitem__(self, k: int) -> Fingerprint:
+        return Fingerprint(self.window, self.grid, self.mode, self.data[k])
 
 
 @dataclass
@@ -242,7 +286,7 @@ def fingerprint_set(
     grid: tuple[int, int] = DEFAULT_GRID,
     mode: str = "raster",
     h_max: Optional[float] = None,
-) -> list[Fingerprint]:
+) -> FingerprintSet:
     """Fingerprint a set of spectra with one shared normalization.
 
     When h_max is not given, the maximum bin height across the whole set
@@ -252,24 +296,32 @@ def fingerprint_set(
     """
     if not spectra:
         raise ValueError("no spectra given")
-    check_grid(grid)  # bin_heights checks the window
-    if mode not in ("raster", "vector"):
-        raise ValueError(f"mode must be 'raster' or 'vector', got {mode!r}")
-    if h_max is not None:
-        check_h_max(h_max)
+    check_settings(window, grid, mode, h_max)
     return _fingerprints([bin_heights(s, window, grid[0]) for s in spectra],
                          window, grid, mode, h_max, [s.source for s in spectra])
 
 
-def _fingerprints(all_heights, window, grid, mode, h_max, sources=()) -> list[Fingerprint]:
-    """The fingerprints of a set's bin heights; an h_max of None is the largest
-    height in the set. Rasters are quantized for the whole set at once. A
-    vector whose self term passes MAX_SELF_TERM is an error that names its
+def check_settings(window, grid, mode: str, h_max: Optional[float]) -> None:
+    """Raise ValueError unless a set can be fingerprinted with these settings:
+    check_grid, the mode, check_h_max of a given h_max, then check_window."""
+    check_grid(grid)
+    if mode not in ("raster", "vector"):
+        raise ValueError(f"mode must be 'raster' or 'vector', got {mode!r}")
+    if h_max is not None:
+        check_h_max(h_max)
+    check_window(window)
+
+
+def _fingerprints(all_heights, window, grid, mode, h_max, sources=()) -> FingerprintSet:
+    """The fingerprint set of a set's bin heights; an h_max of None is the
+    largest height in the set. Rasters are quantized for the whole set at once.
+    A vector whose self term passes MAX_SELF_TERM is an error that names its
     source (sources[k] for the k-th heights, when given)."""
     window, grid = tuple(window), tuple(grid)
     if mode == "vector":
-        _check_self_terms(_vector_self_terms(np.stack(all_heights)), sources)
-        return [Fingerprint(window, grid, mode, h) for h in all_heights]
+        data = np.stack(all_heights)
+        _check_self_terms(_vector_self_terms(data), sources)
+        return FingerprintSet(window, grid, mode, data)
     heights = np.stack(all_heights, dtype=float)
     if h_max is None:
         h_max = float(heights.max())
@@ -289,7 +341,7 @@ def _fingerprints(all_heights, window, grid, mode, h_max, sources=()) -> list[Fi
         np.minimum(n_bits, n_dos, out=n_bits)
     else:
         n_bits = np.zeros(heights.shape, dtype=np.int64)
-    return [Fingerprint(window, grid, mode, row) for row in n_bits]
+    return FingerprintSet(window, grid, mode, n_bits)
 
 
 def _vector_self_terms(data: np.ndarray) -> np.ndarray:
@@ -338,9 +390,13 @@ def tanimoto(f1: Fingerprint, f2: Fingerprint) -> float:
 
 
 def similarity_matrix(
-    items: Sequence[tuple[Fingerprint, CalcMetadata]],
+    items: FingerprintSet | Sequence[Fingerprint] | Sequence[tuple[Fingerprint, CalcMetadata]],
+    labels: Optional[Sequence[CalcMetadata]] = None,
 ) -> SimilarityMatrix:
     """Pairwise Tanimoto matrix; ordering is the identity permutation.
+
+    With labels, items is a FingerprintSet, or fingerprints that make one, with
+    one label each; without, items are (fingerprint, metadata) pairs.
 
     Every cell equals tanimoto() of its pair bit for bit: raster inner products
     are exact integer sums of minima, in uint32 while the n_energy * n_dos raster
@@ -348,17 +404,16 @@ def similarity_matrix(
     batched per row through matmul's vector-vector path (a gemv would round
     differently). Vectors whose self terms pass MAX_SELF_TERM are an error.
     """
-    if not items:
+    if not len(items):
         raise ValueError("need at least one (fingerprint, metadata) item")
-    fps = [fp for fp, _ in items]
-    labels = [md for _, md in items]
-    for fp in fps[1:]:
-        if not fp.same_config(fps[0]):
-            raise ValueError("all fingerprints must share window/grid/mode")
-
+    if labels is None:
+        items, labels = [fp for fp, _ in items], [md for _, md in items]
+    fps = items if isinstance(items, FingerprintSet) else FingerprintSet.of(items)
     n = len(fps)
-    data = np.stack([fp.data.ravel() for fp in fps])
-    raster = fps[0].mode == "raster"
+    if len(labels) != n:
+        raise ValueError(f"got {len(labels)} labels for {n} fingerprints")
+    data = fps.data
+    raster = fps.mode == "raster"
     # int64 self terms: an unsigned one beside an int64 ab would promote to float64,
     # while a uint32 ab beside them stays int64
     if raster:
@@ -367,7 +422,7 @@ def similarity_matrix(
         self_terms = _vector_self_terms(data)
         _check_self_terms(self_terms)
     # a sum of minima is at most n_energy * n_dos, so below 2**32 it fits in uint32
-    ab_type = np.uint32 if math.prod(fps[0].grid) < 2**32 else np.int64
+    ab_type = np.uint32 if math.prod(fps.grid) < 2**32 else np.int64
     values = np.ones((n, n))
     for i in range(n - 1):
         if raster:
@@ -377,7 +432,7 @@ def similarity_matrix(
         denom = self_terms[i] + self_terms[i + 1:] - ab
         values[i, i + 1:] = values[i + 1:, i] = np.divide(
             ab, denom, out=np.ones(n - 1 - i), where=denom != 0)
-    return SimilarityMatrix(values=values, ordering=list(range(n)), labels=labels)
+    return SimilarityMatrix(values=values, ordering=list(range(n)), labels=list(labels))
 
 
 def sort_by_settings(m: SimilarityMatrix) -> SimilarityMatrix:

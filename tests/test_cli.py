@@ -162,18 +162,20 @@ def test_curate_bad_hist_exits_two_before_reading(curate_inputs, tmp_path, capsy
     assert not out.exists()  # no <stem>_split.csv either
 
 
-@pytest.mark.parametrize("same_stem, hists, flag", [
-    (True, [], "--other"),
-    (False, ["formation_energy:-6:2:4", "formation_energy:0:1:2"], "--hist"),
-    (False, ["e:0:1:2", "formation_energy:0:1:2", "e:-1:0:3"], "--hist"),
+@pytest.mark.parametrize("other_stem, hists, flag", [
+    ("alpha", [], "--other"),
+    (None, ["formation_energy:-6:2:4", "formation_energy:0:1:2"], "--hist"),
+    (None, ["e:0:1:2", "formation_energy:0:1:2", "e:-1:0:3"], "--hist"),
+    # --other's split file is --input's histogram file: alpha_hist_y_split.csv
+    ("alpha_hist_y", ["y_split:0:1:4"], "--other"),
 ])
 def test_curate_colliding_outputs_exit_two_before_reading(curate_inputs, tmp_path, capsys,
-                                                          same_stem, hists, flag):
+                                                          other_stem, hists, flag):
     # outputs are named by input stem and property: a repeat would overwrite one
     a, b = curate_inputs
-    if same_stem:
+    if other_stem is not None:
         (tmp_path / "b").mkdir()
-        b = b.rename(tmp_path / "b" / a.name)
+        b = b.rename(tmp_path / "b" / f"{other_stem}.csv")
     out = tmp_path / "out"
     code, stdout, stderr = run_cli(
         capsys, "curate", "--input", str(a), "--other", str(b),
@@ -181,6 +183,7 @@ def test_curate_colliding_outputs_exit_two_before_reading(curate_inputs, tmp_pat
     )
     assert (code, stdout) == (2, "")
     assert flag in stderr
+    assert stderr.startswith(f"matscale: {out}{os.sep}") and stderr.count("\n") == 1
     assert not out.exists()
 
 

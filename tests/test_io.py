@@ -1,6 +1,8 @@
 import csv
 import json
+import os
 import re
+import stat
 import tempfile
 from io import StringIO
 from pathlib import Path
@@ -252,6 +254,24 @@ def test_atomic_write_replaces_whole_file(tmp_path):
     io.atomic_write_text(target, "new contents")
     assert target.read_text() == "new contents"
     assert list(tmp_path.iterdir()) == [target]  # no stray temp files
+
+
+@pytest.mark.parametrize("umask, existing, mode", [
+    (0o022, None, 0o644), (0o077, None, 0o600), (0o022, 0o640, 0o640), (0o077, 0o664, 0o664),
+])
+def test_atomic_write_leaves_the_mode_that_open_leaves(tmp_path, umask, existing, mode):
+    # open(path, "w") gives a new file 0o666 less the umask and keeps an old file's bits
+    target = tmp_path / "out.txt"
+    if existing is not None:
+        target.write_text("old")
+        target.chmod(existing)
+    old_umask = os.umask(umask)
+    try:
+        io.atomic_write_text(target, "new contents")
+    finally:
+        os.umask(old_umask)
+    assert stat.S_IMODE(target.stat().st_mode) == mode
+    assert list(tmp_path.iterdir()) == [target]
 
 
 def test_atomic_write_takes_lines_and_cleans_up_on_error(tmp_path):

@@ -10,6 +10,7 @@ from matscale.spectra import (
     MAX_SELF_TERM,
     CalcMetadata,
     Fingerprint,
+    FingerprintSet,
     SimilarityMatrix,
     Spectrum,
     _fingerprints,
@@ -455,6 +456,61 @@ def fingerprint_items(draw):
 @given(fingerprint_items())
 def test_matrix_equals_pairwise_tanimoto_fill(items):
     assert similarity_matrix(items).values.tobytes() == _pairwise_fill(items).tobytes()
+
+
+@settings(max_examples=150)
+@given(fingerprint_items())
+def test_set_and_pair_forms_equal_the_pairwise_fill(items):
+    fps, labels = [fp for fp, _ in items], [md for _, md in items]
+    want = _pairwise_fill(items).tobytes()
+    for m in (similarity_matrix(FingerprintSet.of(fps), labels), similarity_matrix(fps, labels),
+              similarity_matrix(list(zip(fps, labels)))):
+        assert (m.values.tobytes(), m.labels, m.ordering) == (want, labels, list(range(len(fps))))
+
+
+def test_matrix_refuses_mismatched_labels_and_configs():
+    fps = [vector_fp([1.0, 2.0]), vector_fp([2.0, 1.0])]
+    with pytest.raises(ValueError, match="^got 1 labels for 2 fingerprints$"):
+        similarity_matrix(FingerprintSet.of(fps), [meta()])
+    with pytest.raises(ValueError, match="need at least one"):
+        similarity_matrix([], [])
+    with pytest.raises(ValueError, match="must share window/grid/mode"):
+        similarity_matrix([fps[0], vector_fp([1.0, 2.0], grid=(2, 2))], [meta(), meta()])
+
+
+def test_set_indexes_fingerprints_like_a_sequence():
+    fps = FingerprintSet((-1.0, 1.0), (3, 4), "raster", np.array([[0, 1, 4], [2, 2, 2]]))
+    assert len(fps) == 2 and fps.data.dtype == np.uint8
+    first, last = fps
+    assert (first.grid, first.data.tolist(), last.data.tolist()) == ((3, 4), [0, 1, 4], [2, 2, 2])
+    assert fps[-1].data.tolist() == [2, 2, 2]
+    with pytest.raises(IndexError):
+        fps[2]
+
+
+@pytest.mark.parametrize("data", [
+    np.zeros((2, 4), dtype=bool),
+    np.array([[0.0, 1.0, 2.0, 3.0]]),      # floats, even integral ones
+    np.array([0, 1, 2, 3]),                # one fingerprint, not a set of them
+    np.array([[0, 1, 2]]),                 # wrong length
+    np.array([[0, 1, 2, 3], [0, 1, 2, 4]]),  # taller than n_dos
+    np.array([[0, -1, 2, 3]]),
+    np.array([[0, 1, 2, 2**40]]),
+])
+def test_raster_set_rejects_bad_heights_as_a_fingerprint_does(data):
+    with pytest.raises(ValueError, match="^raster data must be 4 integer column heights"):
+        FingerprintSet((-10.0, 10.0), (4, 3), "raster", data)
+
+
+def test_fingerprint_set_builds_no_fingerprint_per_spectrum(monkeypatch):
+    calls = []
+    monkeypatch.setattr(Fingerprint, "__post_init__", lambda fp: calls.append(fp))
+    spectra = [Spectrum([0.0, 1.0, 2.0], [0.5, 1.5, k], 1.0) for k in range(5)]
+    for mode in ("raster", "vector"):
+        fps = fingerprint_set(spectra, window=(-1, 1), grid=(4, 4), mode=mode)
+        assert (type(fps), len(fps), calls) == (FingerprintSet, 5, [])
+    fps[4]  # indexing builds one
+    assert len(calls) == 1
 
 
 # large cells of both signs next to small ones: where compensated summation

@@ -2,7 +2,6 @@
 curate's forked datasets: the same bytes and the same errors as one process, and
 no child process left behind."""
 
-import argparse
 import json
 import os
 import signal
@@ -11,9 +10,9 @@ import threading
 import pytest
 
 from matscale import BLAS_THREAD_ENV, _workers, cli, io
-from matscale.spectra import fingerprint_set
+from matscale.spectra import Fingerprint, fingerprint_set
 
-MIN = cli.MIN_SPECTRA_PER_PROCESS
+MIN = io.MIN_SPECTRA_PER_PROCESS
 N = 3 * MIN  # enough spectra for three processes
 
 
@@ -121,14 +120,24 @@ def test_fingerprints_are_the_library_fingerprints(spectra_dir, cpus, mode, h_ma
     items = io.read_spectra_dir(spectra_dir)
     window, grid = (-3.0, 3.0), (32, 16)
     want = fingerprint_set([s for s, _ in items], window, grid, mode, h_max)
-    args = argparse.Namespace(window=window, grid=grid, mode=mode, h_max=h_max)
     for k in (1, 3):
         cpus(k)
-        fps, labels = cli._fingerprint_dir(spectra_dir, args)
+        fps, labels = io.read_fingerprint_set(spectra_dir, window, grid, mode, h_max)
         assert_no_child_left()
         assert labels == [m for _, m in items]
         assert [(fp.window, fp.grid, fp.mode, fp.data.dtype, fp.data.tobytes()) for fp in fps] \
             == [(fp.window, fp.grid, fp.mode, fp.data.dtype, fp.data.tobytes()) for fp in want]
+
+
+@pytest.mark.parametrize("mode", ["raster", "vector"])
+def test_the_ingest_builds_no_fingerprint_per_spectrum(capsys, tmp_path, spectra_dir, cpus,
+                                                       monkeypatch, mode):
+    calls = []
+    monkeypatch.setattr(Fingerprint, "__post_init__", lambda fp: calls.append(fp))
+    cpus(1)
+    fps, labels = io.read_fingerprint_set(spectra_dir, (-3.0, 3.0), (32, 16), mode)
+    assert similarity(capsys, spectra_dir, tmp_path / "out", "--mode", mode)[0] == 0
+    assert (len(fps), len(labels), calls) == (N, N, [])
 
 
 def test_strided_chunks_keep_the_file_order(capsys, tmp_path, spectra_dir, cpus, forks):
