@@ -93,7 +93,8 @@ def fork_map(func: Callable, chunks: Sequence, merge: Callable[[list], list] = l
     dies, or when a message arrives short or with the wrong tag; the caller
     then does the work in one process, where any error is raised as that
     process raises it, so no exception crosses a pipe. Every child is reaped
-    before this returns or raises.
+    before this returns or raises; a child is never killed, so none stops
+    inside an atomic write and leaves its temp file behind.
     """
     global _round
     mask = os.sched_getaffinity(0)
@@ -144,12 +145,14 @@ def fork_map(func: Callable, chunks: Sequence, merge: Callable[[list], list] = l
         return None
     finally:
         _round = None
-        for pid, fds in pending.items():  # children left by a failure
-            import signal  # here, so that a map that succeeds does not load it
-
+        # children left by a failure: with this process's ends of their pipes
+        # closed, a child's next read of a gather answer meets EOF and its next
+        # write EPIPE, so each ends with status 1 once any file it is writing
+        # is in place, and is reaped here
+        for fds in pending.values():
             for fd in fds:
                 os.close(fd)
-            os.kill(pid, signal.SIGKILL)
+        for pid in pending:
             os.waitpid(pid, 0)
         os.sched_setaffinity(0, mask)
 

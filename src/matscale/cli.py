@@ -16,6 +16,7 @@ looked up on each call, so a rebound module attribute (``io.read_structures``,
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import json
 import math
@@ -25,6 +26,7 @@ import sys
 from collections import Counter
 from itertools import cycle
 from pathlib import Path
+from typing import NoReturn
 
 from . import BLAS_THREAD_ENV
 
@@ -79,9 +81,8 @@ def _outdir(args) -> Path:
 
 
 def cmd_curate(args):
-    # numpy.random and structure_io load here, once, rather than in each forked process
-    import numpy.random  # noqa: F401
-
+    # curation (and with it numpy) and structure_io load here, once, rather than in
+    # each forked process
     from . import _workers, curation, io, structure_io  # noqa: F401
 
     input_path = _require_file(args.input)
@@ -466,12 +467,17 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError, OSError, KeyError) as exc:
         print(f"matscale: {exc}", file=sys.stderr)
         return 1
-    print(result)
+    try:  # flushed here, so that a stdout that cannot take it is one error line
+        print(result, flush=True)
+    except OSError as exc:
+        print(f"matscale: stdout: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 
-def run() -> int:
-    """Program entry: choose the BLAS threads before numpy loads, then main().
+def run() -> NoReturn:
+    """Program entry: choose the BLAS threads before numpy loads, then main(),
+    then end the process with main()'s exit code.
 
     The BLAS reads its thread count once, when numpy loads it. Its default
     threads spin idle after each call and burn CPU; at this CLI's matrix
@@ -481,19 +487,27 @@ def run() -> int:
     a caller that runs it in-process and then starts other programs does
     not pass this choice on.
 
-    The cyclic collector is off for the whole process, whose heap the OS
-    reclaims at exit. After main() returns the heap is frozen: interpreter
-    shutdown still runs atexit handlers, flushes stdio and frees by
-    reference count, but its cycle collection skips the frozen objects.
-    main() neither disables the collector nor freezes the heap.
+    The cyclic collector is off for the whole process, whose memory the OS
+    reclaims at exit. After main() returns, the atexit handlers run and
+    stdout and stderr are flushed, and os._exit ends the process: interpreter
+    teardown would only free every object and run numpy's finalizers first.
+    A flush that fails here is not reported again; main() already reported
+    a stdout that could not take its result. Argparse's own exits (--help, a
+    usage error) raise SystemExit out of main() and end the interpreter as
+    usual. main() neither disables the collector nor ends the process.
     """
     if not any(name in os.environ for name in BLAS_THREAD_ENV):
         os.environ.update(dict.fromkeys(BLAS_THREAD_ENV, "1"))
     gc.disable()
     code = main()
-    gc.freeze()
-    return code
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, OSError, ValueError):  # None, failing or closed
+            pass
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    run()

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -360,6 +361,93 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
 
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_outputs(seed: int) -> Iterator[int]:
+    """The 64-bit outputs of np.random.PCG64(seed), as plain ints.
+
+    numpy's SeedSequence(seed) mixes the seed's 32-bit words, least
+    significant first, into a pool of 4 (hashmix and mix), and
+    generate_state(4, uint64) hashes the pool out again as v0..v3. PCG64
+    then starts from state (v0 << 64 | v1) and increment (v2 << 64 | v3) << 1 | 1
+    by step, add, step; each output is a step and the XSL-RR 128/64 of the state.
+    """
+    seed = operator.index(seed)
+    words = [seed >> 32 * k & _MASK32 for k in range(max(1, (seed.bit_length() + 31) // 32))]
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[k] if k < len(words) else 0) for k in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = 0x8B51F9DD
+    halves = []
+    for k in range(8):
+        value = pool[k % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value = value * hash_const & _MASK32
+        halves.append(value ^ value >> 16)
+    v = [halves[2 * k] | halves[2 * k + 1] << 32 for k in range(4)]
+
+    inc = ((v[2] << 64 | v[3]) << 1 | 1) & _MASK128
+    state = ((inc + (v[0] << 64 | v[1])) * _PCG64_MULTIPLIER + inc) & _MASK128
+    while True:
+        state = (state * _PCG64_MULTIPLIER + inc) & _MASK128
+        value = (state >> 64 ^ state) & _MASK64
+        rot = state >> 122
+        yield (value >> rot | value << (64 - rot)) & _MASK64
+
+
+def _permutation(seed: int, m: int, stop: int) -> list[int]:
+    """np.random.default_rng(seed).permutation(m) from position stop on; the
+    positions below stop hold the rest of range(m), in no promised order.
+
+    numpy's Fisher-Yates fixes position i at its step i, from m - 1 down to 1:
+    it swaps i with j = random_interval(i), a draw masked to i's bit length and
+    redrawn while above i. While i is below 2**32 each draw takes 32 bits,
+    the low half of an output first and then its high half. The steps below
+    stop are left out.
+    """
+    if m > 1 << 32:  # numpy would draw 64 bits for the top positions
+        raise ValueError(f"cannot shuffle {m} groups, over 2**32")
+    perm = list(range(m))
+    outputs = _pcg64_outputs(seed)
+    high = None  # the high half of the last output, while it is unused
+    for i in range(m - 1, max(stop, 1) - 1, -1):
+        mask = (1 << i.bit_length()) - 1
+        while True:
+            if high is None:
+                draw = next(outputs)
+                draw, high = draw & _MASK32, draw >> 32
+            else:
+                draw, high = high, None
+            j = draw & mask
+            if j <= i:
+                break
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
 def grouped_split(
     entries: Sequence[Structure],
     fractions: tuple[float, float, float],
@@ -368,11 +456,15 @@ def grouped_split(
 ) -> SplitAssignment:
     """Leakage-free split: all entries sharing an identity land in one split.
 
-    Identity groups are shuffled with a seeded PCG64 generator and assigned
-    so realized group-count fractions are as close as possible to the
-    targets. Groups whose identity is in ``shared_ids`` are instead placed
-    by a stable hash of (label, seed): two datasets run with the same seed
-    put a shared identity in the same split on both sides.
+    Identity groups, in code-point order of their labels, are shuffled as
+    ``np.random.default_rng(seed).permutation`` shuffles them, by this
+    module's own PCG64 (_permutation), so the split does not depend on numpy's
+    Generator methods, whose streams numpy may change between releases (NEP 19).
+    The first groups of the shuffle fill train, the next validation and the
+    rest test, with counts as close as possible to the targets. Groups whose
+    identity is in ``shared_ids`` are instead placed by a stable hash of
+    (label, seed): two datasets run with the same seed put a shared identity
+    in the same split on both sides.
     """
     table = StructureTable.of(entries)
     if not len(table):
@@ -401,8 +493,9 @@ def grouped_split(
             is_free[k] = False
 
     free = np.flatnonzero(is_free)
-    shuffled = free[np.random.default_rng(seed).permutation(len(free))]
     quota = _allocate_counts(len(free), fractions, base)
+    # the first quota[0] shuffled groups all go to train, so their order is not drawn
+    shuffled = free[np.array(_permutation(seed, len(free), quota[0]), dtype=np.intp)]
     split_of_label[shuffled] = np.repeat([0, 1, 2], quota)
 
     names = np.array(SPLIT_NAMES, dtype=object)[split_of_label[codes]]

@@ -295,6 +295,41 @@ def test_split_rejects_negative_seed():
         grouped_split(entries_with_ids(3), (1.0, 0.0, 0.0), seed=-1)
 
 
+def assert_permutation_is_numpys(seed, m, stop):
+    # numpy's permutation is the oracle: the split must not depend on its Generator
+    # method streams, which numpy may change between releases (NEP 19)
+    want = np.random.default_rng(seed).permutation(m).tolist()
+    got = curation._permutation(seed, m, stop)
+    assert got[stop:] == want[stop:]
+    assert sorted(got[:stop]) == sorted(want[:stop])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**256 - 1),
+       st.integers(0, 3000).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))))
+def test_permutation_is_numpys_from_the_stop_on(seed, m_stop):
+    assert_permutation_is_numpys(seed, *m_stop)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**128 + 1])
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_permutation_of_few_groups_is_numpys(seed, m):
+    for stop in range(m + 1):
+        assert_permutation_is_numpys(seed, m, stop)
+
+
+def test_permutation_refuses_more_than_2_to_the_32_groups():
+    with pytest.raises(ValueError, match="over 2"):
+        curation._permutation(0, 2**32 + 1, 2**32 + 1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**128 + 1, 2**200 + 7,
+                                  np.uint64(5), True])
+def test_pcg64_outputs_are_numpys(seed):
+    want = np.random.PCG64(seed).random_raw(40).tolist()
+    assert list(itertools.islice(curation._pcg64_outputs(seed), 40)) == want
+
+
 @pytest.mark.parametrize("fractions", [
     (0.5, 0.5, float("nan")), (float("nan"), 0.5, 0.5), (0.5, float("inf"), 0.0),
 ])

@@ -37,6 +37,8 @@ RUN_CLI = "import runpy; runpy.run_module('matscale.cli', run_name='__main__', a
 NOT_CURATE = {"matscale.lattice", "matscale.polyfeatures", "matscale.regression"}
 # np.unique and np.union1d import numpy.ma on first use where numpy loads it lazily
 NUMPY_MA = {"numpy.ma"}
+# the split shuffles by curation's own PCG64, so no command imports numpy.random
+NUMPY_RANDOM = {"numpy.random"}
 
 
 def _env():
@@ -98,12 +100,12 @@ def numpy_loads(tmp_path_factory):
 
 
 @pytest.mark.parametrize("command, absent, present", [
-    ("curate", NOT_CURATE | {"matscale.spectra"} | NUMPY_MA,
+    ("curate", NOT_CURATE | {"matscale.spectra"} | NUMPY_MA | NUMPY_RANDOM,
      {"numpy", "matscale.structure_io", "matscale._workers"}),
-    ("similarity", NOT_CURATE | {"matscale.structure_io", "matscale.curation"} | NUMPY_MA,
-     {"numpy", "matscale.spectra", "matscale._workers"}),
-    ("ce-fit", {"matscale.structure_io", "matscale.curation", "matscale.spectra"} | NUMPY_MA,
-     {"numpy", "matscale.regression", "matscale._workers"}),
+    ("similarity", NOT_CURATE | {"matscale.structure_io", "matscale.curation"} | NUMPY_MA
+     | NUMPY_RANDOM, {"numpy", "matscale.spectra", "matscale._workers"}),
+    ("ce-fit", {"matscale.structure_io", "matscale.curation", "matscale.spectra"} | NUMPY_MA
+     | NUMPY_RANDOM, {"numpy", "matscale.regression", "matscale._workers"}),
     ("complexity", {"numpy"}, {"matscale.complexity"}),
     ("estimate workflow", {"numpy"}, {"matscale.costs"}),
     ("estimate training", {"numpy"}, {"matscale.costs"}),
@@ -112,8 +114,8 @@ def numpy_loads(tmp_path_factory):
 def test_each_subcommand_loads_only_what_it_runs(demo, numpy_loads, tmp_path, command,
                                                  absent, present):
     loaded = modules_at_exit(tmp_path, RUN_CLI, *demo_argv(demo, tmp_path)[command])
-    # numpy 1.x imports numpy.ma with numpy itself
-    assert not (absent - (NUMPY_MA & numpy_loads)) & loaded
+    # numpy 1.x imports numpy.ma and numpy.random with numpy itself
+    assert not (absent - ((NUMPY_MA | NUMPY_RANDOM) & numpy_loads)) & loaded
     assert present <= loaded
 
 
@@ -156,35 +158,68 @@ def test_unknown_package_attribute_raises_attribute_error():
     {"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "2"},
 ])
 def test_run_sets_one_blas_thread_only_when_the_caller_set_none(monkeypatch, preset):
-    seen = {}
+    seen, exits = {}, []
 
     def fake_main():
         seen.update({name: os.environ.get(name) for name in cli.BLAS_THREAD_ENV})
         return 0
 
     monkeypatch.setattr(cli, "main", fake_main)
-    # keep pytest's collector on and its heap collectable
+    # keep pytest's collector on, its atexit handlers registered and its process alive
     monkeypatch.setattr(cli.gc, "disable", lambda: None)
-    monkeypatch.setattr(cli.gc, "freeze", lambda: None)
+    monkeypatch.setattr(cli.atexit, "_run_exitfuncs", lambda: None)
+    monkeypatch.setattr(cli.os, "_exit", exits.append)
     with mock.patch.dict(os.environ):
         for name in cli.BLAS_THREAD_ENV:
             os.environ.pop(name, None)
         os.environ.update(preset)
-        assert cli.run() == 0
+        cli.run()
+    assert exits == [0]
     if preset:
         assert seen == {name: preset.get(name) for name in cli.BLAS_THREAD_ENV}
     else:
         assert seen == dict.fromkeys(cli.BLAS_THREAD_ENV, "1")
 
 
-def test_run_freezes_the_heap_once_after_main_returns(monkeypatch):
+def test_run_exits_with_mains_code_after_the_atexit_handlers_and_a_flush(monkeypatch):
     calls = []
+
+    def failing_flush():
+        calls.append("stdout")
+        raise OSError(28, "No space left on device")  # main() has reported it
+
     monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
     monkeypatch.setattr(cli.gc, "disable", lambda: calls.append("disable"))
-    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli.atexit, "_run_exitfuncs", lambda: calls.append("atexit"))
+    monkeypatch.setattr(cli.sys, "stdout", SimpleNamespace(flush=failing_flush))
+    monkeypatch.setattr(cli.sys, "stderr", SimpleNamespace(flush=lambda: calls.append("stderr")))
+    monkeypatch.setattr(cli.os, "_exit", lambda code: calls.append(("_exit", code)))
     with mock.patch.dict(os.environ):
-        assert cli.run() == 3
-    assert calls == ["disable", "main", "freeze"]
+        cli.run()
+    assert calls == ["disable", "main", "atexit", "stdout", "stderr", ("_exit", 3)]
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("stdout, error", [
+    pytest.param("/dev/full", "[Errno 28] No space left on device", marks=pytest.mark.skipif(
+        not os.path.exists("/dev/full"), reason="no /dev/full")),
+    (None, "[Errno 32] Broken pipe"),  # a pipe whose read end is closed
+])
+def test_a_stdout_that_cannot_take_the_result_is_one_error_line(unbuffered, stdout, error):
+    env = {name: value for name, value in _env().items() if name != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    if stdout is None:
+        read_end, fd = os.pipe()
+        os.close(read_end)
+    else:
+        fd = os.open(stdout, os.O_WRONLY)
+    try:
+        result = subprocess.run([sys.executable, "-m", "matscale.cli", "complexity", "--nn",
+                                 "2,3,1"], env=env, stdout=fd, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(fd)
+    assert (result.returncode, result.stderr) == (1, f"matscale: stdout: {error}\n")
 
 
 def test_main_never_freezes_the_heap(demo, tmp_path, monkeypatch, capsys):
@@ -206,8 +241,8 @@ def _files(directory):
 
 
 def test_cli_process_writes_what_main_writes(demo, tmp_path, capsys):
-    # `python -m matscale.cli` goes through run(), which freezes the heap before exit;
-    # stdout to a pipe is block-buffered, so only the exit flushes it
+    # `python -m matscale.cli` goes through run(), which ends the process with os._exit;
+    # stdout to a pipe is block-buffered, so it must be flushed before that
     env = {name: value for name, value in _env().items() if name != "PYTHONUNBUFFERED"}
     process, in_process = tmp_path / "process", tmp_path / "in_process"
     argv = demo_argv(demo, process)["curate"]

@@ -6,6 +6,8 @@ import json
 import os
 import signal
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -82,6 +84,19 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(_workers.os, "fork", counting_fork)
     return calls
+
+
+@pytest.fixture
+def deadline():
+    """The test fails with TimeoutError, not a hang, when it runs past 20 s."""
+    def expire(signum, frame):
+        raise TimeoutError("the test ran past its 20 s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(20)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 def assert_no_child_left():
@@ -392,6 +407,19 @@ def test_a_failure_before_the_gather_falls_back_to_one_process(cpus, forks, befo
     assert chunks_here == [items[0::2], items]
 
 
+def test_a_failure_here_ends_a_child_blocked_on_its_result_write(pins, deadline):
+    # 10 MB fills the pipe, and nothing here reads it: the child must see EPIPE
+    parent = os.getpid()
+
+    def big_or_fail(chunk):
+        if os.getpid() == parent:
+            raise ValueError(chunk)
+        return bytes(10 << 20)
+
+    assert _workers.fork_map(big_or_fail, [0, 1]) is None
+    assert_no_child_left()
+
+
 def write_table(path, prefix, rows):
     """A structure table; row k is (formula, spacegroup) of rows[k]."""
     path.write_text("entry_id,formula,spacegroup,formation_energy\n" + "".join(
@@ -466,3 +494,39 @@ def test_forked_curate_errors_are_the_serial_errors(capsys, tmp_path, tables, cp
     assert (code, stdout, files) == (1, "", {})
     assert stderr.startswith(f"matscale: {paths[named]}: row ") and stderr.count("\n") == 1
     assert len(forks) == 1
+
+
+def test_a_write_error_here_after_the_swap_leaves_no_temp_file(capsys, tmp_path, tables, cpus,
+                                                              forks, monkeypatch, deadline):
+    # this process fails its first write while the child is inside its own: the
+    # child is not killed mid-write, so its file is whole and no temp file is left
+    alpha, beta = tables
+    argv = ["--input", str(alpha), "--other", str(beta)]
+    cpus(1)
+    serial = curate(capsys, tmp_path / "serial", *argv)[3]
+    write = io.atomic_write_text
+
+    waits = []
+
+    def fail_here_write_slowly_in_the_child(path, text):
+        path = Path(path)
+        if path.name == "alpha_split.csv":  # --input's dataset: this process's
+            if not waits:  # the forked attempt: fail once the child's write has begun
+                waits.append(time.monotonic())
+                while not list(path.parent.glob("beta_split.csv*.tmp")):
+                    assert time.monotonic() < waits[0] + 10
+                    time.sleep(0.01)
+            raise OSError(28, "No space left on device")
+
+        def slowly():
+            time.sleep(0.3)  # the temp file exists while this waits
+            yield from (text,) if isinstance(text, str) else text
+
+        write(path, slowly())
+
+    monkeypatch.setattr(io, "atomic_write_text", fail_here_write_slowly_in_the_child)
+    cpus(2)
+    code, stdout, stderr, files = curate(capsys, tmp_path / "forked", *argv)
+    assert len(forks) == 1
+    assert (code, stdout, stderr) == (1, "", "matscale: [Errno 28] No space left on device\n")
+    assert files == {"beta_split.csv": serial["beta_split.csv"]}
