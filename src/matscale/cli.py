@@ -223,6 +223,7 @@ def cmd_ce_fit(args):
     outdir = _outdir(args)
 
     ids, occupations, targets = io.read_ce_configs(configs_path)
+    regression.check_targets(targets, f"{configs_path}: targets")
     clusters = _read_clusters(clusters_path)
     _flag_spec("--degree", polyfeatures.check_expansion_size,
                len(occupations), len(clusters), max(args.degree))
@@ -353,8 +354,8 @@ def cmd_estimate(args):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        """A flag error is one stderr line; it exits 2 as argparse's own does."""
-        self.exit(2, f"matscale: {message}\n")
+        """A flag that argparse refuses is a flag error like any other (exit 2)."""
+        raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -439,39 +440,39 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _join_window_flag(argv):
     # lets "--window -10,10" survive argparse's leading-dash handling
-    out = []
-    i = 0
-    while i < len(argv):
-        if argv[i] == "--window" and i + 1 < len(argv):
-            out.append(f"--window={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(argv[i])
-            i += 1
+    out, rest = [], iter(argv)
+    for arg in rest:
+        value = next(rest, None) if arg == "--window" else None
+        out.append(arg if value is None else f"--window={value}")
     return out
 
 
-def main(argv=None) -> int:
-    """Run one subcommand; return its exit code. Leaves os.environ as it is."""
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parser.parse_args(_join_window_flag(list(argv)))
+def _fail(code: int, message) -> int:
+    """Write "matscale: message" to stderr, if it can take it, and return code."""
     try:
+        print(f"matscale: {message}", file=sys.stderr, flush=True)
+    except OSError:
+        pass
+    return code
+
+
+def main(argv=None) -> int:
+    """Return the exit code of one run, --help included; leave os.environ as it is."""
+    try:
+        args = build_parser().parse_args(_join_window_flag(sys.argv[1:] if argv is None else argv))
         result = args.func(args)
         if not isinstance(result, str):
             result = json.dumps(result, allow_nan=False)
+    except SystemExit:  # --help, once argparse has printed it
+        return 0
     except ConfigError as exc:
-        print(f"matscale: {exc}", file=sys.stderr)
-        return 2
+        return _fail(2, exc)
     except (ValueError, OverflowError, OSError, KeyError) as exc:
-        print(f"matscale: {exc}", file=sys.stderr)
-        return 1
+        return _fail(1, exc)
     try:  # flushed here, so that a stdout that cannot take it is one error line
         print(result, flush=True)
     except OSError as exc:
-        print(f"matscale: stdout: {exc}", file=sys.stderr)
-        return 1
+        return _fail(1, f"stdout: {exc}")
     return 0
 
 
@@ -492,9 +493,8 @@ def run() -> NoReturn:
     stdout and stderr are flushed, and os._exit ends the process: interpreter
     teardown would only free every object and run numpy's finalizers first.
     A flush that fails here is not reported again; main() already reported
-    a stdout that could not take its result. Argparse's own exits (--help, a
-    usage error) raise SystemExit out of main() and end the interpreter as
-    usual. main() neither disables the collector nor ends the process.
+    a stdout that could not take its result. main() neither disables the
+    collector nor ends the process.
     """
     if not any(name in os.environ for name in BLAS_THREAD_ENV):
         os.environ.update(dict.fromkeys(BLAS_THREAD_ENV, "1"))

@@ -9,6 +9,7 @@ column units.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -20,8 +21,22 @@ from .polyfeatures import (check_degree, check_expansion_size, enumerate_monomia
                            feature_count, feature_matrix)
 
 
+def check_targets(y, name: str = "targets") -> None:
+    """Raise ValueError unless the float targets' sum of squared deviations from
+    their mean is at most half the largest float64. That sum bounds the residual
+    sum of squares of every OMP step (RMSE never rises), and with it every
+    screening product |Xs.T @ r| <= sqrt(n) * ||r||; the other half is room for
+    np.linalg.norm's summation order to round up."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = np.square(y - y.mean()).sum()
+    if not spread <= sys.float_info.max / 2:  # a mean that overflows makes it inf or NaN
+        raise ValueError(f"{name}: the sum of squared deviations from their mean "
+                         f"({spread:g}) must be at most half the largest float64")
+
+
 def _design_matrix(X, y) -> tuple[np.ndarray, np.ndarray]:
-    """X and y as float arrays: an n x q feature matrix and n targets, all finite."""
+    """X and y as float arrays: an n x q feature matrix and n targets, all finite,
+    that check_targets accepts."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
@@ -30,6 +45,7 @@ def _design_matrix(X, y) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"targets must have shape ({X.shape[0]},), got {y.shape}")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("design matrix contains non-finite entries")
+    check_targets(y)
     return X, y
 
 

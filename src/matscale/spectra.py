@@ -248,7 +248,11 @@ def bin_heights(
     check_grid((n_energy_bins,))
     lo, hi = window
     where = f"{spectrum.source}: " if spectrum.source else ""
-    shifted = spectrum.energies - spectrum.fermi_energy
+    with np.errstate(over="ignore"):  # energies ascend: only the ends can overflow
+        shifted = spectrum.energies - spectrum.fermi_energy
+    if not (math.isfinite(shifted[0]) and math.isfinite(shifted[-1])):
+        raise ValueError(f"{where}an energy minus the Fermi energy "
+                         f"{spectrum.fermi_energy:g} overflows float64")
     if shifted[-1] <= lo or shifted[0] >= hi:
         raise ValueError(
             f"{where}window {window} does not overlap the spectrum range "

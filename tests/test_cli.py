@@ -14,12 +14,8 @@ from matscale.curation import histogram_edges
 
 
 def run_cli(capsys, *argv):
-    """(exit code, stdout, stderr) of main(argv); a flag error that argparse
-    finds exits through SystemExit, as `matscale` itself does."""
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
+    """(exit code, stdout, stderr) of main(argv)."""
+    code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -288,21 +284,31 @@ def test_similarity_overflowing_dos_fails_before_writing(tmp_path, capsys, mode)
     assert not (out / "similarity_matrix.csv").exists()
 
 
+NEAR_MAX = "-1,8e307\n0,8e307\n1,8e307\n"  # DOS near the float maximum
+FAR_ENERGIES = "-1e308,1\n0,2\n1e308,1\n"  # shifted by a Fermi energy of -1e308
+
+
 @pytest.mark.filterwarnings("error")  # numpy's overflow warnings fail the test
-@pytest.mark.parametrize("flags, code, error", [
+@pytest.mark.parametrize("rows, fermi, flags, error", [
     # bin heights up to 6.25e306: n_dos times one is past the float64 range
-    ([], 0, None),
-    (["--h-max", "1e308"], 0, None),
+    (NEAR_MAX, 0.0, [], None),
+    (NEAR_MAX, 0.0, ["--h-max", "1e308"], None),
     # the vectors' inner products with themselves overflow
-    (["--mode", "vector"], 1, "the vector's inner product with itself, inf, exceeds"),
+    (NEAR_MAX, 0.0, ["--mode", "vector"], "the vector's inner product with itself, inf, "
+     "exceeds 8.98847e+307, so its similarities overflow float64"),
+    # the last energy minus the Fermi energy overflows, in either mode
+    (FAR_ENERGIES, -1e308, ["--window=-1,1"],
+     "an energy minus the Fermi energy -1e+308 overflows float64"),
+    (FAR_ENERGIES, -1e308, ["--window=-1,1", "--mode", "vector"],
+     "an energy minus the Fermi energy -1e+308 overflows float64"),
 ])
-def test_similarity_dos_near_the_float_maximum(tmp_path, capsys, flags, code, error):
+def test_similarity_dos_near_the_float_maximum(tmp_path, capsys, rows, fermi, flags, error):
     sdir = tmp_path / "spectra"
     sdir.mkdir()
     for name in ("calc_a", "calc_b"):
-        (sdir / f"{name}.csv").write_text("energy,dos\n-1,8e307\n0,8e307\n1,8e307\n")
+        (sdir / f"{name}.csv").write_text("energy,dos\n" + rows)
         (sdir / f"{name}.json").write_text(json.dumps({
-            "fermi_energy": 0.0, "xc": "LDA", "n_kpt": 4, "n_basis": 40,
+            "fermi_energy": fermi, "xc": "LDA", "n_kpt": 4, "n_basis": 40,
             "settings_tier": "light", "relativistic": "ZORA",
         }))
     out = tmp_path / "simout"
@@ -312,8 +318,7 @@ def test_similarity_dos_near_the_float_maximum(tmp_path, capsys, flags, code, er
         assert result[0::2] == (0, "")
         assert (out / "similarity_matrix.csv").read_text() == "1,1\n1,1\n"
     else:
-        assert result == (code, "", f"matscale: {sdir / 'calc_a.csv'}: {error} "
-                                    "8.98847e+307, so its similarities overflow float64\n")
+        assert result == (1, "", f"matscale: {sdir / 'calc_a.csv'}: {error}\n")
         assert list(out.iterdir()) == []
 
 
@@ -425,9 +430,7 @@ def test_estimate_human_format(capsys):
 
 
 def test_bad_flags_exit_code_two(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["curate"])  # --input is required
-    assert exc.value.code == 2
+    assert main(["curate"]) == 2  # --input is required
     assert capsys.readouterr() == ("", "matscale: the following arguments are required: "
                                        "--input\n")
 
@@ -449,7 +452,7 @@ def test_module_error_exit_code_one(tmp_path, capsys):
         capsys, "curate", "--input", str(bad), "--output-dir", str(tmp_path / "o"),
     )
     assert code == 1
-    assert stderr
+    assert stderr.startswith(f"matscale: {bad}: row 1: ") and stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -484,6 +487,12 @@ def test_ce_fit_bad_flags_exit_two_before_reading(ce_inputs, tmp_path, capsys,
     assert not out.exists()
 
 
+HUGE_TARGETS = ("entry_id,occupations,target\n"
+                "c0,1 1 1 1 1 1,{}\nc1,-1 1 1 1 1 1,{}\nc2,1 -1 1 1 1 1,{}\n")
+SPREAD = ("targets: the sum of squared deviations from their mean (inf) must be at most half "
+          "the largest float64")
+
+
 @pytest.mark.parametrize("target, text, message", [
     ("configs", "entry_id,occupations,target\nc0,1 1 1 1 1 1,0\nc1,1 1\n",
      "line 3: expected 3 columns"),
@@ -503,7 +512,11 @@ def test_ce_fit_bad_flags_exit_two_before_reading(ce_inputs, tmp_path, capsys,
     ("configs", "entry_id,occupations,target\nc0,1 1 1 1,0\n",
      "configurations have 4 sites but the group in"),
     ("clusters", "[[0], [0, 6]]", "entry 1: cluster touches site 6 but the group acts on 6 sites"),
+    # finite targets whose squared deviations overflow: refused before any fit
+    ("configs", HUGE_TARGETS.format(1e308, -1e308, 1e308), SPREAD),
+    ("configs", HUGE_TARGETS.format(1e200, -1e200, 3), SPREAD),
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's overflow warnings fail it
 def test_ce_fit_bad_input_names_file(ce_inputs, tmp_path, capsys,
                                      target, text, message):
     paths = dict(zip(("configs", "clusters", "group"), ce_inputs))
@@ -514,8 +527,9 @@ def test_ce_fit_bad_input_names_file(ce_inputs, tmp_path, capsys,
         "--output-dir", str(tmp_path / "ceout"),
     )
     assert (code, stdout) == (1, "")
-    assert f"{paths[target]}: " in stderr
+    assert stderr.startswith(f"matscale: {paths[target]}: ") and stderr.count("\n") == 1
     assert message in stderr
+    assert list((tmp_path / "ceout").iterdir()) == []
 
 
 def test_ce_fit_refuses_an_oversized_expansion_before_building_it(ce_inputs, tmp_path,

@@ -1,4 +1,5 @@
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -267,6 +268,18 @@ def test_plateau_validates_arguments():
         plateau_detect(trace, window=1, eps=float("inf"))
 
 
+DBL_MAX = sys.float_info.max
+
+
+@pytest.mark.parametrize("targets", [[1e308, -1e308, 1e308], [1e200, -1e200, 3],
+                                     [DBL_MAX, DBL_MAX, 0]])
+def test_omp_refuses_targets_whose_spread_overflows(targets):
+    with pytest.raises(ValueError, match=r"^targets: the sum of squared deviations from "
+                                         r"their mean \((inf|nan)\) must be at most half "
+                                         "the largest float64$"):
+        omp_fit(np.eye(3), targets, max_features=1)
+
+
 # --- compare_feature_spaces ------------------------------------------------------
 
 def all_sign_configs(n_sites, fill=6):
@@ -362,6 +375,25 @@ def _ce_problem(seed=3, n=14):
     rng = np.random.default_rng(seed)
     configs = rng.choice([-1, 1], size=(n, 5))
     return configs, rng.normal(size=n), clusters, g
+
+
+# numpy's overflow warnings fail the test (hypothesis' own DeprecationWarnings do not)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-DBL_MAX, DBL_MAX) | st.sampled_from([DBL_MAX, -DBL_MAX, 0.0]),
+                min_size=3, max_size=8))
+def test_huge_targets_are_refused_or_fit_to_finite_traces(targets):
+    # the 4-site cyclic group with the point and pair clusters, as ce-fit reads them
+    configs = [[1, 1, 1, 1], [1, -1, 1, -1], [-1, -1, 1, 1], [1, -1, -1, -1]] * 2
+    try:
+        traces = compare_feature_spaces(configs[:len(targets)], targets, [Cluster((0,)),
+                                        Cluster((0, 1))], SymmetryGroup.cyclic(4), [1, 2])
+    except ValueError as exc:
+        assert "must be at most half the largest float64" in str(exc)
+        return
+    for trace in traces.values():
+        assert np.all(np.isfinite([point.rmse for point in trace.points]))
+        assert np.all(np.isfinite(trace.fitted))
 
 
 @pytest.fixture

@@ -4,9 +4,11 @@ Each import-set check runs in a fresh interpreter and reads ``sys.modules``
 at exit, so modules an earlier test imported cannot hide a regression.
 """
 
+import errno
 import gc
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -46,6 +48,53 @@ def _env():
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
 
 
+SCRIPT = shutil.which("matscale")
+# how a contract row runs, unless in this process by cli.main: as `python -m matscale.cli`
+# or as the installed console script, both of which end through cli.run()
+COMMAND = {"module": [sys.executable, "-m", "matscale.cli"], "script": [SCRIPT]}
+COMPLEXITY = ["complexity", "--nn", "2,3,1"]
+NO_SPECTRA = ["similarity", "--spectra", "/nonexistent", "--grid"]
+# name: (argv, exit code, what the one stderr line of a failure holds, the stream that
+# cannot take its text: None or (stdout or stderr, /dev/full or pipe, unbuffered))
+CONTRACT = {
+    "--help": (["--help"], 0, None, None),
+    "complexity": (COMPLEXITY, 0, None, None),
+    "estimate training": (["estimate", "training", "--steps", "2000000", "--t-batch", "0.0010",
+                           "--t-grad", "0.0023"], 0, None, None),
+    "--t-batch nan": (["estimate", "training", "--steps", "10", "--t-batch", "nan",
+                       "--t-grad", "0.1"], 2, "--t-batch", None),
+    "--grid 0x4": (NO_SPECTRA + ["0x4"], 2, "--grid", None),
+    # a flag that argparse itself refuses is one line too, not a usage block
+    "--seed abc": (["curate", "--input", "x", "--seed", "abc"], 2, "--seed", None),
+    # raster bits past the int64 similarity sums
+    "--grid 4x2**70": (NO_SPECTRA + ["4x1180591620717411303424"], 2, "--grid", None),
+    # a byte count past the 64-bit integer range, named by its flag and not printed
+    "--mb-per-run 1e300": (["estimate", "workflow", "--structures", "1", "--settings", "1",
+                            "--files-per-run", "1", "--mb-per-run", "1e300"], 2,
+                           "--mb-per-run", None),
+    "no --input": (["curate"], 2, "--input", None),
+}
+for target, code in (("/dev/full", errno.ENOSPC), ("pipe", errno.EPIPE)):  # a closed pipe
+    for unbuffered in (False, True):
+        how = f"to {target}, {'un' if unbuffered else ''}buffered"
+        # the result is one error line, through run()'s flush and os._exit
+        CONTRACT[f"stdout {how}"] = (COMPLEXITY, 1, f"stdout: [Errno {code}] "
+                                     f"{os.strerror(code)}", ("stdout", target, unbuffered))
+        # an error line that stderr cannot take leaves the code as it is
+        CONTRACT[f"stderr {how}"] = (["curate", "--input", "/nonexistent"], 2, None,
+                                     ("stderr", target, unbuffered))
+
+
+def _contract_cases():
+    """(variant, row) for every row: as a `module` and a `script` process, and by
+    `main` in this process unless the row needs a stream that cannot take its text."""
+    for row, (_, _, _, stream) in CONTRACT.items():
+        marks = [pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+                 ] if stream and stream[1] == "/dev/full" else []
+        for variant in ["module", "script"] + ([] if stream else ["main"]):
+            yield pytest.param(variant, row, marks=marks, id=f"{variant}: {row}")
+
+
 def modules_at_exit(tmp_path, body, *argv):
     """sys.modules at the exit of a fresh interpreter that runs body."""
     dump = tmp_path / "modules.json"
@@ -56,6 +105,48 @@ def modules_at_exit(tmp_path, body, *argv):
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     return set(json.loads(dump.read_text()))
+
+
+@pytest.mark.parametrize("variant, row", _contract_cases())
+def test_every_run_returns_its_code_with_at_most_one_error_line(capsys, variant, row):
+    argv, code, text, stream = CONTRACT[row]
+    if variant == "main":
+        returned = cli.main(argv)  # a SystemExit would fail the test
+        out, err = capsys.readouterr()
+    else:
+        if variant == "script" and SCRIPT is None:
+            pytest.skip("no matscale console script on PATH")
+        env = {name: value for name, value in _env().items() if name != "PYTHONUNBUFFERED"}
+        fds = {}
+        if stream:
+            name, target, unbuffered = stream
+            if unbuffered:
+                env["PYTHONUNBUFFERED"] = "1"
+            if target == "pipe":
+                read_end, fds[name] = os.pipe()
+                os.close(read_end)
+            else:
+                fds[name] = os.open(target, os.O_WRONLY)
+        try:
+            result = subprocess.run(COMMAND[variant] + argv, env=env, text=True,
+                                    stdout=fds.get("stdout", subprocess.PIPE),
+                                    stderr=fds.get("stderr", subprocess.PIPE))
+        finally:
+            for fd in fds.values():
+                os.close(fd)
+        returned, out, err = result.returncode, result.stdout, result.stderr
+    assert returned == code
+    if code == 0:
+        assert err == ""
+        if argv == ["--help"]:
+            assert out.startswith("usage: matscale ")
+        else:
+            json.loads(out)
+        return
+    assert out in ("", None)  # None: the stream could not take it
+    if err is not None:
+        assert err.startswith("matscale: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert text in err
 
 
 @pytest.fixture(scope="module")
@@ -197,29 +288,6 @@ def test_run_exits_with_mains_code_after_the_atexit_handlers_and_a_flush(monkeyp
     with mock.patch.dict(os.environ):
         cli.run()
     assert calls == ["disable", "main", "atexit", "stdout", "stderr", ("_exit", 3)]
-
-
-@pytest.mark.parametrize("unbuffered", [True, False])
-@pytest.mark.parametrize("stdout, error", [
-    pytest.param("/dev/full", "[Errno 28] No space left on device", marks=pytest.mark.skipif(
-        not os.path.exists("/dev/full"), reason="no /dev/full")),
-    (None, "[Errno 32] Broken pipe"),  # a pipe whose read end is closed
-])
-def test_a_stdout_that_cannot_take_the_result_is_one_error_line(unbuffered, stdout, error):
-    env = {name: value for name, value in _env().items() if name != "PYTHONUNBUFFERED"}
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    if stdout is None:
-        read_end, fd = os.pipe()
-        os.close(read_end)
-    else:
-        fd = os.open(stdout, os.O_WRONLY)
-    try:
-        result = subprocess.run([sys.executable, "-m", "matscale.cli", "complexity", "--nn",
-                                 "2,3,1"], env=env, stdout=fd, stderr=subprocess.PIPE, text=True)
-    finally:
-        os.close(fd)
-    assert (result.returncode, result.stderr) == (1, f"matscale: stdout: {error}\n")
 
 
 def test_main_never_freezes_the_heap(demo, tmp_path, monkeypatch, capsys):
