@@ -48,7 +48,6 @@ _SUBMODULE = {
         "CalcMetadata",
         "Spectrum",
         "block_stats",
-        "make_fingerprint",
         "similarity_matrix",
         "sort_by_settings",
         "tanimoto",

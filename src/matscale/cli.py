@@ -352,10 +352,18 @@ def cmd_estimate(args):
     return payload
 
 
+class _Help(Exception):
+    """--help's text, which main() writes to stdout as it writes a result."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         """A flag that argparse refuses is a flag error like any other (exit 2)."""
         raise ConfigError(message)
+
+    def print_help(self, file=None):
+        # argparse would write it itself and ignore a stdout that cannot take it
+        raise _Help(self.format_help().removesuffix("\n"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -463,8 +471,8 @@ def main(argv=None) -> int:
         result = args.func(args)
         if not isinstance(result, str):
             result = json.dumps(result, allow_nan=False)
-    except SystemExit:  # --help, once argparse has printed it
-        return 0
+    except _Help as help_text:
+        result = str(help_text)
     except ConfigError as exc:
         return _fail(2, exc)
     except (ValueError, OverflowError, OSError, KeyError) as exc:

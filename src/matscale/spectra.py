@@ -94,41 +94,12 @@ class CalcMetadata:
         )
 
 
-@dataclass
-class Fingerprint:
-    """Discretized spectrum: raster column heights (n_energy integers in
-    [0, n_dos] of dtype np.min_scalar_type(n_dos), column j has its lowest
-    data[j] bits set) or a real vector."""
-
-    window: tuple[float, float]
-    grid: tuple[int, int]
-    mode: str
-    data: np.ndarray
-
-    def __post_init__(self):
-        if self.mode == "raster":
-            self.data = _raster_heights(self.data, self.grid, 1)
-
-    def to_raster(self) -> np.ndarray:
-        """The (n_energy, n_dos) bool bit raster of a raster fingerprint."""
-        if self.mode != "raster":
-            raise ValueError("only raster fingerprints have a bit raster")
-        return np.arange(self.grid[1]) < self.data[:, None]
-
-    def same_config(self, other: "Fingerprint") -> bool:
-        return (
-            self.window == other.window
-            and self.grid == other.grid
-            and self.mode == other.mode
-        )
-
-
-def _raster_heights(data, grid, ndim: int) -> np.ndarray:
-    """data as raster column heights of dtype np.min_scalar_type(n_dos): integers
-    in [0, n_dos], n_energy to a row, in ndim dimensions; else a ValueError."""
+def _raster_heights(data, grid) -> np.ndarray:
+    """data as rows of raster column heights of dtype np.min_scalar_type(n_dos):
+    integers in [0, n_dos], n_energy to a row; else a ValueError."""
     n_energy, n_dos = grid
     h = np.asarray(data)
-    if (h.ndim != ndim or h.shape[-1] != n_energy or h.dtype.kind not in "iu"
+    if (h.ndim != 2 or h.shape[1] != n_energy or h.dtype.kind not in "iu"
             or h.size and (h.min() < 0 or h.max() > n_dos)):
         raise ValueError(f"raster data must be {n_energy} integer column heights "
                          f"in [0, {n_dos}], got {h.dtype} of shape {h.shape}")
@@ -138,8 +109,9 @@ def _raster_heights(data, grid, ndim: int) -> np.ndarray:
 @dataclass
 class FingerprintSet:
     """n fingerprints of one window, grid and mode as one (n, n_energy) array:
-    raster column heights as a Fingerprint stores them, or float64 vectors.
-    len(fps) is n and fps[k] is the k-th Fingerprint."""
+    raster column heights of dtype np.min_scalar_type(n_dos), row k's column j
+    with its lowest data[k, j] bits set, or float64 vectors. len(fps) is n, and
+    fps[k] is row k as a one-row set."""
 
     window: tuple[float, float]
     grid: tuple[int, int]
@@ -148,29 +120,25 @@ class FingerprintSet:
 
     def __post_init__(self):
         if self.mode == "raster":
-            self.data = _raster_heights(self.data, self.grid, 2)
+            self.data = _raster_heights(self.data, self.grid)
         else:
             self.data = np.asarray(self.data, dtype=np.float64)
             if self.data.ndim != 2:
                 raise ValueError(f"vector data must be one row per fingerprint, "
                                  f"got shape {self.data.shape}")
 
-    @classmethod
-    def of(cls, fps: Sequence[Fingerprint]) -> "FingerprintSet":
-        """The set of fingerprints that share one window, grid and mode."""
-        if not fps:
-            raise ValueError("need at least one fingerprint")
-        for fp in fps[1:]:
-            if not fp.same_config(fps[0]):
-                raise ValueError("all fingerprints must share window/grid/mode")
-        return cls(fps[0].window, fps[0].grid, fps[0].mode,
-                   np.stack([fp.data.ravel() for fp in fps]))
-
     def __len__(self) -> int:
         return len(self.data)
 
-    def __getitem__(self, k: int) -> Fingerprint:
-        return Fingerprint(self.window, self.grid, self.mode, self.data[k])
+    def __getitem__(self, k: int) -> "FingerprintSet":
+        k = range(len(self))[k]  # a negative k counts from the end; past it, IndexError
+        return FingerprintSet(self.window, self.grid, self.mode, self.data[k:k + 1])
+
+    def to_raster(self) -> np.ndarray:
+        """The (n, n_energy, n_dos) bool bit rasters of a raster set."""
+        if self.mode != "raster":
+            raise ValueError("only raster fingerprints have a bit raster")
+        return np.arange(self.grid[1]) < self.data[:, :, None]
 
 
 @dataclass
@@ -267,23 +235,6 @@ def bin_heights(
     return heights
 
 
-def make_fingerprint(
-    spectrum: Spectrum,
-    window: tuple[float, float] = DEFAULT_WINDOW,
-    grid: tuple[int, int] = DEFAULT_GRID,
-    mode: str = "raster",
-    h_max: Optional[float] = None,
-) -> Fingerprint:
-    """Fingerprint one spectrum: the fingerprint_set of it alone.
-
-    Raster mode needs the normalization ``h_max``; a column of height h
-    gets floor(n_dos_bins * clamp(h, 0, h_max) / h_max) bits set. It
-    defaults to this spectrum's maximum bin height; fingerprint_set()
-    shares the maximum over all the compared spectra.
-    """
-    return fingerprint_set([spectrum], window, grid, mode, h_max)[0]
-
-
 def fingerprint_set(
     spectra: Sequence[Spectrum],
     window: tuple[float, float] = DEFAULT_WINDOW,
@@ -293,10 +244,12 @@ def fingerprint_set(
 ) -> FingerprintSet:
     """Fingerprint a set of spectra with one shared normalization.
 
-    When h_max is not given, the maximum bin height across the whole set
-    is used, so rasters of different spectra are directly comparable; if
-    every spectrum is flat (zero) in the window, every raster is empty. A
-    given h_max must be finite and > 0.
+    In raster mode a column of height h gets floor(n_dos * clamp(h, 0, h_max)
+    / h_max) bits set. When h_max is not given, the maximum bin height across
+    the whole set is used, so rasters of different spectra are directly
+    comparable; if every spectrum is flat (zero) in the window, every raster
+    is empty. A given h_max must be finite and > 0. One spectrum's
+    fingerprint is fingerprint_set([spectrum], ...).
     """
     if not spectra:
         raise ValueError("no spectra given")
@@ -366,17 +319,20 @@ def _check_self_terms(terms, names=()) -> None:
                          f"exceeds {MAX_SELF_TERM:g}, so its similarities overflow float64")
 
 
-def tanimoto(f1: Fingerprint, f2: Fingerprint) -> float:
-    """Tanimoto coefficient <a,b> / (<a,a> + <b,b> - <a,b>) in [0, 1].
+def tanimoto(f1: FingerprintSet, f2: FingerprintSet) -> float:
+    """Tanimoto coefficient <a,b> / (<a,a> + <b,b> - <a,b>) in [0, 1] of two
+    one-row sets of one window, grid and mode.
 
     Raster columns share min(k, k') bits, so <a,b> sums the height minima.
     Both-all-zero fingerprints compare as 1.0 (defined limit). Vectors whose
     self terms pass MAX_SELF_TERM are an error.
     """
-    if not f1.same_config(f2):
+    if len(f1) != 1 or len(f2) != 1:
+        raise ValueError(f"tanimoto compares two one-row sets, got {len(f1)} and "
+                         f"{len(f2)} rows")
+    if (f1.window, f1.grid, f1.mode) != (f2.window, f2.grid, f2.mode):
         raise ValueError("fingerprints have mismatched window/grid/mode")
-    a = f1.data.ravel()
-    b = f2.data.ravel()
+    a, b = f1.data[0], f2.data[0]
     if f1.mode == "raster":
         ab = int(np.minimum(a, b).sum(dtype=np.int64))
         aa = int(a.sum(dtype=np.int64))
@@ -393,14 +349,10 @@ def tanimoto(f1: Fingerprint, f2: Fingerprint) -> float:
     return ab / denom
 
 
-def similarity_matrix(
-    items: FingerprintSet | Sequence[Fingerprint] | Sequence[tuple[Fingerprint, CalcMetadata]],
-    labels: Optional[Sequence[CalcMetadata]] = None,
-) -> SimilarityMatrix:
-    """Pairwise Tanimoto matrix; ordering is the identity permutation.
-
-    With labels, items is a FingerprintSet, or fingerprints that make one, with
-    one label each; without, items are (fingerprint, metadata) pairs.
+def similarity_matrix(fps: FingerprintSet, labels: Sequence[CalcMetadata]
+                      ) -> SimilarityMatrix:
+    """Pairwise Tanimoto matrix of a set, with one label per row; ordering is the
+    identity permutation.
 
     Every cell equals tanimoto() of its pair bit for bit: raster inner products
     are exact integer sums of minima, in uint32 while the n_energy * n_dos raster
@@ -408,12 +360,11 @@ def similarity_matrix(
     batched per row through matmul's vector-vector path (a gemv would round
     differently). Vectors whose self terms pass MAX_SELF_TERM are an error.
     """
-    if not len(items):
-        raise ValueError("need at least one (fingerprint, metadata) item")
-    if labels is None:
-        items, labels = [fp for fp, _ in items], [md for _, md in items]
-    fps = items if isinstance(items, FingerprintSet) else FingerprintSet.of(items)
+    if not isinstance(fps, FingerprintSet):
+        raise TypeError(f"similarity_matrix takes a FingerprintSet, got {type(fps).__name__}")
     n = len(fps)
+    if not n:
+        raise ValueError("need at least one fingerprint")
     if len(labels) != n:
         raise ValueError(f"got {len(labels)} labels for {n} fingerprints")
     data = fps.data

@@ -38,7 +38,7 @@ from matscale.polyfeatures import enumerate_monomials, feature_matrix
 from matscale.regression import least_squares, omp_fit
 from matscale.spectra import (
     CalcMetadata,
-    Fingerprint,
+    FingerprintSet,
     similarity_matrix,
     sort_by_settings,
 )
@@ -200,29 +200,26 @@ def test_c7d_correlations_invariant_under_group_exhaustive():
 
 
 def _random_fingerprint_set(rng):
+    """A raster set of 2 to 8 rows and one label per row."""
     n_items = int(rng.integers(2, 9))
     n_e, n_d = int(rng.integers(2, 9)), int(rng.integers(2, 9))
-    items = []
+    rows, labels = [], []
     for _ in range(n_items):
-        heights = rng.integers(0, n_d + 1, size=n_e)
-        fp = Fingerprint(window=(-10.0, 10.0), grid=(n_e, n_d), mode="raster",
-                         data=heights)
-        md = CalcMetadata(
+        rows.append(rng.integers(0, n_d + 1, size=n_e))
+        labels.append(CalcMetadata(
             xc=str(rng.choice(["LDA", "PBE", "SCAN"])),
             n_kpt=int(rng.integers(1, 64)),
             n_basis=int(rng.integers(1, 400)),
             settings_tier=str(rng.choice(["light", "tight", "really_tight"])),
             relativistic=str(rng.choice(["ZORA", "atomic_ZORA", "none"])),
-        )
-        items.append((fp, md))
-    return items
+        ))
+    return FingerprintSet((-10.0, 10.0), (n_e, n_d), "raster", np.array(rows)), labels
 
 
 def test_c7e_similarity_matrix_properties_100_sets():
     rng = np.random.default_rng(74)
     for _ in range(100):
-        items = _random_fingerprint_set(rng)
-        m = similarity_matrix(items)
+        m = similarity_matrix(*_random_fingerprint_set(rng))
         n = m.n
         assert np.all(np.abs(m.values - m.values.T) <= 1e-12)
         assert np.all(np.diag(m.values) == 1.0)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from matscale import curation, io
 from matscale.curation import Structure, grouped_split, parse_formula
-from matscale.spectra import similarity_matrix, Fingerprint, CalcMetadata, SimilarityMatrix
+from matscale.spectra import similarity_matrix, FingerprintSet, CalcMetadata, SimilarityMatrix
 
 
 STRUCTURES_CSV = """entry_id,formula,spacegroup,formation_energy,bandgap
@@ -165,10 +165,10 @@ def test_spectra_dir_requires_sidecar(tmp_path):
 
 
 def test_matrix_outputs(tmp_path):
-    fp = Fingerprint(window=(-10.0, 10.0), grid=(2, 1), mode="vector",
-                     data=np.array([1.0, 0.0]))
+    fps = FingerprintSet(window=(-10.0, 10.0), grid=(2, 1), mode="vector",
+                         data=np.array([[1.0, 0.0]] * 2))
     md = CalcMetadata("LDA", 2, 10, "light", "ZORA")
-    m = similarity_matrix([(fp, md), (fp, md)])
+    m = similarity_matrix(fps, [md, md])
     csv_path = tmp_path / "matrix.csv"
     manifest_path = tmp_path / "manifest.json"
     io.write_matrix(csv_path, manifest_path, m)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from matscale.spectra import (
     MAX_SELF_TERM,
     CalcMetadata,
-    Fingerprint,
     FingerprintSet,
     SimilarityMatrix,
     Spectrum,
@@ -18,7 +17,6 @@ from matscale.spectra import (
     block_stats,
     check_grid,
     fingerprint_set,
-    make_fingerprint,
     similarity_matrix,
     sort_by_settings,
     tanimoto,
@@ -29,10 +27,15 @@ def meta(xc="PBE", n_kpt=8, n_basis=100, tier="tight", rel="ZORA"):
     return CalcMetadata(xc, n_kpt, n_basis, tier, rel)
 
 
+def vector_set(rows, grid=None):
+    """The vector set of rows; its grid defaults to (row length, 1)."""
+    data = np.asarray(rows, dtype=float)
+    return FingerprintSet((-10.0, 10.0), grid or (data.shape[1], 1), "vector", data)
+
+
 def vector_fp(data, grid=None):
-    data = np.asarray(data, dtype=float)
-    grid = grid or (data.size, 1)
-    return Fingerprint(window=(-10.0, 10.0), grid=grid, mode="vector", data=data)
+    """A one-row vector set."""
+    return vector_set([data], grid)
 
 
 # --- Spectrum validation ----------------------------------------------------
@@ -101,7 +104,7 @@ def test_raster_quantizes_heights_past_the_float_range_over_n_dos(h_max):
     [fp] = fingerprint_set([HUGE], (-10.0, 10.0), (256, 64), h_max=h_max)
     # the bits of the heights and h_max scaled by 2**-7 first, exactly
     scaled = None if h_max is None else h_max * 2.0**-7
-    assert fp.data.tolist() == _quantize_each([heights * 2.0**-7], 64, scaled)[0].tolist()
+    assert fp.data.tolist() == [_quantize_each([heights * 2.0**-7], 64, scaled)[0].tolist()]
     assert fp.data.max() == (64 if h_max is None else 4)  # floor(64 * 6.25e306 / 1e308)
 
 
@@ -114,14 +117,15 @@ def test_vectors_whose_inner_products_overflow_are_refused():
     with pytest.raises(ValueError, match="^f1: .* inf, exceeds 8.98847e[+]307"):
         tanimoto(a, b)
     with pytest.raises(ValueError, match="^fingerprint 1: "):
-        similarity_matrix([(vector_fp([1.0, 2.0]), meta()), (b, meta())])
+        similarity_matrix(vector_set([[1.0, 2.0], [1e200, 2e200]]), [meta(), meta()])
     # at the bound, <a,a> + <b,b> is finite
     x = math.sqrt(MAX_SELF_TERM)
     while x * x > MAX_SELF_TERM:
         x = math.nextafter(x, 0)
     edge, past = vector_fp([x, 0.0]), vector_fp([0.0, math.nextafter(x, math.inf) * 2])
     assert tanimoto(edge, vector_fp([0.0, x])) == 0.0
-    assert similarity_matrix([(edge, meta()), (edge, meta())]).values.tolist() == [[1, 1], [1, 1]]
+    assert similarity_matrix(vector_set([[x, 0.0]] * 2), [meta()] * 2).values.tolist() \
+        == [[1, 1], [1, 1]]
     with pytest.raises(ValueError, match="^f2: "):
         tanimoto(edge, past)
 
@@ -133,15 +137,16 @@ def test_vectors_whose_inner_products_overflow_are_refused():
                    min_size=3, max_size=3))
 def test_vector_similarity_is_a_number_or_an_error(xs, ys):
     """Never NaN: each cell is tanimoto's value or both raise ValueError."""
-    a, b = vector_fp(xs), vector_fp(ys)
+    fps = vector_set([xs, ys])
+    a, b = fps
     try:
         value = tanimoto(a, b)
     except ValueError:
         with pytest.raises(ValueError):
-            similarity_matrix([(a, meta()), (b, meta())])
+            similarity_matrix(fps, [meta(), meta()])
         return
     assert math.isfinite(value)
-    assert similarity_matrix([(a, meta()), (b, meta())]).values[0, 1] == value
+    assert similarity_matrix(fps, [meta(), meta()]).values[0, 1] == value
 
 
 # signed zeros and subnormal neighbours, so that edges and energies often tie
@@ -214,23 +219,23 @@ def test_a_segment_lands_in_the_bin_that_holds_it(x, edges, segment_bin):
     assert np.count_nonzero(heights) == 1
 
 
-# --- make_fingerprint -------------------------------------------------------
+# --- one spectrum's fingerprint ----------------------------------------------
 
 def test_flat_zero_dos_gives_all_zero_fingerprint():
     s = Spectrum(np.linspace(-5, 5, 21), np.zeros(21), 0.0)
-    fp = make_fingerprint(s, window=(-4, 4), grid=(8, 4), mode="raster", h_max=1.0)
+    fp = fingerprint_set([s], window=(-4, 4), grid=(8, 4), mode="raster", h_max=1.0)
     assert not fp.data.any()
     # a computed maximum of 0 is legal, where a given h_max=0 is not
-    assert not make_fingerprint(s, window=(-4, 4), grid=(8, 4), mode="raster").data.any()
-    fv = make_fingerprint(s, window=(-4, 4), grid=(8, 4), mode="vector")
+    assert not fingerprint_set([s], window=(-4, 4), grid=(8, 4), mode="raster").data.any()
+    fv = fingerprint_set([s], window=(-4, 4), grid=(8, 4), mode="vector")
     assert np.all(fv.data == 0.0)
 
 
 def test_identical_spectra_identical_fingerprints():
     s1 = Spectrum([0.0, 1.0, 2.0], [0.5, 1.5, 0.5], 1.0)
     s2 = Spectrum([0.0, 1.0, 2.0], [0.5, 1.5, 0.5], 1.0)
-    f1 = make_fingerprint(s1, window=(-1, 1), grid=(4, 4), mode="raster", h_max=2.0)
-    f2 = make_fingerprint(s2, window=(-1, 1), grid=(4, 4), mode="raster", h_max=2.0)
+    f1 = fingerprint_set([s1], window=(-1, 1), grid=(4, 4), mode="raster", h_max=2.0)
+    f2 = fingerprint_set([s2], window=(-1, 1), grid=(4, 4), mode="raster", h_max=2.0)
     assert np.array_equal(f1.data, f2.data)
 
 
@@ -238,16 +243,16 @@ def test_triangular_peak_heights_by_hand():
     # dos rises 0 -> 2 over [1, 2] and falls back over [2, 3]; window (0, 4)
     # in four unit bins. Trapezoids: 0, (0+2)/2, (2+0)/2, 0 = (0, 1, 1, 0).
     s = Spectrum([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 2.0, 0.0, 0.0], 0.0)
-    fv = make_fingerprint(s, window=(0, 4), grid=(4, 4), mode="vector")
-    assert np.allclose(fv.data, [0.0, 1.0, 1.0, 0.0])
-    fr = make_fingerprint(s, window=(0, 4), grid=(4, 4), mode="raster", h_max=1.0)
-    assert fr.to_raster().sum(axis=1).tolist() == [0, 4, 4, 0]
+    fv = fingerprint_set([s], window=(0, 4), grid=(4, 4), mode="vector")
+    assert np.allclose(fv.data, [[0.0, 1.0, 1.0, 0.0]])
+    fr = fingerprint_set([s], window=(0, 4), grid=(4, 4), mode="raster", h_max=1.0)
+    assert fr.to_raster().sum(axis=2).tolist() == [[0, 4, 4, 0]]
 
 
 def test_fingerprint_window_must_overlap():
     s = Spectrum([0.0, 1.0], [1.0, 1.0], 0.0)
     with pytest.raises(ValueError, match="overlap"):
-        make_fingerprint(s, window=(5.0, 6.0), grid=(4, 4), mode="vector")
+        fingerprint_set([s], window=(5.0, 6.0), grid=(4, 4), mode="vector")
 
 
 def test_fingerprint_invariant_under_rigid_shift():
@@ -257,18 +262,18 @@ def test_fingerprint_invariant_under_rigid_shift():
     for shift in (-3.0, 2.0, 17.0):
         a = Spectrum(energies, dos, 1.0)
         b = Spectrum(energies + shift, dos, 1.0 + shift)
-        fa = make_fingerprint(a, window=(-1, 3), grid=(16, 8), mode="raster", h_max=0.5)
-        fb = make_fingerprint(b, window=(-1, 3), grid=(16, 8), mode="raster", h_max=0.5)
+        fa = fingerprint_set([a], window=(-1, 3), grid=(16, 8), mode="raster", h_max=0.5)
+        fb = fingerprint_set([b], window=(-1, 3), grid=(16, 8), mode="raster", h_max=0.5)
         assert np.array_equal(fa.data, fb.data)
 
 
 def test_raster_fingerprint_stores_column_heights():
     rng = np.random.default_rng(5)
     s = Spectrum(np.linspace(-10, 10, 200), rng.uniform(0, 3, 200), 0.0)
-    fp = make_fingerprint(s, grid=(32, 16), mode="raster", h_max=None)
-    assert fp.data.shape == (32,) and fp.data.dtype == np.uint8  # min_scalar_type(16)
-    assert fp.to_raster().shape == (32, 16)
-    assert fp.to_raster().sum(axis=1).tolist() == fp.data.tolist()
+    fp = fingerprint_set([s], grid=(32, 16), mode="raster", h_max=None)
+    assert fp.data.shape == (1, 32) and fp.data.dtype == np.uint8  # min_scalar_type(16)
+    assert fp.to_raster().shape == (1, 32, 16)
+    assert fp.to_raster().sum(axis=2).tolist() == fp.data.tolist()
 
 
 @pytest.mark.parametrize("data", [
@@ -282,12 +287,12 @@ def test_raster_fingerprint_stores_column_heights():
 ])
 def test_raster_fingerprint_rejects_bad_heights(data):
     with pytest.raises(ValueError, match="column heights"):
-        Fingerprint((-10.0, 10.0), (4, 3), "raster", data)
+        FingerprintSet((-10.0, 10.0), (4, 3), "raster", data[None])  # as one row
 
 
 def test_raster_fingerprint_accepts_an_empty_grid():
-    fp = Fingerprint((-10.0, 10.0), (0, 4), "raster", np.array([], dtype=int))
-    assert fp.data.shape == (0,) and fp.data.dtype == np.uint8
+    fp = FingerprintSet((-10.0, 10.0), (0, 4), "raster", np.zeros((1, 0), dtype=int))
+    assert fp.data.shape == (1, 0) and fp.data.dtype == np.uint8
 
 
 def test_to_raster_needs_raster_mode():
@@ -299,8 +304,6 @@ def test_to_raster_needs_raster_mode():
 def test_raster_rejects_bad_h_max(h_max):
     s = Spectrum([0.0, 1.0, 2.0], [0.5, 1.5, 0.5], 1.0)
     with pytest.raises(ValueError, match="h_max"):
-        make_fingerprint(s, window=(-1, 1), grid=(4, 4), mode="raster", h_max=h_max)
-    with pytest.raises(ValueError, match="h_max"):
         fingerprint_set([s], window=(-1, 1), grid=(4, 4), mode="raster", h_max=h_max)
 
 
@@ -310,7 +313,7 @@ def test_raster_rejects_bad_h_max(h_max):
 def test_fingerprint_rejects_bad_window(window):
     s = Spectrum([0.0, 1.0, 2.0], [0.5, 1.5, 0.5], 1.0)
     with pytest.raises(ValueError, match="window"):
-        make_fingerprint(s, window=window, grid=(4, 4), mode="vector")
+        fingerprint_set([s], window=window, grid=(4, 4), mode="vector")
 
 
 def test_check_grid_bounds_the_bin_edges_and_the_raster_bits():
@@ -340,8 +343,8 @@ def test_fingerprint_set_bins_each_spectrum_once(monkeypatch):
 def test_raster_columns_are_contiguous_runs():
     rng = np.random.default_rng(5)
     s = Spectrum(np.linspace(-10, 10, 200), rng.uniform(0, 3, 200), 0.0)
-    fp = make_fingerprint(s, grid=(32, 16), mode="raster", h_max=None)
-    for column in fp.to_raster():
+    [raster] = fingerprint_set([s], grid=(32, 16), mode="raster", h_max=None).to_raster()
+    for column in raster:
         k = int(column.sum())
         assert column[:k].all() and not column[k:].any()
 
@@ -374,6 +377,19 @@ def test_tanimoto_rejects_mismatched_grids():
         tanimoto(a, b)
 
 
+@pytest.mark.parametrize("mode, rows", [
+    ("vector", (2, 1)), ("vector", (1, 2)), ("vector", (2, 2)), ("vector", (0, 1)),
+    ("raster", (3, 3)), ("raster", (1, 0)),
+])
+def test_tanimoto_takes_two_one_row_sets(mode, rows):
+    # raveled, two rows would compare as one long fingerprint and give a number
+    a, b = (FingerprintSet((-10.0, 10.0), (2, 4), mode, np.ones((k, 2), dtype=int))
+            for k in rows)
+    with pytest.raises(ValueError, match=f"^tanimoto compares two one-row sets, got "
+                                         f"{rows[0]} and {rows[1]} rows$"):
+        tanimoto(a, b)
+
+
 @settings(max_examples=80)
 @given(
     st.lists(st.floats(0, 10, allow_nan=False), min_size=1, max_size=16),
@@ -392,30 +408,27 @@ def test_tanimoto_symmetric_and_bounded(xs, ys):
 # --- similarity_matrix ------------------------------------------------------
 
 def test_matrix_single_item():
-    m = similarity_matrix([(vector_fp([1.0, 2.0]), meta())])
+    m = similarity_matrix(vector_fp([1.0, 2.0]), [meta()])
     assert m.values.tolist() == [[1.0]]
     assert m.ordering == [0]
 
 
 def test_matrix_identical_pair():
-    fp = vector_fp([1.0, 2.0, 0.0])
-    m = similarity_matrix([(fp, meta()), (fp, meta(xc="LDA"))])
+    m = similarity_matrix(vector_set([[1.0, 2.0, 0.0]] * 2), [meta(), meta(xc="LDA")])
     assert np.array_equal(m.values, np.ones((2, 2)))
 
 
 def test_matrix_matches_pairwise_tanimoto():
-    fps = [vector_fp([1.0, 0.0, 2.0]), vector_fp([0.5, 1.0, 0.0]),
-           vector_fp([0.0, 0.0, 1.0])]
-    m = similarity_matrix([(fp, meta()) for fp in fps])
+    fps = vector_set([[1.0, 0.0, 2.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    m = similarity_matrix(fps, [meta()] * 3)
     for i in range(3):
         for j in range(3):
             expected = 1.0 if i == j else tanimoto(fps[i], fps[j])
             assert m.values[i, j] == expected
 
 
-def _pairwise_fill(items):
+def _pairwise_fill(fps):
     """The per-pair tanimoto fill similarity_matrix used to run, kept as an oracle."""
-    fps = [fp for fp, _ in items]
     n = len(fps)
     values = np.ones((n, n))
     for i in range(n):
@@ -425,67 +438,65 @@ def _pairwise_fill(items):
 
 
 @st.composite
-def fingerprint_items(draw):
+def fingerprint_sets(draw):
     n = draw(st.integers(1, 7))
     # n_dos past 255 and 65535 stores heights as uint16 and uint32
     n_e, n_d = draw(st.integers(1, 6)), draw(st.integers(1, 6) | st.sampled_from([256, 70000]))
     if draw(st.booleans()):
         # all-zero columns are likely, all-zero rasters possible
         cols = st.integers(0, n_d) | st.just(0)
-        fps = [
-            Fingerprint((-10.0, 10.0), (n_e, n_d), "raster",
-                        np.array(draw(st.lists(cols, min_size=n_e, max_size=n_e))))
-            for _ in range(n)
-        ]
-    elif draw(st.booleans()):
+        return FingerprintSet((-10.0, 10.0), (n_e, n_d), "raster", np.array(
+            [draw(st.lists(cols, min_size=n_e, max_size=n_e)) for _ in range(n)]))
+    if draw(st.booleans()):
         vals = st.floats(0, 1e150) | st.just(0.0)
-        fps = [vector_fp(draw(st.lists(vals, min_size=n_e, max_size=n_e)))
-               for _ in range(n)]
-    else:
-        # OpenBLAS's ddot kernel changes with the vector length, so run to ~300 bins;
-        # zeroed bins are likely, all-zero vectors possible
-        n_e = draw(st.integers(1, 300))
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        data = rng.random((n, n_e)) * 10.0 ** rng.integers(-150, 151, (n, 1))
-        data[rng.random((n, n_e)) < draw(st.sampled_from([0.0, 0.5, 1.0]))] = 0.0
-        fps = [vector_fp(row) for row in data]
-    return [(fp, meta()) for fp in fps]
+        return vector_set([draw(st.lists(vals, min_size=n_e, max_size=n_e))
+                           for _ in range(n)])
+    # OpenBLAS's ddot kernel changes with the vector length, so run to ~300 bins;
+    # zeroed bins are likely, all-zero vectors possible
+    n_e = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.random((n, n_e)) * 10.0 ** rng.integers(-150, 151, (n, 1))
+    data[rng.random((n, n_e)) < draw(st.sampled_from([0.0, 0.5, 1.0]))] = 0.0
+    return vector_set(data)
 
 
 @settings(max_examples=150)
-@given(fingerprint_items())
-def test_matrix_equals_pairwise_tanimoto_fill(items):
-    assert similarity_matrix(items).values.tobytes() == _pairwise_fill(items).tobytes()
+@given(fingerprint_sets())
+def test_matrix_equals_pairwise_tanimoto_fill(fps):
+    labels = [meta(n_kpt=k + 1) for k in range(len(fps))]
+    m = similarity_matrix(fps, labels)
+    assert (m.values.tobytes(), m.labels, m.ordering) \
+        == (_pairwise_fill(fps).tobytes(), labels, list(range(len(fps))))
 
 
-@settings(max_examples=150)
-@given(fingerprint_items())
-def test_set_and_pair_forms_equal_the_pairwise_fill(items):
-    fps, labels = [fp for fp, _ in items], [md for _, md in items]
-    want = _pairwise_fill(items).tobytes()
-    for m in (similarity_matrix(FingerprintSet.of(fps), labels), similarity_matrix(fps, labels),
-              similarity_matrix(list(zip(fps, labels)))):
-        assert (m.values.tobytes(), m.labels, m.ordering) == (want, labels, list(range(len(fps))))
-
-
-def test_matrix_refuses_mismatched_labels_and_configs():
-    fps = [vector_fp([1.0, 2.0]), vector_fp([2.0, 1.0])]
+def test_matrix_refuses_mismatched_labels_and_removed_forms():
+    fps = vector_set([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(ValueError, match="^got 1 labels for 2 fingerprints$"):
-        similarity_matrix(FingerprintSet.of(fps), [meta()])
+        similarity_matrix(fps, [meta()])
     with pytest.raises(ValueError, match="need at least one"):
-        similarity_matrix([], [])
-    with pytest.raises(ValueError, match="must share window/grid/mode"):
-        similarity_matrix([fps[0], vector_fp([1.0, 2.0], grid=(2, 2))], [meta(), meta()])
+        similarity_matrix(vector_set(np.ones((0, 2))), [])
+    # a sequence of one-row sets, and (fingerprint, metadata) pairs
+    with pytest.raises(TypeError, match="^similarity_matrix takes a FingerprintSet, got list$"):
+        similarity_matrix(list(fps), [meta(), meta()])
+    with pytest.raises(TypeError, match="labels"):
+        similarity_matrix(list(zip(fps, [meta(), meta()])))
 
 
 def test_set_indexes_fingerprints_like_a_sequence():
     fps = FingerprintSet((-1.0, 1.0), (3, 4), "raster", np.array([[0, 1, 4], [2, 2, 2]]))
     assert len(fps) == 2 and fps.data.dtype == np.uint8
     first, last = fps
-    assert (first.grid, first.data.tolist(), last.data.tolist()) == ((3, 4), [0, 1, 4], [2, 2, 2])
-    assert fps[-1].data.tolist() == [2, 2, 2]
-    with pytest.raises(IndexError):
-        fps[2]
+    assert (type(first), first.grid, first.mode, first.data.dtype) \
+        == (FingerprintSet, (3, 4), "raster", np.uint8)
+    assert (first.data.tolist(), last.data.tolist()) == ([[0, 1, 4]], [[2, 2, 2]])
+    assert fps[-1].data.tolist() == [[2, 2, 2]] and fps[-2].data.tolist() == [[0, 1, 4]]
+    for k in (2, -3):
+        with pytest.raises(IndexError):
+            fps[k]
+    rasters = fps.to_raster()
+    assert rasters.shape == (2, 3, 4) and rasters.dtype == bool
+    assert rasters.sum(axis=2).tolist() == fps.data.tolist()
+    assert [fp.to_raster().tobytes() for fp in fps] == [r.tobytes() for r in rasters]
 
 
 @pytest.mark.parametrize("data", [
@@ -504,13 +515,16 @@ def test_raster_set_rejects_bad_heights_as_a_fingerprint_does(data):
 
 def test_fingerprint_set_builds_no_fingerprint_per_spectrum(monkeypatch):
     calls = []
-    monkeypatch.setattr(Fingerprint, "__post_init__", lambda fp: calls.append(fp))
+    post_init = FingerprintSet.__post_init__
+    monkeypatch.setattr(FingerprintSet, "__post_init__",
+                        lambda fps: calls.append(fps) or post_init(fps))
     spectra = [Spectrum([0.0, 1.0, 2.0], [0.5, 1.5, k], 1.0) for k in range(5)]
     for mode in ("raster", "vector"):
         fps = fingerprint_set(spectra, window=(-1, 1), grid=(4, 4), mode=mode)
-        assert (type(fps), len(fps), calls) == (FingerprintSet, 5, [])
-    fps[4]  # indexing builds one
-    assert len(calls) == 1
+        assert (type(fps), len(fps), len(calls), calls[-1] is fps) == (FingerprintSet, 5, 1, True)
+        calls.clear()
+    fps[4]  # indexing builds one, of one row
+    assert [len(fp) for fp in calls] == [1]
 
 
 # large cells of both signs next to small ones: where compensated summation
@@ -533,38 +547,33 @@ def test_mean_off_diagonal_bits_equal_the_sum_over_the_cell_list(n, data):
 
 def test_matrix_sums_minima_in_int64_from_2_to_the_32_raster_bits():
     # n_energy * n_dos = 2**32: a uint32 sum of the minimum 2**32 would wrap to 0
-    fp = Fingerprint((-10.0, 10.0), (1, 2**32), "raster", np.array([2**32]))
-    m = similarity_matrix([(fp, meta()), (fp, meta(xc="LDA"))])
+    fps = FingerprintSet((-10.0, 10.0), (1, 2**32), "raster", np.array([[2**32]] * 2))
+    fp = fps[0]
+    m = similarity_matrix(fps, [meta(), meta(xc="LDA")])
     assert float.hex(m.values[0, 1]) == float.hex(tanimoto(fp, fp)) == float.hex(1.0)
 
 
 def test_matrix_all_zero_fingerprints_compare_as_one():
-    zero = Fingerprint((-10.0, 10.0), (3, 4), "raster", np.zeros(3, dtype=int))
-    other = Fingerprint((-10.0, 10.0), (3, 4), "raster", np.array([1, 0, 4]))
-    m = similarity_matrix([(zero, meta()), (zero, meta()), (other, meta())])
+    fps = FingerprintSet((-10.0, 10.0), (3, 4), "raster", np.array([[0, 0, 0], [0, 0, 0],
+                                                                     [1, 0, 4]]))
+    m = similarity_matrix(fps, [meta()] * 3)
     assert m.values.tolist() == [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-    mv = similarity_matrix([(vector_fp([0.0, 0.0]), meta())] * 2)
+    mv = similarity_matrix(vector_set([[0.0, 0.0]] * 2), [meta()] * 2)
     assert mv.values.tolist() == [[1.0, 1.0], [1.0, 1.0]]
 
 
 # --- sort_by_settings -------------------------------------------------------
 
 def test_sort_already_sorted_is_identity():
-    items = [
-        (vector_fp([1.0, 0.0]), meta(xc="LDA", n_kpt=2)),
-        (vector_fp([0.0, 1.0]), meta(xc="LDA", n_kpt=4)),
-        (vector_fp([1.0, 1.0]), meta(xc="PBE", n_kpt=2)),
-    ]
-    m = sort_by_settings(similarity_matrix(items))
+    fps = vector_set([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    labels = [meta(xc="LDA", n_kpt=2), meta(xc="LDA", n_kpt=4), meta(xc="PBE", n_kpt=2)]
+    m = sort_by_settings(similarity_matrix(fps, labels))
     assert m.ordering == [0, 1, 2]
 
 
 def test_sort_lda_before_pbe():
-    items = [
-        (vector_fp([1.0, 0.0]), meta(xc="PBE")),
-        (vector_fp([0.0, 1.0]), meta(xc="LDA")),
-    ]
-    m = sort_by_settings(similarity_matrix(items))
+    fps = vector_set([[1.0, 0.0], [0.0, 1.0]])
+    m = sort_by_settings(similarity_matrix(fps, [meta(xc="PBE"), meta(xc="LDA")]))
     assert m.ordering == [1, 0]
     assert [lab.xc for lab in m.labels] == ["LDA", "PBE"]
 
@@ -579,19 +588,20 @@ def test_sort_six_item_fixture_hand_order():
         meta(xc="LDA", n_kpt=8, tier="tight", n_basis=10, rel="ZORA"),         # 5
     ]
     rng = np.random.default_rng(0)
-    items = [(vector_fp(rng.uniform(0, 1, 4)), lab) for lab in labels]
-    m = sort_by_settings(similarity_matrix(items))
+    fps = vector_set([rng.uniform(0, 1, 4) for _ in labels])
+    m = sort_by_settings(similarity_matrix(fps, labels))
     assert m.ordering == [3, 2, 1, 5, 4, 0]
 
 
 def test_sort_preserves_off_diagonal_multiset():
     rng = np.random.default_rng(3)
     items = [
-        (vector_fp(rng.uniform(0, 1, 6)),
+        (rng.uniform(0, 1, 6),
          meta(xc=rng.choice(["LDA", "PBE"]), n_kpt=int(rng.integers(1, 9))))
         for _ in range(8)
     ]
-    m = similarity_matrix(items)
+    rows, labels = zip(*items)
+    m = similarity_matrix(vector_set(rows), labels)
     ms = sort_by_settings(m)
     before = sorted(m.values[i, j] for i in range(8) for j in range(8) if i != j)
     after = sorted(ms.values[i, j] for i in range(8) for j in range(8) if i != j)
@@ -604,16 +614,13 @@ def test_sort_preserves_off_diagonal_multiset():
 # --- block_stats -------------------------------------------------------------
 
 def test_block_stats_single_group_identical_items():
-    fp = vector_fp([1.0, 2.0])
-    m = similarity_matrix([(fp, meta()) for _ in range(3)])
+    m = similarity_matrix(vector_set([[1.0, 2.0]] * 3), [meta()] * 3)
     stats = block_stats(m, ["g", "g", "g"])
     assert stats[("g", "g")] == 1.0
 
 
 def test_block_stats_two_singletons():
-    m = similarity_matrix(
-        [(vector_fp([1.0, 0.0]), meta()), (vector_fp([1.0, 1.0]), meta())]
-    )
+    m = similarity_matrix(vector_set([[1.0, 0.0], [1.0, 1.0]]), [meta(), meta()])
     stats = block_stats(m, ["a", "b"])
     assert stats[("a", "b")] == m.values[0, 1]
     assert ("a", "a") not in stats  # singleton intra block has no off-diagonal
@@ -640,7 +647,7 @@ def test_block_stats_hand_fixture():
 
 
 def test_block_stats_requires_full_grouping():
-    m = similarity_matrix([(vector_fp([1.0]), meta()), (vector_fp([1.0]), meta())])
+    m = similarity_matrix(vector_set([[1.0], [1.0]]), [meta(), meta()])
     with pytest.raises(ValueError):
         block_stats(m, ["only_one"])
 
@@ -652,8 +659,9 @@ def test_fingerprint_set_shares_normalization():
     strong = Spectrum([0.0, 1.0, 2.0], [0.0, 4.0, 0.0], 0.0)
     fps = fingerprint_set([weak, strong], window=(0, 2), grid=(2, 8), mode="raster")
     # shared h_max comes from the strong spectrum, so the weak raster is shorter
-    assert fps[0].to_raster().sum() < fps[1].to_raster().sum()
-    assert fps[1].to_raster().sum(axis=1).max() == 8
+    weak_raster, strong_raster = fps.to_raster()
+    assert weak_raster.sum() < strong_raster.sum()
+    assert strong_raster.sum(axis=1).max() == 8
 
 
 def _quantize_each(all_heights, n_dos, h_max):
@@ -677,7 +685,7 @@ def test_set_quantization_equals_the_per_spectrum_loop(n, n_e, n_d, h_max, data)
     for fp, expected in zip(fps, _quantize_each(all_heights, n_d, h_max)):
         assert (fp.window, fp.grid, fp.data.dtype) == ((-1.0, 1.0), (n_e, n_d),
                                                        np.min_scalar_type(n_d))
-        assert fp.data.tolist() == expected.tolist()
+        assert fp.data.tolist() == [expected.tolist()]
 
 
 @settings(max_examples=200, deadline=None)
@@ -692,4 +700,4 @@ def test_quantization_near_the_float_maximum_equals_it_scaled_down(n_d, h_max, d
     scale = 2.0**-20
     expected = _quantize_each([h * scale for h in all_heights], n_d,
                               None if h_max is None else h_max * scale)
-    assert [fp.data.tolist() for fp in fps] == [e.tolist() for e in expected]
+    assert [fp.data.tolist() for fp in fps] == [[e.tolist()] for e in expected]

@@ -23,15 +23,15 @@ from matscale import cli
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
-# the public names the package has always re-exported
+# the public names the package re-exports
 PUBLIC = {
     "curation": ["Structure", "StructureTable", "canonical_formula", "dataset_overlap",
                  "grouped_split", "property_histogram", "structure_id"],
     "lattice": ["Cluster", "SymmetryGroup", "correlation", "correlation_matrix", "orbit"],
     "polyfeatures": ["enumerate_monomials", "feature_count"],
     "regression": ["compare_feature_spaces", "omp_fit", "plateau_detect", "rmse"],
-    "spectra": ["CalcMetadata", "Spectrum", "block_stats", "make_fingerprint",
-                "similarity_matrix", "sort_by_settings", "tanimoto"],
+    "spectra": ["CalcMetadata", "Spectrum", "block_stats", "similarity_matrix",
+                "sort_by_settings", "tanimoto"],
 }
 
 # runs the CLI as `python -m matscale.cli` does, through cli.run()
@@ -58,6 +58,7 @@ NO_SPECTRA = ["similarity", "--spectra", "/nonexistent", "--grid"]
 # cannot take its text: None or (stdout or stderr, /dev/full or pipe, unbuffered))
 CONTRACT = {
     "--help": (["--help"], 0, None, None),
+    "curate --help": (["curate", "--help"], 0, None, None),
     "complexity": (COMPLEXITY, 0, None, None),
     "estimate training": (["estimate", "training", "--steps", "2000000", "--t-batch", "0.0010",
                            "--t-grad", "0.0023"], 0, None, None),
@@ -80,6 +81,11 @@ for target, code in (("/dev/full", errno.ENOSPC), ("pipe", errno.EPIPE)):  # a c
         # the result is one error line, through run()'s flush and os._exit
         CONTRACT[f"stdout {how}"] = (COMPLEXITY, 1, f"stdout: [Errno {code}] "
                                      f"{os.strerror(code)}", ("stdout", target, unbuffered))
+        # help text too, which argparse would write itself and drop unreported
+        for argv in (["--help"], ["curate", "--help"]):
+            CONTRACT[f"{' '.join(argv)} {how}"] = (argv, 1, f"stdout: [Errno {code}] "
+                                                   f"{os.strerror(code)}",
+                                                   ("stdout", target, unbuffered))
         # an error line that stderr cannot take leaves the code as it is
         CONTRACT[f"stderr {how}"] = (["curate", "--input", "/nonexistent"], 2, None,
                                      ("stderr", target, unbuffered))
@@ -138,8 +144,8 @@ def test_every_run_returns_its_code_with_at_most_one_error_line(capsys, variant,
     assert returned == code
     if code == 0:
         assert err == ""
-        if argv == ["--help"]:
-            assert out.startswith("usage: matscale ")
+        if "--help" in argv:
+            assert out.startswith(f"usage: matscale {' '.join(argv[:-1])}")
         else:
             json.loads(out)
         return

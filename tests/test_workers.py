@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from matscale import BLAS_THREAD_ENV, _workers, cli, io
-from matscale.spectra import Fingerprint, fingerprint_set
+from matscale.spectra import FingerprintSet, fingerprint_set
 
 MIN = io.MIN_SPECTRA_PER_PROCESS
 N = 3 * MIN  # enough spectra for three processes
@@ -146,13 +146,26 @@ def test_fingerprints_are_the_library_fingerprints(spectra_dir, cpus, mode, h_ma
 
 @pytest.mark.parametrize("mode", ["raster", "vector"])
 def test_the_ingest_builds_no_fingerprint_per_spectrum(capsys, tmp_path, spectra_dir, cpus,
-                                                       monkeypatch, mode):
-    calls = []
-    monkeypatch.setattr(Fingerprint, "__post_init__", lambda fp: calls.append(fp))
-    cpus(1)
-    fps, labels = io.read_fingerprint_set(spectra_dir, (-3.0, 3.0), (32, 16), mode)
-    assert similarity(capsys, spectra_dir, tmp_path / "out", "--mode", mode)[0] == 0
-    assert (len(fps), len(labels), calls) == (N, N, [])
+                                                       forks, monkeypatch, mode):
+    # every set that any process builds, a forked child's too, logs that process's id
+    log = tmp_path / "sets.log"
+    post_init = FingerprintSet.__post_init__
+
+    def logging_post_init(fps):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        post_init(fps)
+
+    monkeypatch.setattr(FingerprintSet, "__post_init__", logging_post_init)
+    for k in (1, 3):
+        cpus(k)
+        log.write_text("")
+        fps, labels = io.read_fingerprint_set(spectra_dir, (-3.0, 3.0), (32, 16), mode)
+        assert (len(fps), len(labels), log.read_text()) == (N, N, f"{os.getpid()}\n")
+        log.write_text("")
+        assert similarity(capsys, spectra_dir, tmp_path / f"out{k}", "--mode", mode)[0] == 0
+        assert log.read_text() == f"{os.getpid()}\n"
+    assert len(forks) == 2 + 2  # two children for the ingest, two for the run, on 3 CPUs
 
 
 def test_strided_chunks_keep_the_file_order(capsys, tmp_path, spectra_dir, cpus, forks):
