@@ -57,9 +57,9 @@ class Structure:
     """
 
     entry_id: str
-    composition: dict[str, int]
+    composition: dict[str, int] = field(hash=False)
     spacegroup: int
-    properties: dict[str, float] = field(default_factory=dict)
+    properties: dict[str, float] = field(default_factory=dict, hash=False)
     source: str = ""
     identity: str = field(init=False)
 
@@ -154,7 +154,7 @@ class SplitAssignment:
     fractions: tuple[float, float, float]
 
 
-@dataclass
+@dataclass(eq=False)
 class Histogram:
     bin_edges: np.ndarray
     counts: np.ndarray

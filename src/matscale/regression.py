@@ -68,7 +68,7 @@ def check_plateau_window(window: int) -> None:
         raise ValueError(f"window must be >= 1, got {window}")
 
 
-@dataclass
+@dataclass(eq=False)
 class OmpModel:
     selected: list[int]
     coefficients: np.ndarray
@@ -93,7 +93,7 @@ class TracePoint:
     model: Optional[OmpModel]
 
 
-@dataclass
+@dataclass(eq=False)
 class FitTrace:
     points: list[TracePoint]
     # the final model's predictions on the training rows

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Hashable, Optional, Sequence
 
 import numpy as np
@@ -31,7 +31,7 @@ _TIER_RANK = {"light": 0, "tight": 1, "really_tight": 2}
 _REL_RANK = {"ZORA": 0, "atomic_ZORA": 1, "none": 2}
 
 
-@dataclass
+@dataclass(eq=False)
 class Spectrum:
     """A DOS curve: energies (eV, strictly ascending), dos (states/eV >= 0);
     ``source`` names the file it was read from, for error messages."""
@@ -106,12 +106,12 @@ def _raster_heights(data, grid) -> np.ndarray:
     return h.astype(np.min_scalar_type(n_dos))
 
 
-@dataclass
+@dataclass(eq=False)
 class FingerprintSet:
     """n fingerprints of one window, grid and mode as one (n, n_energy) array:
     raster column heights of dtype np.min_scalar_type(n_dos), row k's column j
-    with its lowest data[k, j] bits set, or float64 vectors. len(fps) is n, and
-    fps[k] is row k as a one-row set."""
+    with its lowest data[k, j] bits set, or float64 vectors. len(fps) is n,
+    fps[k] is row k as a one-row set, and fps[a:b] the set of the rows it slices."""
 
     window: tuple[float, float]
     grid: tuple[int, int]
@@ -130,9 +130,9 @@ class FingerprintSet:
     def __len__(self) -> int:
         return len(self.data)
 
-    def __getitem__(self, k: int) -> "FingerprintSet":
-        k = range(len(self))[k]  # a negative k counts from the end; past it, IndexError
-        return FingerprintSet(self.window, self.grid, self.mode, self.data[k:k + 1])
+    def __getitem__(self, k: int | slice) -> "FingerprintSet":
+        rows = k if isinstance(k, slice) else [range(len(self))[k]]  # k past the end: IndexError
+        return FingerprintSet(self.window, self.grid, self.mode, self.data[rows])
 
     def to_raster(self) -> np.ndarray:
         """The (n, n_energy, n_dos) bool bit rasters of a raster set."""
@@ -141,7 +141,7 @@ class FingerprintSet:
         return np.arange(self.grid[1]) < self.data[:, :, None]
 
 
-@dataclass
+@dataclass(eq=False)
 class SimilarityMatrix:
     values: np.ndarray
     ordering: list[int]          # row index -> original input index
@@ -408,26 +408,26 @@ def sort_by_settings(m: SimilarityMatrix) -> SimilarityMatrix:
 def block_stats(
     m: SimilarityMatrix, groups: Sequence[Hashable]
 ) -> dict[tuple[Hashable, Hashable], float]:
-    """Mean similarity per (group_i, group_j) block.
-
-    Diagonal entries are excluded from intra-group means; blocks left
-    empty by that exclusion (singleton groups) are omitted.
-    """
+    """Mean similarity per (group_i, group_j) block, keyed in the order in which the
+    (hashable) groups first appear, row group first. Diagonal entries are excluded
+    from intra-group means; blocks left empty by that (singleton groups) are omitted.
+    Each mean is np.mean of the block's cells in row-major order."""
     if len(groups) != m.n:
-        raise ValueError(
-            f"groups must cover every index: got {len(groups)} for n={m.n}"
-        )
+        raise ValueError(f"groups must cover every index: got {len(groups)} for n={m.n}")
     members: dict[Hashable, list[int]] = {}
     for i, g in enumerate(groups):
         members.setdefault(g, []).append(i)
 
+    # each group's columns side by side, so that each block is a slice of its band
+    order = list(chain.from_iterable(members.values()))
+    ends = list(accumulate(map(len, members.values())))
     out: dict[tuple[Hashable, Hashable], float] = {}
     for gi, rows in members.items():
-        for gj, cols in members.items():
-            if gi == gj:
-                vals = [m.values[i, j] for i in rows for j in cols if i != j]
-            else:
-                vals = [m.values[i, j] for i in rows for j in cols]
-            if vals:
-                out[(gi, gj)] = float(np.mean(vals))
+        band = m.values[np.ix_(rows, order)]
+        for gj, start, end in zip(members, [0] + ends, ends):
+            block = band[:, start:end]
+            if gj is gi:  # one dict key, so a label unequal to itself (NaN) counts too
+                block = block[~np.eye(len(rows), dtype=bool)]
+            if block.size:
+                out[(gi, gj)] = float(np.mean(block.ravel()))
     return out

@@ -178,6 +178,15 @@ def test_structure_is_frozen_and_keeps_its_identity():
     assert structure_id(s) == "Mg2F4_136"
 
 
+def test_equal_structures_hash_alike():
+    a = make("a", {"Mg": 2, "F": 4}, 136, {"band_gap": 6.8})
+    b = make("a", {"F": 4, "Mg": 2}, 136, {"band_gap": 6.8})
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    # a different property value is a different structure, of the same hash
+    c = make("a", {"Mg": 2, "F": 4}, 136, {"band_gap": 7.0})
+    assert len({a, b, c}) == 2
+
+
 def test_parse_formula_rejects_non_strings():
     for bad in (None, 5, ["Mg"]):
         with pytest.raises(ValueError, match="cannot parse formula"):

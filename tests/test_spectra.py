@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matscale.curation import Histogram
+from matscale.regression import FitTrace, OmpModel, TracePoint
 from matscale.spectra import (
     MAX_SELF_TERM,
     CalcMetadata,
@@ -493,6 +495,12 @@ def test_set_indexes_fingerprints_like_a_sequence():
     for k in (2, -3):
         with pytest.raises(IndexError):
             fps[k]
+    # a slice is the set of the rows numpy's slice selects, empty or reversed too
+    for k in (slice(None), slice(1, None), slice(None, None, -1), slice(5, 9), slice(-1, -3)):
+        part = fps[k]
+        assert (type(part), part.grid, part.mode, part.data.dtype) \
+            == (FingerprintSet, (3, 4), "raster", np.uint8)
+        assert part.data.tolist() == fps.data[k].tolist()
     rasters = fps.to_raster()
     assert rasters.shape == (2, 3, 4) and rasters.dtype == bool
     assert rasters.sum(axis=2).tolist() == fps.data.tolist()
@@ -650,6 +658,85 @@ def test_block_stats_requires_full_grouping():
     m = similarity_matrix(vector_set([[1.0], [1.0]]), [meta(), meta()])
     with pytest.raises(ValueError):
         block_stats(m, ["only_one"])
+
+
+def _block_stats_by_cell(m, groups):
+    """The cell-at-a-time block means block_stats computed before, kept as an oracle."""
+    members = {}
+    for i, g in enumerate(groups):
+        members.setdefault(g, []).append(i)
+    out = {}
+    for gi, rows in members.items():
+        for gj, cols in members.items():
+            if gi == gj:
+                vals = [m.values[i, j] for i in rows for j in cols if i != j]
+            else:
+                vals = [m.values[i, j] for i in rows for j in cols]
+            if vals:
+                out[(gi, gj)] = float(np.mean(vals))
+    return out
+
+
+# one group, all singletons, a few groups, and mixed label types in any order
+_groups = st.integers(1, 12).flatmap(lambda n: st.one_of(
+    st.just([0] * n), st.just(list(range(n))[::-1]),
+    st.lists(st.integers(-3, 3) | st.sampled_from(["a", "b", (1, "c")]),
+             min_size=n, max_size=n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(groups=_groups, data=st.data())
+def test_block_stats_equals_the_cell_loop_bit_for_bit(groups, data):
+    n = len(groups)
+    # not symmetric, with cells whose sum rounds differently in another order
+    values = np.array(data.draw(st.lists(_cell, min_size=n * n, max_size=n * n)),
+                      dtype=float).reshape(n, n)
+    m = SimilarityMatrix(values, list(range(n)), [meta()] * n)
+    got, expected = block_stats(m, groups), _block_stats_by_cell(m, groups)
+    assert list(got) == list(expected)
+    assert [float.hex(v) for v in got.values()] == [float.hex(v) for v in expected.values()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(groups=_groups, data=st.data())
+def test_block_means_weighted_by_cell_count_give_the_off_diagonal_mean(groups, data):
+    n = len(groups)
+    values = np.array(data.draw(st.lists(st.floats(0, 1), min_size=n * n, max_size=n * n)),
+                      dtype=float).reshape(n, n)
+    m = SimilarityMatrix(values, list(range(n)), [meta()] * n)
+    size = {g: groups.count(g) for g in groups}
+    stats = block_stats(m, groups)
+    cells = {(gi, gj): size[gi] * (size[gj] - (gi == gj)) for gi, gj in stats}
+    assert sum(cells.values()) == n * n - n
+    if n > 1:
+        weighted = math.fsum(mean * cells[key] for key, mean in stats.items()) / (n * n - n)
+        assert weighted == pytest.approx(m.mean_off_diagonal(), rel=1e-12, abs=1e-300)
+
+
+# --- value types ---------------------------------------------------------------
+
+# each builds the same value anew: every type that holds an array, the model
+# without coefficients, and a record (no array of its own) that holds a model
+_VALUES = {
+    "Spectrum": lambda: Spectrum([0.0, 1.0, 2.0], [1.0, 2.0, 0.5], 0.0),
+    "FingerprintSet": lambda: vector_set([[1.0, 2.0], [2.0, 1.0]]),
+    "SimilarityMatrix": lambda: SimilarityMatrix(np.eye(2), [0, 1], [meta()] * 2),
+    "Histogram": lambda: Histogram(np.array([0.0, 1.0, 2.0]), np.array([3, 4])),
+    "OmpModel": lambda: OmpModel([0, 1], np.array([1.0, 2.0]), 0.5),
+    "OmpModel-intercept-only": lambda: OmpModel([], np.empty(0), 0.5),
+    "FitTrace": lambda: FitTrace([TracePoint(0, 1.0, None)], np.array([1.0, 2.0])),
+    "TracePoint": lambda: TracePoint(2, 0.25, OmpModel([0, 1], np.array([1.0, 2.0]), 0.5)),
+}
+
+
+@pytest.mark.parametrize("build", _VALUES.values(), ids=_VALUES)
+def test_values_holding_arrays_compare_and_hash_by_identity(build):
+    x, y = build(), build()
+    assert (x == y) is False and (x != y) is True and (x == x) is True
+    if isinstance(x, TracePoint):  # compares its fields, the model by identity
+        assert TracePoint(x.n_features, x.rmse, x.model) == x
+    else:
+        assert len({x, y, x}) == 2  # hashes, by identity
 
 
 # --- fingerprint_set ---------------------------------------------------------
