@@ -27,6 +27,12 @@ __version__ = "0.1.0"
 # one is set and every one that is set is "1".
 BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
+# The outputs of the CLI run in progress, in the order it commits them: the
+# temp path beside each output that the run writes it to (cli._stage) -> the
+# output's path. io.atomic_write_text writes a temp path in place, and
+# cli.main renames it onto the output. Empty between runs.
+STAGED: dict = {}
+
 # The largest float64 array a size that a caller chooses (an expansion degree,
 # a grid, a bin count) may make the library allocate.
 MAX_ARRAY_BYTES = 2**31

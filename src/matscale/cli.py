@@ -1,10 +1,10 @@
 """matscale command line: curate, similarity, ce-fit, complexity, estimate.
 
-Every subcommand prints a machine-readable JSON summary to stdout and
-writes its file outputs atomically. Exit codes: 0 success, 1 module
-error, 2 configuration error (bad flags, missing inputs). Flag text
-becomes values by ``io``'s rule for file text, and each flag error is one
-``matscale:`` line on stderr.
+Every subcommand prints a machine-readable JSON summary to stdout, and the
+file outputs of a run appear together, or none do (_stage). Exit codes: 0
+success, 1 module error, 2 configuration error (bad flags, missing inputs).
+Flag text becomes values by ``io``'s rule for file text, and each flag
+error is one ``matscale:`` line on stderr.
 
 Importing this module loads no numpy and no other matscale module: each
 ``cmd_*`` function, and each flag's type, imports what it runs when it is
@@ -28,7 +28,7 @@ from itertools import cycle
 from pathlib import Path
 from typing import NoReturn
 
-from . import BLAS_THREAD_ENV
+from . import BLAS_THREAD_ENV, STAGED
 
 
 class ConfigError(Exception):
@@ -71,13 +71,54 @@ def _require_file(path: str) -> Path:
     return p
 
 
-def _outdir(args) -> Path:
+def _stage(args, names) -> dict[Path, Path]:
+    """The outputs of a file-writing command, args.output_dir/name for each of
+    names in the order main() commits them, each mapped to the temp path beside
+    it that the command writes it to. A command names them once, after its flag
+    checks and before it reads any input. The directory is made, and the temp
+    names are chosen here (matscale.STAGED), so forked processes inherit them;
+    an --output-dir that cannot be made, or an output that is a directory, is a
+    flag error."""
+    from . import io
+
     out = Path(args.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"--output-dir: {exc}") from None
-    return out
+    outputs = {out / name: io._temp_name(out / name) for name in names}
+    for path, tmp in outputs.items():
+        if path.is_dir():
+            raise ConfigError(f"--output-dir: {path} is a directory")
+        STAGED[tmp] = path
+    return outputs
+
+
+def _commit() -> None:
+    """Rename each staged temp file onto its output, in the order staged. A
+    file an output replaces is first renamed aside, and deleted once every
+    rename is done. On an error each output renamed so far gets its old file
+    back, or goes if it had none, and the error names the output."""
+    from . import io
+
+    done = []  # (output, the name its old file was renamed to, or None)
+    try:
+        for tmp, path in STAGED.items():
+            kept = f"{tmp}.old" if os.path.lexists(path) else None
+            if kept:
+                os.replace(path, kept)
+            done.append((path, kept))
+            os.replace(tmp, path)
+    except OSError as exc:
+        for undone, kept in reversed(done):
+            if kept:
+                os.replace(kept, undone)
+            elif os.path.lexists(undone):  # not the output that failed
+                os.unlink(undone)
+        raise io._error_of(path, exc) from None
+    for _, kept in done:
+        if kept:
+            os.unlink(kept)
 
 
 def cmd_curate(args):
@@ -101,7 +142,7 @@ def cmd_curate(args):
                     else f"{path.stem}_hist_{name}.csv")
 
     # each dataset's split file, then each --hist's file per dataset; a path
-    # written twice would keep only the output of the process that renames last
+    # declared twice would get one temp name, written by both processes
     datasets = [("--input", input_path)] + ([("--other", other_path)] if other_path else [])
     writes = [(output(path), flag) for flag, path in datasets]
     for name, *bounds in args.hist or []:
@@ -112,8 +153,7 @@ def cmd_curate(args):
         if path in writer:
             raise ConfigError(f"{path} would be written by both {writer[path]} and {flags}")
         writer[path] = flags
-    outputs = [str(path) for path, _ in writes]
-    _outdir(args)
+    outputs = _stage(args, [path.name for path in writer])
     paths = [path for _, path in datasets]
 
     def curate(chunk):
@@ -126,12 +166,12 @@ def cmd_curate(args):
         results = []
         for path, table in zip(chunk, tables):
             assignment = curation.grouped_split(table, args.split, args.seed, common)
-            io.write_split_csv(output(path), table, assignment)
+            io.write_split_csv(outputs[output(path)], table, assignment)
             tally = Counter(assignment.assignment.values())
             hists = []
             for name, edges in hist_specs:
                 hist = curation.property_histogram(table, name, edges)
-                io.write_histogram_csv(output(path, name), hist)
+                io.write_histogram_csv(outputs[output(path, name)], hist)
                 hists.append({"binned": int(hist.counts.sum()), "missing": hist.n_missing,
                               "out_of_range": hist.n_out_of_range})
             results.append({"n_entries": len(table), "n_ids": list(map(len, ids)),
@@ -142,7 +182,8 @@ def cmd_curate(args):
     # one process per dataset, the input's in this one (_workers.split_map)
     results = _workers.split_map(curate, paths)
     first = results[0]
-    summary = {"input": str(input_path), "n_entries": first["n_entries"], "outputs": outputs}
+    summary = {"input": str(input_path), "n_entries": first["n_entries"],
+               "outputs": list(map(str, outputs))}
     if other_path is not None:
         summary.update(other=str(other_path), unique_ids_input=first["n_ids"][0],
                        unique_ids_other=first["n_ids"][1], n_common_ids=first["n_common"])
@@ -161,7 +202,7 @@ def cmd_similarity(args):
     if args.h_max is not None:
         _flag_spec("--h-max", spectra.check_h_max, args.h_max)
     spectra_dir = _require_file(args.spectra)
-    outdir = _outdir(args)
+    outputs = _stage(args, ["similarity_matrix.csv", "similarity_manifest.json"])
 
     fps, labels = io.read_fingerprint_set(spectra_dir, args.window, args.grid, args.mode,
                                           args.h_max)
@@ -169,15 +210,13 @@ def cmd_similarity(args):
     if args.sort:
         matrix = spectra.sort_by_settings(matrix)
 
-    csv_path = outdir / "similarity_matrix.csv"
-    manifest_path = outdir / "similarity_manifest.json"
-    io.write_matrix(csv_path, manifest_path, matrix)
+    io.write_matrix(*outputs.values(), matrix)
     return {
         "n_spectra": matrix.n,
         "sorted": bool(args.sort),
         "mode": args.mode,
         "mean_off_diagonal": matrix.mean_off_diagonal(),
-        "outputs": [str(csv_path), str(manifest_path)],
+        "outputs": list(map(str, outputs)),
     }
 
 
@@ -220,7 +259,8 @@ def cmd_ce_fit(args):
     configs_path = _require_file(args.configs)
     clusters_path = _require_file(args.clusters)
     group_path = _require_file(args.group)
-    outdir = _outdir(args)
+    outputs = _stage(args, ["fit_trace.csv",
+                            *(f"predictions_d{d}.csv" for d in sorted(set(args.degree)))])
 
     ids, occupations, targets = io.read_ce_configs(configs_path)
     regression.check_targets(targets, f"{configs_path}: targets")
@@ -241,14 +281,11 @@ def cmd_ce_fit(args):
         max_features=args.max_features, tol=args.tol,
     )
 
-    trace_path = outdir / "fit_trace.csv"
+    trace_path, *pred_paths = outputs.values()
     io.write_trace_csv(trace_path, traces)
-    outputs = [str(trace_path)]
-    summary = {"degrees": {}, "outputs": outputs}
-    for d, trace in sorted(traces.items()):
-        pred_path = outdir / f"predictions_d{d}.csv"
+    summary = {"degrees": {}, "outputs": list(map(str, outputs))}
+    for (d, trace), pred_path in zip(sorted(traces.items()), pred_paths):
         io.write_predictions_csv(pred_path, ids, targets, trace.fitted)
-        outputs.append(str(pred_path))
         entry = {"n_features": trace.final.n_features, "rmse": trace.final.rmse}
         if args.plateau_window is not None:
             entry["plateau"] = regression.plateau_detect(
@@ -471,12 +508,20 @@ def main(argv=None) -> int:
         result = args.func(args)
         if not isinstance(result, str):
             result = json.dumps(result, allow_nan=False)
+        _commit()
     except _Help as help_text:
         result = str(help_text)
     except ConfigError as exc:
         return _fail(2, exc)
     except (ValueError, OverflowError, OSError, KeyError) as exc:
         return _fail(1, exc)
+    finally:  # whatever ended the run, its temp files go and nothing stays staged
+        for tmp in STAGED:
+            try:
+                os.unlink(tmp)
+            except OSError:  # committed, never written, or out of reach
+                pass
+        STAGED.clear()
     try:  # flushed here, so that a stdout that cannot take it is one error line
         print(result, flush=True)
     except OSError as exc:

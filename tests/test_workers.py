@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from matscale import BLAS_THREAD_ENV, _workers, cli, io
+from matscale import BLAS_THREAD_ENV, STAGED, _workers, cli, io
 from matscale.spectra import FingerprintSet, fingerprint_set
 
 MIN = io.MIN_SPECTRA_PER_PROCESS
@@ -39,26 +39,6 @@ def spectra_dir(tmp_path):
 
 
 @pytest.fixture
-def pins(monkeypatch):
-    """The CPU sets that this process pins itself to; no pin takes effect."""
-    calls = []
-    monkeypatch.setattr(_workers.os, "sched_setaffinity",
-                        lambda pid, cpus: calls.append(set(cpus)), raising=False)
-    return calls
-
-
-@pytest.fixture
-def cpus(monkeypatch, pins):
-    """cpus(k): the process may use k CPUs, and the BLAS runs on one thread."""
-    def set_cpus(k):
-        for name in BLAS_THREAD_ENV:
-            monkeypatch.setenv(name, "1")
-        monkeypatch.setattr(_workers.os, "sched_getaffinity", lambda pid: set(range(k)),
-                            raising=False)
-    return set_cpus
-
-
-@pytest.fixture
 def reads(monkeypatch):
     """The spectrum files that this process reads; a child's reads are not seen."""
     calls = []
@@ -70,33 +50,6 @@ def reads(monkeypatch):
 
     monkeypatch.setattr(io, "_read_spectrum", counting_read)
     return calls
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The os.fork calls that the run makes; each still forks."""
-    calls = []
-    real_fork = os.fork
-
-    def counting_fork():
-        calls.append(os.getpid())
-        return real_fork()
-
-    monkeypatch.setattr(_workers.os, "fork", counting_fork)
-    return calls
-
-
-@pytest.fixture
-def deadline():
-    """The test fails with TimeoutError, not a hang, when it runs past 20 s."""
-    def expire(signum, frame):
-        raise TimeoutError("the test ran past its 20 s deadline")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(20)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
 
 
 def assert_no_child_left():
@@ -509,27 +462,31 @@ def test_forked_curate_errors_are_the_serial_errors(capsys, tmp_path, tables, cp
     assert len(forks) == 1
 
 
-def test_a_write_error_here_after_the_swap_leaves_no_temp_file(capsys, tmp_path, tables, cpus,
-                                                              forks, monkeypatch, deadline):
+def test_a_write_error_here_after_the_swap_leaves_the_output_directory_as_it_was(
+        capsys, tmp_path, tables, cpus, forks, monkeypatch, deadline):
     # this process fails its first write while the child is inside its own: the
-    # child is not killed mid-write, so its file is whole and no temp file is left
+    # child's whole file stays staged, and the run commits none of them
     alpha, beta = tables
-    argv = ["--input", str(alpha), "--other", str(beta)]
-    cpus(1)
-    serial = curate(capsys, tmp_path / "serial", *argv)[3]
+    out = tmp_path / "forked"
+    out.mkdir()
+    (out / "beta_split.csv").write_bytes(b"an older run's\n")
     write = io.atomic_write_text
 
     waits = []
 
     def fail_here_write_slowly_in_the_child(path, text):
-        path = Path(path)
-        if path.name == "alpha_split.csv":  # --input's dataset: this process's
+        if STAGED[Path(path)].name == "alpha_split.csv":  # --input's: this process's
             if not waits:  # the forked attempt: fail once the child's write has begun
                 waits.append(time.monotonic())
-                while not list(path.parent.glob("beta_split.csv*.tmp")):
+                while not list(out.glob("beta_split.csv*.tmp")):
                     assert time.monotonic() < waits[0] + 10
                     time.sleep(0.01)
-            raise OSError(28, "No space left on device")
+
+            def failing():
+                yield "entry_id"
+                raise OSError(28, "No space left on device")
+
+            return write(path, failing())
 
         def slowly():
             time.sleep(0.3)  # the temp file exists while this waits
@@ -539,7 +496,10 @@ def test_a_write_error_here_after_the_swap_leaves_no_temp_file(capsys, tmp_path,
 
     monkeypatch.setattr(io, "atomic_write_text", fail_here_write_slowly_in_the_child)
     cpus(2)
-    code, stdout, stderr, files = curate(capsys, tmp_path / "forked", *argv)
+    code, stdout, stderr, files = curate(capsys, out, "--input", str(alpha),
+                                         "--other", str(beta))
     assert len(forks) == 1
-    assert (code, stdout, stderr) == (1, "", "matscale: [Errno 28] No space left on device\n")
-    assert files == {"beta_split.csv": serial["beta_split.csv"]}
+    assert (code, stdout) == (1, "")
+    named = str(out / "alpha_split.csv")
+    assert stderr == f"matscale: [Errno 28] No space left on device: {named!r}\n"
+    assert files == {"beta_split.csv": b"an older run's\n"}
