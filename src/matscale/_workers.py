@@ -92,9 +92,9 @@ def fork_map(func: Callable, chunks: Sequence, merge: Callable[[list], list] = l
     The result is None when func raises here or in a child, when a child
     dies, or when a message arrives short or with the wrong tag; the caller
     then does the work in one process, where any error is raised as that
-    process raises it, so no exception crosses a pipe. Every child is reaped
-    before this returns or raises; a child is never killed, so none stops
-    inside an atomic write and leaves its temp file behind.
+    process raises it, so no exception crosses a pipe. Every child is reaped,
+    never killed, before this returns or raises, so no process writes files
+    after it.
     """
     global _round
     mask = os.sched_getaffinity(0)
@@ -147,8 +147,7 @@ def fork_map(func: Callable, chunks: Sequence, merge: Callable[[list], list] = l
         _round = None
         # children left by a failure: with this process's ends of their pipes
         # closed, a child's next read of a gather answer meets EOF and its next
-        # write EPIPE, so each ends with status 1 once any file it is writing
-        # is in place, and is reaped here
+        # write EPIPE, so each ends with status 1, and is reaped here
         for fds in pending.values():
             for fd in fds:
                 os.close(fd)

@@ -22,13 +22,14 @@ import json
 import math
 import os
 import re
+import shutil
 import sys
 from collections import Counter
 from itertools import cycle
 from pathlib import Path
 from typing import NoReturn
 
-from . import BLAS_THREAD_ENV, STAGED
+from . import BLAS_THREAD_ENV
 
 
 class ConfigError(Exception):
@@ -73,52 +74,50 @@ def _require_file(path: str) -> Path:
 
 def _stage(args, names) -> dict[Path, Path]:
     """The outputs of a file-writing command, args.output_dir/name for each of
-    names in the order main() commits them, each mapped to the temp path beside
-    it that the command writes it to. A command names them once, after its flag
-    checks and before it reads any input. The directory is made, and the temp
-    names are chosen here (matscale.STAGED), so forked processes inherit them;
-    an --output-dir that cannot be made, or an output that is a directory, is a
-    flag error."""
-    from . import io
-
+    names in the order main() commits them, each mapped to the path the command
+    writes it to: name in one new staging directory, .matscale-<12 hex> inside
+    args.output_dir, that main() removes when the run ends. A command names them
+    once, after its flag checks and before it reads any input or forks. An
+    --output-dir that cannot be made or take the staging directory, or an
+    output that is a directory, is a flag error."""
     out = Path(args.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"--output-dir: {exc}") from None
-    outputs = {out / name: io._temp_name(out / name) for name in names}
-    for path, tmp in outputs.items():
-        if path.is_dir():
-            raise ConfigError(f"--output-dir: {path} is a directory")
-        STAGED[tmp] = path
-    return outputs
+        for name in names:
+            if (out / name).is_dir():
+                raise ConfigError(f"--output-dir: {out / name} is a directory")
+        stage = out / f".matscale-{os.urandom(6).hex()}"
+        stage.mkdir()
+    except OSError as exc:  # named by --output-dir's path, never the staging directory's
+        raise ConfigError(f"--output-dir: {OSError(exc.errno, exc.strerror, str(out))}"
+                          ) from None
+    args.outputs = {out / name: stage / name for name in names}
+    return args.outputs
 
 
-def _commit() -> None:
-    """Rename each staged temp file onto its output, in the order staged. A
-    file an output replaces is first renamed aside, and deleted once every
-    rename is done. On an error each output renamed so far gets its old file
-    back, or goes if it had none, and the error names the output."""
-    from . import io
-
-    done = []  # (output, the name its old file was renamed to, or None)
+def _commit(outputs: dict[Path, Path]) -> None:
+    """Rename each staged file onto its output, in order. A file an output
+    replaces first gives the staged file its mode bits and is renamed into the
+    staging directory. On an error each output renamed so far gets its old
+    file back, or goes if it had none, and the error names the output."""
+    done = []  # (output, the path its old file was renamed to, or None)
     try:
-        for tmp, path in STAGED.items():
-            kept = f"{tmp}.old" if os.path.lexists(path) else None
-            if kept:
+        for path, staged in outputs.items():
+            kept = None
+            if os.path.lexists(path):
+                if os.path.exists(path):  # not a dangling link
+                    shutil.copymode(path, staged)
+                kept = staged.with_name(f"{staged.name}.old")
                 os.replace(path, kept)
             done.append((path, kept))
-            os.replace(tmp, path)
+            os.replace(staged, path)
     except OSError as exc:
         for undone, kept in reversed(done):
             if kept:
                 os.replace(kept, undone)
             elif os.path.lexists(undone):  # not the output that failed
                 os.unlink(undone)
-        raise io._error_of(path, exc) from None
-    for _, kept in done:
-        if kept:
-            os.unlink(kept)
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
 def cmd_curate(args):
@@ -142,7 +141,7 @@ def cmd_curate(args):
                     else f"{path.stem}_hist_{name}.csv")
 
     # each dataset's split file, then each --hist's file per dataset; a path
-    # declared twice would get one temp name, written by both processes
+    # declared twice would get one staged path, written by both processes
     datasets = [("--input", input_path)] + ([("--other", other_path)] if other_path else [])
     writes = [(output(path), flag) for flag, path in datasets]
     for name, *bounds in args.hist or []:
@@ -503,25 +502,25 @@ def _fail(code: int, message) -> int:
 
 def main(argv=None) -> int:
     """Return the exit code of one run, --help included; leave os.environ as it is."""
+    args = argparse.Namespace(outputs={})  # _stage's: each output -> its staged path
     try:
-        args = build_parser().parse_args(_join_window_flag(sys.argv[1:] if argv is None else argv))
+        build_parser().parse_args(_join_window_flag(sys.argv[1:] if argv is None else argv), args)
         result = args.func(args)
         if not isinstance(result, str):
             result = json.dumps(result, allow_nan=False)
-        _commit()
+        _commit(args.outputs)
     except _Help as help_text:
         result = str(help_text)
     except ConfigError as exc:
         return _fail(2, exc)
-    except (ValueError, OverflowError, OSError, KeyError) as exc:
+    except OSError as exc:  # a staged file's error names its output
+        output = {str(staged): path for path, staged in args.outputs.items()}.get(exc.filename)
+        return _fail(1, exc if output is None else OSError(exc.errno, exc.strerror, str(output)))
+    except (ValueError, OverflowError, KeyError) as exc:
         return _fail(1, exc)
-    finally:  # whatever ended the run, its temp files go and nothing stays staged
-        for tmp in STAGED:
-            try:
-                os.unlink(tmp)
-            except OSError:  # committed, never written, or out of reach
-                pass
-        STAGED.clear()
+    finally:  # whatever ended the run, its staging directory goes, with all it holds
+        for stage in {staged.parent for staged in args.outputs.values()}:
+            shutil.rmtree(stage, ignore_errors=True)
     try:  # flushed here, so that a stdout that cannot take it is one error line
         print(result, flush=True)
     except OSError as exc:

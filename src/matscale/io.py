@@ -2,11 +2,9 @@
 CSV/JSON outputs the CLI emits. File text, and the CLI's flag text, becomes
 values through ``_plain``, ``_integer``, ``_number`` and ``_string``, except
 spectrum bodies: ``np.loadtxt`` parses those and takes the same number
-spellings. All writers write UTF-8 through ``atomic_write_text``: for a
-library caller each file is written to a temp file and renamed into place,
-so an interrupted write never leaves a partial file. The outputs of a CLI run
-are staged instead (``matscale.STAGED``): each is left in its temp file, and
-the run renames them all at its end, or none."""
+spellings. All writers write UTF-8 through ``atomic_write_text``: each file
+is written to a temp file and renamed into place, so an interrupted write
+never leaves a partial file."""
 
 from __future__ import annotations
 
@@ -20,8 +18,6 @@ from itertools import chain, islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from . import STAGED
-
 if TYPE_CHECKING:  # each function imports what it builds, so a command loads only its own
     from .curation import Histogram, SplitAssignment, Structure, StructureTable
     from .spectra import CalcMetadata, FingerprintSet, SimilarityMatrix, Spectrum
@@ -32,43 +28,26 @@ def atomic_write_text(path, text: str | Iterable[str]) -> None:
     temp file beside path, then rename it to path; on error the temp file goes,
     and an OSError names path, not the temp file. path gets the mode bits that
     open(path, "w") would leave: those of the file it replaces, else 0o666
-    less the umask.
-
-    A CLI run's staged temp path (matscale.STAGED) is written in place instead,
-    over what a failed attempt left there: it takes its output's mode bits, its
-    errors name the output, and the run renames it when it commits."""
+    less the umask."""
     path = Path(path)
-    staged = path in STAGED
-    output = STAGED.get(path, path)
     # a new name, as mkstemp makes one, but made with the bits open() gives a new
     # file: 0o666 less the umask, which os.umask could only read by setting it
-    tmp = path if staged else _temp_name(path)
+    tmp = path.with_name(f"{path.name}{os.urandom(6).hex()}.tmp")
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | (os.O_TRUNC if staged else os.O_EXCL),
-                     0o666)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                if os.path.exists(output):
-                    shutil.copymode(output, tmp)
+                if os.path.exists(path):
+                    shutil.copymode(path, tmp)
                 fh.writelines((text,) if isinstance(text, str) else text)
-            if not staged:
-                os.replace(tmp, path)
+            os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
     except OSError as exc:
-        raise _error_of(output, exc) from None
-
-
-def _temp_name(path: Path) -> Path:
-    """A new temp file name beside path."""
-    return path.with_name(f"{path.name}{os.urandom(6).hex()}.tmp")
-
-
-def _error_of(path, exc: OSError) -> OSError:
-    """exc as an error of path: its errno and text, naming path and no temp file."""
-    return exc if exc.errno is None else OSError(exc.errno, exc.strerror, str(path))
+        # its errno and text, naming path and no temp file
+        raise exc if exc.errno is None else OSError(exc.errno, exc.strerror, str(path)) from None
 
 
 def _load_json(path):

@@ -1,18 +1,21 @@
 """A run's outputs appear together, or none do: each file-writing command names
-its outputs once (cli._stage), every process writes them to staged temp files,
-and main() renames them into place only when the run has succeeded. A run that
-fails, in one process or forked, leaves the output directory as it found it."""
+its outputs once (cli._stage), every process writes them into the run's one
+staging directory, and main() renames them into place only when the run has
+succeeded. A run that fails, in one process or forked, leaves the output
+directory as it found it."""
 
 import errno
 import json
 import os
 import signal
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from matscale import STAGED, cli, io, regression
+from matscale import cli, io, regression
 
 MIN = io.MIN_SPECTRA_PER_PROCESS
 
@@ -25,6 +28,7 @@ OUTPUTS = {
                "predictions_d3.csv"],
 }
 NO_SPACE = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+SRC = Path(__file__).resolve().parents[1] / "src"
 OLD_MODE = 0o604  # neither umask below gives a new file these bits
 
 
@@ -82,19 +86,25 @@ def prepare(out, names):
 
 def run(capsys, argv, out):
     """(exit code, stdout, stderr) of main() on argv into out; no child process
-    and nothing staged is left."""
+    and no staging directory is left."""
     code = cli.main([*argv, "--output-dir", str(out)])
     captured = capsys.readouterr()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    assert STAGED == {}
+    assert list(out.glob(".matscale-*")) == []
     return code, captured.out, captured.err
 
 
+def staged(path):
+    """Whether path is in a run's staging directory."""
+    return Path(path).parent.name.startswith(".matscale-")
+
+
 def output_of(path):
-    """The output that path is written for: the one it is the staged temp path
-    of, else path."""
-    return STAGED.get(Path(path), Path(path))
+    """The output that path is written for: the one of its name beside the
+    staging directory that holds it, else path."""
+    path = Path(path)
+    return path.parent.parent / path.name if staged(path) else path
 
 
 def fault_in_the_write(monkeypatch, target, log, fault=NO_SPACE):
@@ -117,17 +127,22 @@ def fault_in_the_write(monkeypatch, target, log, fault=NO_SPACE):
     monkeypatch.setattr(io, "atomic_write_text", write_or_fault)
 
 
-def fault_in_the_commit(monkeypatch, target, log):
-    """The rename of target's temp file onto it fails with EIO, as os.replace
-    raises it; log gets the name of each output renamed before it, then the id
-    of the process that faulted."""
+def fault_in_the_commit(monkeypatch, target, log, phase="commit"):
+    """The rename of target's staged file onto it (phase "commit"), or of the
+    older target into the staging directory (phase "aside"), fails with EIO,
+    as os.replace raises it; log gets the name of each output renamed before
+    it, then the id of the process that faulted."""
     replace = os.replace
 
     def replace_or_fault(src, dst):
-        if str(src).endswith(".tmp"):
+        src, dst = Path(src), Path(dst)
+        onto = staged(src) and not staged(dst) and src.name == dst.name
+        faults = (onto and dst == target if phase == "commit"
+                  else src == target and staged(dst))
+        if onto or faults:
             with open(log, "a") as f:
-                f.write(f"{os.getpid()}\n" if Path(dst) == target else f"{Path(dst).name}\n")
-            if Path(dst) == target:
+                f.write(f"{os.getpid()}\n" if faults else f"{dst.name}\n")
+            if faults:
                 raise OSError(errno.EIO, os.strerror(errno.EIO), src, None, dst)
         replace(src, dst)
 
@@ -135,9 +150,10 @@ def fault_in_the_commit(monkeypatch, target, log):
 
 
 @pytest.mark.parametrize("n_cpus", [1, 2], ids=["one process", "forked"])
-@pytest.mark.parametrize("phase", ["write", "commit"])
-@pytest.mark.parametrize("command, k", [(c, k) for c, names in OUTPUTS.items()
-                                        for k in range(len(names))])
+@pytest.mark.parametrize("command, k, phase", [
+    (c, k, phase) for c, names in OUTPUTS.items() for k in range(len(names))
+    for phase in ["write", "commit", "aside"]
+    if phase != "aside" or k % 2 == 0])  # prepare() leaves an older names[k] to move aside
 def test_a_fault_at_any_output_leaves_the_directory_as_it_was(
         capsys, tmp_path, argv, cpus, forks, monkeypatch, command, k, phase, n_cpus):
     names = OUTPUTS[command]
@@ -148,7 +164,7 @@ def test_a_fault_at_any_output_leaves_the_directory_as_it_was(
         fault_in_the_write(monkeypatch, target, log)
         error = NO_SPACE
     else:
-        fault_in_the_commit(monkeypatch, target, log)
+        fault_in_the_commit(monkeypatch, target, log, phase)
         error = OSError(errno.EIO, os.strerror(errno.EIO))
     cpus(n_cpus)
     assert run(capsys, argv[command], out) == (1, "", f"matscale: {error}: {str(target)!r}\n")
@@ -156,7 +172,7 @@ def test_a_fault_at_any_output_leaves_the_directory_as_it_was(
     assert len(forks) == n_cpus - 1
     *_, last = log.read_text().split()
     assert last == str(os.getpid())  # the redo in this process fails as well
-    if phase == "commit":  # every earlier output was renamed, then put back
+    if phase != "write":  # every earlier output was renamed, then put back
         assert log.read_text().split()[:-1] == names[:k]
 
 
@@ -251,6 +267,7 @@ def test_outputs_get_the_mode_bits_that_open_leaves(capsys, tmp_path, argv, cpus
 @pytest.mark.parametrize("command, name", [
     ("curate", "beta_split.csv"), ("similarity", "similarity_manifest.json"),
     ("ce-fit", "predictions_d2.csv"),
+    ("ce-fit", ".matscale-*"),  # the staging directory, which out cannot take
 ])
 def test_an_output_that_is_a_directory_is_refused_before_any_input_is_read(
         capsys, tmp_path, argv, monkeypatch, command, name):
@@ -258,11 +275,22 @@ def test_an_output_that_is_a_directory_is_refused_before_any_input_is_read(
         monkeypatch.setattr(io, reader, lambda *args: pytest.fail("an input was read"))
     out = tmp_path / "out"
     prepare(out, OUTPUTS[command])
-    (out / name).unlink(missing_ok=True)
-    (out / name).mkdir()
+    if name == ".matscale-*":  # injected: as root, a chmod of out would refuse nothing
+        mkdir = os.mkdir
+
+        def refused(path, *args, **kwargs):
+            if Path(path).name.startswith(".matscale-"):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+            mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "mkdir", refused)
+        error = PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(out))
+    else:
+        (out / name).unlink(missing_ok=True)
+        (out / name).mkdir()
+        error = f"{out / name} is a directory"
     before = listing(out)
-    assert run(capsys, argv[command], out) == (
-        2, "", f"matscale: --output-dir: {out / name} is a directory\n")
+    assert run(capsys, argv[command], out) == (2, "", f"matscale: --output-dir: {error}\n")
     assert listing(out) == before
 
 
@@ -279,10 +307,31 @@ def test_staging_ends_with_the_run(capsys, tmp_path, argv, monkeypatch):
     monkeypatch.setattr(regression, "compare_feature_spaces", interrupted)
     with pytest.raises(KeyboardInterrupt):
         cli.main([*argv["ce-fit"], "--output-dir", str(out)])
-    assert STAGED == {} and list(out.iterdir()) == []
+    assert list(out.iterdir()) == []
     monkeypatch.undo()
     assert run(capsys, argv["ce-fit"], out)[0] == 0
     assert sorted(p.name for p in out.iterdir()) == sorted(names)
     io.write_trace_csv(out / names[0], {})
     assert (out / names[0]).read_text() == "degree,n_features,rmse\n"
     assert sorted(p.name for p in out.iterdir()) == sorted(names)
+
+
+def test_a_process_leaves_only_its_outputs(tmp_path, argv):
+    # `python -m matscale.cli` ends through cli.run()'s os._exit: a failed run, then
+    # a good one, each leave out with no staging directory
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    names, out = OUTPUTS["ce-fit"], tmp_path / "out"
+    before = prepare(out, names)
+    good = argv["ce-fit"]
+    bad = tmp_path / "configs.csv"  # read once the outputs are staged
+    bad.write_text(Path(good[2]).read_text() + "c16,1 -1 x 1,0.5\n")
+    for configs, code in ((bad, 1), (good[2], 0)):
+        result = subprocess.run([sys.executable, "-m", "matscale.cli", *good[:2], str(configs),
+                                 *good[3:], "--output-dir", str(out)],
+                                env=env, capture_output=True, text=True)
+        assert result.returncode == code, result.stderr
+        if code:
+            assert result.stderr.startswith(f"matscale: {bad}: line 18: ")
+            assert listing(out) == before
+    assert sorted(p.name for p in out.iterdir()) == sorted(["notes.txt", *names])
