@@ -21,6 +21,9 @@ Copy this script into the other checkout's scripts/ if it has none, then
     (cd ../parent && python scripts/output_digests.py) > parent.json
     diff parent.json change.json
 
+or ``python scripts/compare_digests.py parent.json change.json``, which also
+allows runs that only the change has.
+
 tests/test_invariance.py imports run_many() to run one command under
 variants of its environment.
 """

@@ -13,7 +13,7 @@ import gc
 import os
 import pickle
 import threading
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from . import BLAS_THREAD_ENV
 
@@ -40,80 +40,62 @@ def process_workers(n_items: int, min_per_process: int) -> int:
 def gather(values: list) -> list:
     """Every item's value, in item order, for the func that split_map runs: it
     may call gather once, with one value per item of its chunk. In one
-    process that is values itself; in a forked map the values cross between
-    the processes in one round (fork_map)."""
+    process that is values itself; when split_map forks, the values cross
+    between the processes in one round."""
     return values if _round is None else _round(values)
 
 
 def split_map(func: Callable[[list], list], items: list, min_per_process: int = 1) -> list:
     """func(items), for a func that maps a list to one result per item.
 
-    With n = process_workers(len(items), min_per_process) > 1, fork_map runs
-    func on the chunks items[k::n], and their results, and the values of a
-    gather, go back in item order. When n is 1, any chunk fails, or a chunk
-    gives the wrong number of results or gather values, func(items) runs in
-    this process, which raises its error.
-    """
-    n = process_workers(len(items), min_per_process)
-    if n > 1:
-        chunks = [items[k::n] for k in range(n)]
-
-        def in_item_order(per_chunk: list) -> list:
-            merged = [None] * len(items)
-            for k, values in enumerate(per_chunk):
-                merged[k::n] = values  # a ValueError unless len(values) == len(chunks[k])
-            return merged
-
-        results = fork_map(func, chunks, in_item_order)
-        if results is not None:
-            try:
-                return in_item_order(results)
-            except ValueError:
-                pass
-    return func(items)
-
-
-def fork_map(func: Callable, chunks: Sequence, merge: Callable[[list], list] = list
-             ) -> Optional[list]:
-    """[func(chunk) for chunk in chunks], or None when any call fails.
-
-    The first chunk runs in this process. Each other chunk runs in a child
-    forked for it, which sends its result up a pipe and ends with os._exit.
+    With n = process_workers(len(items), min_per_process) > 1, func runs on
+    the chunks items[k::n]: the first in this process, each other in a child
+    forked for it, which sends its results up a pipe and ends with os._exit.
     Each process is pinned to its own CPU of the affinity mask, and this one
     gets its mask back at the end: on a 2-vCPU KVM guest the scheduler left a
     forked child on its parent's CPU for a whole pass in 2 of 6 trials, so
-    that the pass took twice as long as one process.
+    that the pass took twice as long as one process. The results, and the
+    values of a gather, go back in item order.
 
-    Each call may run one gather round. A child sends its values up its pipe
-    and waits on a second pipe; this process collects every chunk's values,
-    in chunk order, and answers each child with merge of them, which is also
-    what gather returns here. Every message is tagged as a gather or a result.
+    A gather round: a child sends its values up its pipe and waits on a
+    second pipe; this process collects every chunk's values and answers each
+    child with all of them in item order, which is also what gather returns
+    here. Every message is one pickle of (tag, value), the tag naming a
+    gather or a result; a pickle ends itself, and nothing else is on a pipe
+    until its message has been answered.
 
-    The result is None when func raises here or in a child, when a child
-    dies, or when a message arrives short or with the wrong tag; the caller
-    then does the work in one process, where any error is raised as that
-    process raises it, so no exception crosses a pipe. Every child is reaped,
-    never killed, before this returns or raises, so no process writes files
+    When n is 1, or func raises here or in a child, a child dies, a message
+    arrives short, corrupt or with the wrong tag, or a chunk gives the wrong
+    number of results or gather values, func(items) runs in this process,
+    which raises its error there, so no exception crosses a pipe. Every child
+    is reaped, never killed, before that redo, so no process writes files
     after it.
     """
     global _round
+    n = process_workers(len(items), min_per_process)
+    if n == 1:
+        return func(items)
     mask = os.sched_getaffinity(0)
     cpus = sorted(mask)
     # pid -> (the read end of its pipe, the write end of its reply pipe), for
     # each child not yet reaped
     pending = {}
 
+    def in_item_order(per_chunk: list) -> list:
+        merged = [None] * len(items)
+        for k, values in enumerate(per_chunk):
+            merged[k::n] = values  # a ValueError unless len(values) == len(items[k::n])
+        return merged
+
     def gather_here(values):
-        per_chunk = [values] + [_receive(up, "gather") for up, _ in pending.values()]
-        merged = merge(per_chunk)
-        reply = _message("gather", merged)
+        merged = in_item_order([values] + [_receive(up, "gather") for up, _ in pending.values()])
         for _, down in pending.values():
-            _write(down, reply)
+            _send(down, "gather", merged)
         return merged
 
     try:
         os.sched_setaffinity(0, cpus[:1])
-        for k, chunk in enumerate(chunks[1:], 1):
+        for k in range(1, n):
             fds = []  # up read, up write, down read, down write
             try:
                 fds += os.pipe()
@@ -122,27 +104,26 @@ def fork_map(func: Callable, chunks: Sequence, merge: Callable[[list], list] = l
             except OSError:
                 for fd in fds:
                     os.close(fd)
-                return None
+                raise
             if pid == 0:  # never returns
-                _run_child(func, chunk, fds[1], fds[2], cpus[k % len(cpus)],
+                _run_child(func, items[k::n], fds[1], fds[2], cpus[k % len(cpus)],
                            [fds[0], fds[3], *(fd for pair in pending.values() for fd in pair)])
             os.close(fds[1])
             os.close(fds[2])
             pending[pid] = (fds[0], fds[3])
         _round = gather_here
-        results = [func(chunks[0])]
+        results = [func(items[0::n])]
         for pid, (up, down) in list(pending.items()):
             # read before the wait: a child blocks on a full pipe until it is read
-            result = _receive(up, "result")
+            results.append(_receive(up, "result"))
             os.close(up)
             os.close(down)
             del pending[pid]
             if os.waitpid(pid, 0)[1] != 0:
-                return None
-            results.append(result)
-        return results
-    except Exception:  # the caller redoes the work in one process and raises there
-        return None
+                raise ChildProcessError(f"child {pid} failed")
+        return in_item_order(results)
+    except Exception:  # redone below, in one process, which raises its error there
+        pass
     finally:
         _round = None
         # children left by a failure: with this process's ends of their pipes
@@ -154,6 +135,7 @@ def fork_map(func: Callable, chunks: Sequence, merge: Callable[[list], list] = l
         for pid in pending:
             os.waitpid(pid, 0)
         os.sched_setaffinity(0, mask)
+    return func(items)
 
 
 def _run_child(func: Callable, chunk, up: int, down: int, cpu: int, inherited: list) -> None:
@@ -173,40 +155,26 @@ def _run_child(func: Callable, chunk, up: int, down: int, cpu: int, inherited: l
         os.sched_setaffinity(0, (cpu,))
 
         def gather_in_child(values):
-            _write(up, _message("gather", values))
+            _send(up, "gather", values)
             return _receive(down, "gather")
 
         _round = gather_in_child
-        _write(up, _message("result", func(chunk)))
+        _send(up, "result", func(chunk))
         code = 0
     finally:
         os._exit(code)
 
 
-def _message(tag: str, value) -> bytes:
-    """A message: the 8-byte length of the pickle of (tag, value), then the pickle."""
-    data = pickle.dumps((tag, value), pickle.HIGHEST_PROTOCOL)
-    return len(data).to_bytes(8, "little") + data
-
-
-def _write(fd: int, data: bytes) -> None:
+def _send(fd: int, tag: str, value) -> None:
+    """Write the pickle of (tag, value) to fd."""
     with open(fd, "wb", closefd=False) as pipe:
-        pipe.write(data)
+        pickle.dump((tag, value), pipe, pickle.HIGHEST_PROTOCOL)
 
 
 def _receive(fd: int, tag: str):
-    """The value of the next message on fd; an error unless it is whole and tagged tag."""
-    got, value = pickle.loads(_read(fd, int.from_bytes(_read(fd, 8), "little")))
+    """The value of the next pickle on fd; an error unless it is whole and tagged tag."""
+    with open(fd, "rb", closefd=False) as pipe:
+        got, value = pickle.load(pipe)
     if got != tag:
         raise ValueError(f"expected a {tag} message, got {got!r}")
     return value
-
-
-def _read(fd: int, size: int) -> bytes:
-    data = bytearray()
-    while len(data) < size:
-        block = os.read(fd, min(size - len(data), 1 << 20))
-        if not block:
-            raise EOFError(f"a pipe closed {size - len(data)} bytes short")
-        data += block
-    return bytes(data)

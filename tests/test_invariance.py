@@ -40,6 +40,7 @@ def _load(path):
 
 
 output_digests = _load(ROOT / "scripts" / "output_digests.py")
+compare_digests = _load(ROOT / "scripts" / "compare_digests.py")
 generate = _load(ROOT / "perfbench" / "generate.py")
 
 # every run works in runs/<run>/ under one directory that holds the data
@@ -276,3 +277,26 @@ def test_the_blas_kernel_moves_only_low_bits(root, outputs, default, prescott, c
         apart = [(place, a, b) for (place, a), (_, b) in zip(*values)
                  if a != b and not (type(a) is type(b) is float and close(a, b))]
         assert not apart, f"{path}: {apart[:5]}"
+
+
+def test_the_digest_comparison_allows_added_runs_only(tmp_path, capsys):
+    # CI's check of a change against its merge base, on digests made up here
+    run = {"returncode": 0, "stdout": "s", "files": {"out/a.csv": "a", "out/b.csv": "b"}}
+    base = {"curate/seed1": run, "demo/data": {**run, "files": {}}}
+    changes = {
+        "alike, and one run added": ({**base, "new/seed1": run}, []),
+        "a file differs, one is added": (
+            {**base, "curate/seed1": {**run, "files": {"out/a.csv": "x", "out/b.csv": "b",
+                                                       "out/c.csv": "c"}}},
+            ["curate/seed1: differs in file out/a.csv, file out/c.csv"]),
+        "the code and stdout differ": (
+            {**base, "demo/data": {**run, "returncode": 1, "stdout": "t", "files": {}}},
+            ["demo/data: differs in returncode, stdout"]),
+        "a base run is missing": ({"demo/data": base["demo/data"]},
+                                  ["curate/seed1: missing in the change"]),
+    }
+    (tmp_path / "base.json").write_text(json.dumps(base))
+    for name, (change, lines) in changes.items():
+        (tmp_path / "change.json").write_text(json.dumps(change))
+        code = compare_digests.main([str(tmp_path / "base.json"), str(tmp_path / "change.json")])
+        assert (code, capsys.readouterr().err.splitlines()) == (1 if lines else 0, lines), name

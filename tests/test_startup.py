@@ -8,6 +8,8 @@ import errno
 import gc
 import json
 import os
+import random
+import re
 import shutil
 import subprocess
 import sys
@@ -19,6 +21,7 @@ import pytest
 
 import matscale
 from matscale import cli
+from test_workers import MIN, assert_no_child_left, write_spectra, write_table
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -141,6 +144,14 @@ def test_every_run_returns_its_code_with_at_most_one_error_line(capsys, variant,
             for fd in fds.values():
                 os.close(fd)
         returned, out, err = result.returncode, result.stdout, result.stderr
+    check_contract(argv, returned, out, err, code, text)
+
+
+def check_contract(argv, returned, out, err, code, text=""):
+    """A run of argv returned code. On 0 it printed no error, and JSON or the
+    help; else nothing on stdout (None: the stream could not take it) and, unless
+    stderr could not take it either, one line that starts `matscale: ` and holds
+    text."""
     assert returned == code
     if code == 0:
         assert err == ""
@@ -149,10 +160,88 @@ def test_every_run_returns_its_code_with_at_most_one_error_line(capsys, variant,
         else:
             json.loads(out)
         return
-    assert out in ("", None)  # None: the stream could not take it
+    assert out in ("", None)
     if err is not None:
         assert err.startswith("matscale: ") and err.count("\n") == 1 and err.endswith("\n")
         assert text in err
+
+
+# what a mutation does to an input file's bytes, at a seeded offset
+MUTATIONS = [("flip", None), ("delete", None), ("truncate", None), ("insert", b","),
+             ("insert", b'"'), ("insert", b"\n"), ("insert", b"\x00"), ("insert", b"\xff"),
+             ("bom", b"\xef\xbb\xbf"), ("number", b"nan"), ("number", b"1e999"),
+             ("number", b"123456789012345678901234")]
+NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:e-?\d+)?")
+SWEEP = [(command, seed) for command in ("curate", "ce-fit", "similarity")
+         for seed in range(2 * len(MUTATIONS))]
+
+
+def mutate(data, mutation, rng):
+    """data with one of MUTATIONS, placed by rng."""
+    kind, insert = mutation
+    at = rng.randrange(len(data))
+    if kind == "flip":
+        return data[:at] + bytes([data[at] ^ 1 << rng.randrange(8)]) + data[at + 1:]
+    if kind == "delete":
+        return data[:at] + data[at + rng.randint(1, 8):]
+    if kind == "truncate":
+        return data[:at]
+    if kind == "number":  # in place of a number of the file
+        number = rng.choice(list(NUMBER.finditer(data)))
+        return data[:number.start()] + insert + data[number.end():]
+    return insert + data if kind == "bom" else data[:at] + insert + data[at:]
+
+
+@pytest.fixture(scope="module")
+def sweep_inputs(tmp_path_factory):
+    """command: (its argv without --output-dir, the input files that a case may
+    mutate), with inputs that two CPUs split over two processes."""
+    data = tmp_path_factory.mktemp("sweep")
+    kinds = [("Mg2F4", 136), ("Ti2O4", 136), ("BaTiO3", 221), ("K1Cl1", 225), ("H2O1", 1)]
+    alpha = write_table(data / "alpha.csv", "a", [kinds[k * 3 % 5] for k in range(30)])
+    beta = write_table(data / "beta.csv", "b", [kinds[(k * 2 + 1) % 5] for k in range(12)])
+    spectra = write_spectra(data / "spectra", 2 * MIN)
+    (data / "configs.csv").write_text("entry_id,occupations,target\n" + "".join(
+        f"c{k},{' '.join('1' if k >> j & 1 else '-1' for j in range(4))},{k % 5 - 0.25 * k}\n"
+        for k in range(16)))
+    (data / "clusters.json").write_text("[[0], [1], [2], [0, 1]]")
+    (data / "group.json").write_text(json.dumps([[(i + s) % 4 for i in range(4)]
+                                                 for s in range(4)]))
+    return {
+        "curate": (["curate", "--input", str(alpha), "--other", str(beta),
+                    "--hist", "formation_energy:-6:0:8"], [alpha, beta]),
+        "ce-fit": (["ce-fit", "--configs", str(data / "configs.csv"),
+                    "--clusters", str(data / "clusters.json"),
+                    "--group", str(data / "group.json"), "--degree", "1,2"],
+                   [data / "configs.csv", data / "clusters.json", data / "group.json"]),
+        "similarity": (["similarity", "--spectra", str(spectra), "--window=-3,3",
+                        "--grid", "16x8"], sorted(spectra.iterdir())),
+    }
+
+
+@pytest.mark.parametrize("command, seed", SWEEP, ids=[f"{c}-{s}" for c, s in SWEEP])
+def test_a_mutated_input_keeps_the_contract_in_one_process_and_forked(
+        capsys, tmp_path, sweep_inputs, cpus, forks, command, seed):
+    argv, files = sweep_inputs[command]
+    rng = random.Random(seed)
+    target = rng.choice(files)
+    original = target.read_bytes()
+    target.write_bytes(mutate(original, MUTATIONS[seed % len(MUTATIONS)], rng))
+    runs = []
+    try:
+        for k in (1, 2):
+            cpus(k)
+            # an exception that escapes main() fails the test
+            returned = cli.main([*argv, "--output-dir", str(tmp_path / "out")])
+            out, err = capsys.readouterr()
+            assert_no_child_left()
+            assert returned in (0, 1, 2)
+            check_contract(argv, returned, out, err, returned)
+            runs.append((returned, out, err))
+    finally:
+        target.write_bytes(original)
+    assert runs[1] == runs[0]
+    assert runs[0][0] != 0 or len(forks) == 1  # a run that succeeds forked on two CPUs
 
 
 @pytest.fixture(scope="module")

@@ -2,14 +2,18 @@
 curate's forked datasets: the same bytes and the same errors as one process, and
 no child process left behind."""
 
+import errno
 import json
 import os
 import signal
 import threading
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matscale import BLAS_THREAD_ENV, _workers, cli, io
 from matscale.spectra import FingerprintSet, fingerprint_set
@@ -186,7 +190,8 @@ def _in_each_child(act):
 
 def _results_cut_short(monkeypatch, parent):
     dumps = _workers.pickle.dumps
-    monkeypatch.setattr(_workers.pickle, "dumps", lambda obj, protocol: dumps(obj, protocol)[:-9])
+    monkeypatch.setattr(_workers.pickle, "dump",
+                        lambda obj, file, protocol: file.write(dumps(obj, protocol)[:-9]))
 
 
 @pytest.mark.parametrize("sabotage", [
@@ -253,22 +258,15 @@ def test_process_workers(cpus, n_items, min_per_process, n_cpus, want):
     assert _workers.process_workers(n_items, min_per_process) == want
 
 
-def test_fork_map_returns_each_chunk_result_in_order(pins):
-    chunks = [[1, 2], [3], [], [4, 5, 6]]
-    assert _workers.fork_map(lambda c: [x * x for x in c], chunks) == [[1, 4], [9], [],
-                                                                      [16, 25, 36]]
-    assert_no_child_left()
-
-
-@pytest.mark.parametrize("failing", [0, 2])
-def test_fork_map_is_none_when_any_chunk_raises(pins, failing):
-    def square_or_fail(chunk):
-        if chunk == failing:
-            raise ValueError("no")
-        return chunk * chunk
-
-    assert _workers.fork_map(square_or_fail, [0, 1, 2]) is None
-    assert_no_child_left()
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 10**3), st.integers(1, 256))
+def test_process_workers_never_exceeds_the_items_or_the_cpus(n_items, min_per_process, n_cpus):
+    # an empty chunk is never forked: each process gets min_per_process items or more
+    with mock.patch.dict(os.environ, dict.fromkeys(BLAS_THREAD_ENV, "1")), \
+            mock.patch.object(_workers.os, "sched_getaffinity", lambda pid: set(range(n_cpus)),
+                              create=True):
+        n = _workers.process_workers(n_items, min_per_process)
+    assert 1 <= n <= max(1, n_items // min_per_process) and n <= n_cpus
 
 
 @pytest.mark.parametrize("n_items, n_cpus", [(3, 8), (4, 4), (7, 3)])
@@ -319,16 +317,6 @@ def test_gather_gives_every_value_in_item_order(cpus, forks, n_items, n_cpus):
         == [(x, squares) for x, squares, _ in serial]
 
 
-def test_fork_map_gathers_each_chunks_values_in_chunk_order(pins):
-    def tag(chunk):
-        return [_workers.gather([len(chunk), *chunk]), os.getpid()]
-
-    results = _workers.fork_map(tag, [[1, 2], [], [3]])
-    assert_no_child_left()
-    assert [gathered for gathered, _ in results] == [[[2, 1, 2], [0], [1, 3]]] * 3
-    assert len({pid for _, pid in results}) == 3
-
-
 def _fail_in_child(parent, x):
     if os.getpid() != parent:
         raise ValueError(x)
@@ -373,17 +361,20 @@ def test_a_failure_before_the_gather_falls_back_to_one_process(cpus, forks, befo
     assert chunks_here == [items[0::2], items]
 
 
-def test_a_failure_here_ends_a_child_blocked_on_its_result_write(pins, deadline):
+def test_a_failure_here_ends_a_child_blocked_on_its_result_write(cpus, forks, deadline):
     # 10 MB fills the pipe, and nothing here reads it: the child must see EPIPE
     parent = os.getpid()
 
     def big_or_fail(chunk):
         if os.getpid() == parent:
             raise ValueError(chunk)
-        return bytes(10 << 20)
+        return [bytes(10 << 20)] * len(chunk)
 
-    assert _workers.fork_map(big_or_fail, [0, 1]) is None
+    cpus(2)
+    with pytest.raises(ValueError, match=r"^\[0, 1\]$"):  # the redo's, over every item
+        _workers.split_map(big_or_fail, [0, 1])
     assert_no_child_left()
+    assert len(forks) == 1
 
 
 def write_table(path, prefix, rows):
@@ -460,6 +451,45 @@ def test_forked_curate_errors_are_the_serial_errors(capsys, tmp_path, tables, cp
     assert (code, stdout, files) == (1, "", {})
     assert stderr.startswith(f"matscale: {paths[named]}: row ") and stderr.count("\n") == 1
     assert len(forks) == 1
+
+
+@pytest.mark.parametrize("writer", ["child", "here"])
+def test_a_gather_message_cut_short_falls_back_to_one_process(capsys, tmp_path, tables, cpus,
+                                                              forks, monkeypatch, deadline,
+                                                              writer):
+    # the gather message from the child, or this process's reply to it, breaks off 9
+    # bytes short and its writer fails: the reader's pickle.load raises, not hangs
+    alpha, beta = tables
+    argv = ["--input", str(alpha), "--other", str(beta), "--hist", "formation_energy:-6:0:8"]
+    cpus(1)
+    serial = curate(capsys, tmp_path / "serial", *argv)
+    parent, log = os.getpid(), tmp_path / "loads.log"
+    dump, dumps, load = _workers.pickle.dump, _workers.pickle.dumps, _workers.pickle.load
+
+    def cut_short(obj, file, protocol):
+        if obj[0] != "gather" or (os.getpid() == parent) != (writer == "here"):
+            return dump(obj, file, protocol)
+        file.write(dumps(obj, protocol)[:-9])
+        file.flush()
+        raise BrokenPipeError(errno.EPIPE, "the write broke off")
+
+    def logged_load(file):
+        try:
+            return load(file)
+        except Exception as exc:
+            with open(log, "a") as f:
+                f.write(f"{'here' if os.getpid() == parent else 'child'}: {exc}\n")
+            raise
+
+    monkeypatch.setattr(_workers.pickle, "dump", cut_short)
+    monkeypatch.setattr(_workers.pickle, "load", logged_load)
+    cpus(2)
+    assert curate(capsys, tmp_path / "forked", *argv) == serial
+    assert len(forks) == 1
+    reader = "child" if writer == "here" else "here"
+    assert log.read_text() == f"{reader}: pickle data was truncated\n"
+    code, _, stderr, files = serial
+    assert (code, stderr, len(files)) == (0, "", 4)
 
 
 def test_a_write_error_here_after_the_swap_leaves_the_output_directory_as_it_was(
