@@ -8,7 +8,9 @@ runs, each in a fresh process that imports matscale from this checkout's
   - the four perfbench workloads, with perfbench/run.py's argv, on inputs
     that perfbench/generate.py builds at perfbench's full sizes on generator
     seeds 1, 7 and 11;
-  - scripts/run_demo.py on the data of scripts/make_demo_data.py.
+  - scripts/run_demo.py on the data of scripts/make_demo_data.py;
+  - ``--help`` of matscale, of each subcommand and of each estimate kind
+    (HELP), whose stdout is the help text.
 It prints one JSON object: per run, its exit code, the digest of its stdout
 and the digest of every file it wrote. Each run has a directory of its own
 and is given only paths relative to it, because stdout names them; so the
@@ -47,9 +49,13 @@ TIMEOUT_S = 300
 PROCESSES = 2  # children at once
 # Unset in every child, so that a run's defaults are the CLI's own: the BLAS
 # thread count (matscale.BLAS_THREAD_ENV; the CLI chooses it when none is
-# set), the OpenBLAS kernel and the stdio encoding.
+# set), the OpenBLAS kernel, the stdio encoding and the width that argparse
+# wraps help text to (80 columns when stdout is not a terminal).
 RESET_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-             "OPENBLAS_CORETYPE", "PYTHONIOENCODING")
+             "OPENBLAS_CORETYPE", "PYTHONIOENCODING", "COLUMNS")
+# the argv before --help of each help run, "help/matscale-<argv joined by ->"
+HELP = [[], ["curate"], ["similarity"], ["ce-fit"], ["complexity"], ["estimate"],
+        ["estimate", "workflow"], ["estimate", "training"], ["estimate", "nas"]]
 
 
 def cli(*args: str) -> list[str]:
@@ -147,6 +153,9 @@ def main() -> int:
                 planted = workload.make(work / perfbench.INPUTS, np.random.default_rng(seed), size)
                 argv = workload.argv(planted, Path(perfbench.INPUTS), seed, size)
                 jobs[f"{name}/seed{seed}"] = (cli(*argv, "--output-dir", perfbench.OUT), work)
+        for argv in HELP:
+            name = "-".join(["matscale", *argv])
+            jobs[f"help/{name}"] = (cli(*argv, "--help"), Path(tmp) / "help" / name)
         demo, scripts = Path(tmp) / "demo", ROOT / "scripts"
         outputs = {"demo/data": run_many([(
             [sys.executable, str(scripts / "make_demo_data.py"), "--out", "data"], demo)])[0]}

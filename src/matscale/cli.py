@@ -219,32 +219,6 @@ def cmd_similarity(args):
     }
 
 
-def _read_clusters(path: Path) -> list[Cluster]:
-    from . import io
-    from .lattice import Cluster
-
-    clusters = []
-    for k, sites in enumerate(io.read_index_lists(path)):
-        try:
-            clusters.append(Cluster(sites))
-        except ValueError as exc:
-            raise ValueError(f"{path}: entry {k}: {exc}") from None
-    if not clusters:
-        raise ValueError(f"{path}: no clusters")
-    return clusters
-
-
-def _read_group(path: Path) -> SymmetryGroup:
-    from . import io
-    from .lattice import SymmetryGroup
-
-    permutations = io.read_index_lists(path)
-    try:
-        return SymmetryGroup(permutations)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
 def cmd_ce_fit(args):
     from . import io, polyfeatures, regression
 
@@ -255,31 +229,16 @@ def cmd_ce_fit(args):
         _flag_spec("--plateau-window", regression.check_plateau_window, args.plateau_window)
     _flag_spec("--tol", regression.check_tol, args.tol)
     _flag_spec("--plateau-eps", regression.check_tol, args.plateau_eps, "eps")
-    configs_path = _require_file(args.configs)
-    clusters_path = _require_file(args.clusters)
-    group_path = _require_file(args.group)
+    paths = [_require_file(path) for path in (args.configs, args.clusters, args.group)]
     outputs = _stage(args, ["fit_trace.csv",
                             *(f"predictions_d{d}.csv" for d in sorted(set(args.degree)))])
 
-    ids, occupations, targets = io.read_ce_configs(configs_path)
-    regression.check_targets(targets, f"{configs_path}: targets")
-    clusters = _read_clusters(clusters_path)
+    ids, occupations, targets, clusters, group = io.read_ce_inputs(*paths)
     _flag_spec("--degree", polyfeatures.check_expansion_size,
                len(occupations), len(clusters), max(args.degree))
-    group = _read_group(group_path)
-    if occupations.shape[1] != group.n_sites:
-        raise ValueError(f"{configs_path}: configurations have {occupations.shape[1]} sites "
-                         f"but the group in {group_path} acts on {group.n_sites}")
-    for k, cluster in enumerate(clusters):
-        if cluster.sites and cluster.sites[-1] >= group.n_sites:
-            raise ValueError(f"{clusters_path}: entry {k}: cluster touches site "
-                             f"{cluster.sites[-1]} but the group acts on {group.n_sites} sites")
 
-    traces = regression.compare_feature_spaces(
-        occupations, targets, clusters, group, args.degree,
-        max_features=args.max_features, tol=args.tol,
-    )
-
+    traces = regression.compare_feature_spaces(occupations, targets, clusters, group, args.degree,
+                                               max_features=args.max_features, tol=args.tol)
     trace_path, *pred_paths = outputs.values()
     io.write_trace_csv(trace_path, traces)
     summary = {"degrees": {}, "outputs": list(map(str, outputs))}
@@ -287,9 +246,8 @@ def cmd_ce_fit(args):
         io.write_predictions_csv(pred_path, ids, targets, trace.fitted)
         entry = {"n_features": trace.final.n_features, "rmse": trace.final.rmse}
         if args.plateau_window is not None:
-            entry["plateau"] = regression.plateau_detect(
-                trace, args.plateau_window, args.plateau_eps
-            )
+            entry["plateau"] = regression.plateau_detect(trace, args.plateau_window,
+                                                         args.plateau_eps)
         summary["degrees"][str(d)] = entry
     return summary
 
@@ -394,8 +352,9 @@ class _Help(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        """A flag that argparse refuses is a flag error like any other (exit 2)."""
-        raise ConfigError(message)
+        """A flag that argparse refuses is a flag error like any other (exit 2),
+        "--flag: ..." as the checked ones read, not "argument --flag: ..."."""
+        raise ConfigError(message.removeprefix("argument "))
 
     def print_help(self, file=None):
         # argparse would write it itself and ignore a stdout that cannot take it

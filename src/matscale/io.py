@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:  # each function imports what it builds, so a command loads only its own
     from .curation import Histogram, SplitAssignment, Structure, StructureTable
+    from .lattice import Cluster, SymmetryGroup
     from .spectra import CalcMetadata, FingerprintSet, SimilarityMatrix, Spectrum
 
 
@@ -236,7 +237,10 @@ def _read_sidecar(path: Path) -> tuple[float, CalcMetadata]:
     if not isinstance(meta, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(meta).__name__}")
     try:
-        return _number(meta["fermi_energy"], "fermi_energy"), CalcMetadata(
+        fermi_energy = _number(meta["fermi_energy"], "fermi_energy")
+        if not math.isfinite(fermi_energy):  # JSON 1e999, Infinity or NaN
+            raise ValueError(f"fermi_energy must be finite, got {fermi_energy!r}")
+        return fermi_energy, CalcMetadata(
             xc=_string(meta["xc"], "xc"),
             n_kpt=_integer(meta["n_kpt"], "n_kpt"),
             n_basis=_integer(meta["n_basis"], "n_basis"),
@@ -397,6 +401,42 @@ def read_index_lists(path) -> list[list[int]]:
         ):
             raise ValueError(f"{path}: entry {k} is not a list of integers: {sub!r}")
     return data
+
+
+def read_ce_inputs(configs, clusters, group
+                   ) -> tuple[list[str], np.ndarray, np.ndarray, list[Cluster], SymmetryGroup]:
+    """(ids, occupations, targets, clusters, group): what ``ce-fit`` fits. The
+    first failing check raises ValueError naming its file: read_ce_configs,
+    regression.check_targets, each Cluster (and at least one), the
+    SymmetryGroup, then the configurations' and the clusters' sites against
+    the group's."""
+    from .lattice import Cluster, SymmetryGroup
+    from .regression import check_targets
+
+    ids, occupations, targets = read_ce_configs(configs)
+    check_targets(targets, f"{configs}: targets")
+    cluster_list = []
+    for k, sites in enumerate(read_index_lists(clusters)):
+        try:
+            cluster_list.append(Cluster(sites))
+        except ValueError as exc:
+            raise ValueError(f"{clusters}: entry {k}: {exc}") from None
+    if not cluster_list:
+        raise ValueError(f"{clusters}: no clusters")
+    permutations = read_index_lists(group)
+    try:
+        symmetry = SymmetryGroup(permutations)
+    except ValueError as exc:
+        raise ValueError(f"{group}: {exc}") from None
+    n_sites = symmetry.n_sites
+    if occupations.shape[1] != n_sites:
+        raise ValueError(f"{configs}: configurations have {occupations.shape[1]} sites "
+                         f"but the group in {group} acts on {n_sites}")
+    for k, cluster in enumerate(cluster_list):
+        if cluster.sites and cluster.sites[-1] >= n_sites:
+            raise ValueError(f"{clusters}: entry {k}: cluster touches site "
+                             f"{cluster.sites[-1]} but the group acts on {n_sites} sites")
+    return ids, occupations, targets, cluster_list, symmetry
 
 
 def write_trace_csv(path, traces: dict) -> None:

@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 
 import matscale
+from matscale import io, regression
 from matscale.cli import main
 from matscale.costs import NasSpec, TrainingSpec, WorkflowSpec
 from matscale.curation import histogram_edges
+from test_startup import demo, run_demo  # noqa: F401 (demo is a fixture)
 
 
 def run_cli(capsys, *argv):
@@ -493,7 +495,8 @@ SPREAD = ("targets: the sum of squared deviations from their mean (inf) must be 
           "the largest float64")
 
 
-@pytest.mark.parametrize("target, text, message", [
+# (the file of ce_inputs that is written, its text, what the error line holds)
+CE_BAD_INPUTS = [
     ("configs", "entry_id,occupations,target\nc0,1 1 1 1 1 1,0\nc1,1 1\n",
      "line 3: expected 3 columns"),
     ("configs", "entry_id,occupations,target\nc0,1 1 1 1 1 1,0\nc1,2 -1 1 1 1 1,0\n",
@@ -515,7 +518,10 @@ SPREAD = ("targets: the sum of squared deviations from their mean (inf) must be 
     # finite targets whose squared deviations overflow: refused before any fit
     ("configs", HUGE_TARGETS.format(1e308, -1e308, 1e308), SPREAD),
     ("configs", HUGE_TARGETS.format(1e200, -1e200, 3), SPREAD),
-])
+]
+
+
+@pytest.mark.parametrize("target, text, message", CE_BAD_INPUTS)
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's overflow warnings fail it
 def test_ce_fit_bad_input_names_file(ce_inputs, tmp_path, capsys,
                                      target, text, message):
@@ -530,6 +536,46 @@ def test_ce_fit_bad_input_names_file(ce_inputs, tmp_path, capsys,
     assert stderr.startswith(f"matscale: {paths[target]}: ") and stderr.count("\n") == 1
     assert message in stderr
     assert list((tmp_path / "ceout").iterdir()) == []
+
+
+@pytest.mark.parametrize("target, text, message", CE_BAD_INPUTS)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_read_ce_inputs_raises_the_error_that_ce_fit_prints(ce_inputs, tmp_path, capsys,
+                                                            target, text, message):
+    paths = dict(zip(("configs", "clusters", "group"), ce_inputs))
+    paths[target].write_text(text, errors="surrogateescape")
+    code, _, stderr = run_cli(capsys, "ce-fit", "--configs", str(paths["configs"]),
+                              "--clusters", str(paths["clusters"]),
+                              "--group", str(paths["group"]), "--output-dir", str(tmp_path))
+    with pytest.raises(ValueError) as exc:
+        io.read_ce_inputs(paths["configs"], paths["clusters"], paths["group"])
+    assert (code, stderr) == (1, f"matscale: {exc.value}\n")
+    assert message in str(exc.value)
+
+
+def test_read_ce_inputs_returns_what_ce_fit_fits(demo, tmp_path, capsys, monkeypatch):
+    fitted, named = [], []
+    fit, write = regression.compare_feature_spaces, io.write_predictions_csv
+    monkeypatch.setattr(regression, "compare_feature_spaces",
+                        lambda *args, **kw: fitted.append(args) or fit(*args, **kw))
+    monkeypatch.setattr(io, "write_predictions_csv",
+                        lambda path, ids, *rest: named.append(ids) or write(path, ids, *rest))
+    argv = run_demo.commands(demo, tmp_path)["ce-fit"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    files = [demo / "configs.csv", demo / "clusters.json", demo / "group.json"]
+    ids, occupations, targets, clusters, group = io.read_ce_inputs(*files)
+    with open(files[0], newline="", encoding="utf-8") as fh:
+        assert ids == [row[0] for row in list(csv.reader(fh))[1:]]
+    assert named == [ids] * 3  # --degree 1,2,3
+    [(cli_occupations, cli_targets, cli_clusters, cli_group, _)] = fitted
+    for ours, theirs in ((occupations, cli_occupations), (targets, cli_targets)):
+        assert (ours.dtype, ours.shape, ours.tobytes()) == (theirs.dtype, theirs.shape,
+                                                           theirs.tobytes())
+    sites = [tuple(c) for c in json.loads(files[1].read_text())]
+    assert [c.sites for c in clusters] == [c.sites for c in cli_clusters] == sites
+    permutations = json.loads(files[2].read_text())
+    assert group.permutations.tolist() == cli_group.permutations.tolist() == permutations
 
 
 def test_ce_fit_refuses_an_oversized_expansion_before_building_it(ce_inputs, tmp_path,
@@ -553,6 +599,24 @@ def test_ce_fit_refuses_an_oversized_expansion_before_building_it(ce_inputs, tmp
                       f"has {q} columns; at 4 rows that is {4 * q * 8} bytes, over the "
                       f"2147483648-byte limit\n")
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("target, text", [
+    ("group", "[[1, 0, 2, 3, 4, 5]]"),  # no identity
+    ("clusters", "[[0], [0, 6]]"),  # a site outside the group's six
+])
+def test_ce_fit_checks_its_three_files_before_the_expansion_size(ce_inputs, tmp_path, capsys,
+                                                                  target, text):
+    # io.read_ce_inputs checks every file before the --degree expansion is sized
+    paths = dict(zip(("configs", "clusters", "group"), ce_inputs))
+    paths[target].write_text(text)
+    code, stdout, stderr = run_cli(
+        capsys, "ce-fit", "--configs", str(paths["configs"]),
+        "--clusters", str(paths["clusters"]), "--group", str(paths["group"]),
+        "--degree", "1,20000", "--output-dir", str(tmp_path / "ceout"),
+    )
+    assert (code, stdout) == (1, "")
+    assert stderr.startswith(f"matscale: {paths[target]}: ") and stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("command, target", [

@@ -41,6 +41,7 @@ def _load(path):
 
 output_digests = _load(ROOT / "scripts" / "output_digests.py")
 compare_digests = _load(ROOT / "scripts" / "compare_digests.py")
+run_demo = _load(ROOT / "scripts" / "run_demo.py")
 generate = _load(ROOT / "perfbench" / "generate.py")
 
 # every run works in runs/<run>/ under one directory that holds the data
@@ -51,17 +52,15 @@ CURATE = ["--split", "0.8,0.1,0.1", "--seed", "7", "--hist", "formation_energy:-
           "--output-dir", "out/curate"]
 CE_DEMO = ["--max-features", "20", "--plateau-window", "3", "--plateau-eps", "1e-4",
            "--output-dir", "out/ce"]
-# matscale's argv; curate, raster, vector and ce-fit are run_demo.py's commands,
-# with its flags and output directories
+# matscale's argv; curate, raster, vector and ce-fit are run_demo.py's commands
+DEMO_COMMANDS = run_demo.commands(DEMO, "out")
 COMMANDS = {
-    "curate": ["curate", "--input", f"{DEMO}/alpha.csv", "--other", f"{DEMO}/beta.csv", *CURATE],
+    "curate": DEMO_COMMANDS["curate"],
     "curate-json": ["curate", "--input", f"{DEMO}/json/alpha.json",
                     "--other", f"{DEMO}/json/beta.json", *CURATE],
-    "raster": ["similarity", "--spectra", f"{DEMO}/spectra", "--window", "-10,10",
-               "--grid", "256x64", "--sort", "--output-dir", "out/similarity"],
-    "vector": ["similarity", "--spectra", f"{DEMO}/spectra", "--mode", "vector", "--sort",
-               "--output-dir", "out/similarity_vector"],
-    "ce-fit": [*CE, "--degree", "1,2,3", *CE_DEMO],
+    "raster": DEMO_COMMANDS["similarity"],
+    "vector": DEMO_COMMANDS["similarity vector"],
+    "ce-fit": DEMO_COMMANDS["ce-fit"],
     "ce-fit-d1": [*CE, "--degree", "1", *CE_DEMO],
     "ce-fit-d3": [*CE, "--degree", "3", *CE_DEMO],
     "many-raster": ["similarity", "--spectra", MANY, "--mode", "raster", "--sort",

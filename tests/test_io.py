@@ -830,7 +830,11 @@ SIDECAR = {"fermi_energy": 0.0, "xc": "LDA", "n_kpt": 4, "n_basis": 40,
     ("0,1\n1,1\n", [1, 2], "calc.json", "expected a JSON object, got list"),
     ("1,1\n0,1\n", SIDECAR, "calc.csv", "strictly ascending"),
     ("0,1\n1,-1\n", SIDECAR, "calc.csv", "non-negative"),
-    ("0,1\n1,1\n", {**SIDECAR, "fermi_energy": float("nan")}, "calc.csv", "non-finite"),
+    # a non-finite Fermi energy is the sidecar's fault, not the spectrum's
+    ("0,1\n1,1\n", {**SIDECAR, "fermi_energy": float("nan")}, "calc.json",
+     "fermi_energy must be finite, got nan"),
+    ("0,1\n1,1\n", json.dumps(SIDECAR).replace('"fermi_energy": 0.0', '"fermi_energy": 1e999'),
+     "calc.json", "fermi_energy must be finite, got inf"),
     ("energy,dos\n0.0,1.0\n1.0\n", SIDECAR, "calc.csv", "bad data row 3: '1.0'"),
     ("energy,dos\n0.0,1.0\n0.0,x\n", SIDECAR, "calc.csv", "bad data row 3: '0.0,x'"),
     ("energy,dos\n", SIDECAR, "calc.csv", "no numeric rows"),

@@ -6,6 +6,7 @@ at exit, so modules an earlier test imported cannot hide a regression.
 
 import errno
 import gc
+import importlib.util
 import json
 import os
 import random
@@ -25,6 +26,10 @@ from test_workers import MIN, assert_no_child_left, write_spectra, write_table
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
+# run_demo.commands(data, out): every subcommand on the demo data, as the demo runs them
+_spec = importlib.util.spec_from_file_location("run_demo", ROOT / "scripts" / "run_demo.py")
+run_demo = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(run_demo)
 
 # the public names the package re-exports
 PUBLIC = {
@@ -69,7 +74,9 @@ CONTRACT = {
                        "--t-grad", "0.1"], 2, "--t-batch", None),
     "--grid 0x4": (NO_SPECTRA + ["0x4"], 2, "--grid", None),
     # a flag that argparse itself refuses is one line too, not a usage block
-    "--seed abc": (["curate", "--input", "x", "--seed", "abc"], 2, "--seed", None),
+    # and reads as a checked one does: "--seed: ...", not argparse's "argument --seed: ..."
+    "--seed abc": (["curate", "--input", "x", "--seed", "abc"], 2,
+                   "matscale: --seed: value must be an integer", None),
     # raster bits past the int64 similarity sums
     "--grid 4x2**70": (NO_SPECTRA + ["4x1180591620717411303424"], 2, "--grid", None),
     # a byte count past the 64-bit integer range, named by its flag and not printed
@@ -237,6 +244,7 @@ def test_a_mutated_input_keeps_the_contract_in_one_process_and_forked(
             assert_no_child_left()
             assert returned in (0, 1, 2)
             check_contract(argv, returned, out, err, returned)
+            assert returned != 1 or str(target) in err  # a module error names the file
             runs.append((returned, out, err))
     finally:
         target.write_bytes(original)
@@ -250,25 +258,6 @@ def demo(tmp_path_factory):
     subprocess.run([sys.executable, str(ROOT / "scripts" / "make_demo_data.py"),
                     "--out", str(data)], env=_env(), check=True, capture_output=True)
     return data
-
-
-def demo_argv(data, out):
-    """Every subcommand on the demo data, as scripts/run_demo.py runs them."""
-    return {
-        "curate": ["curate", "--input", f"{data}/alpha.csv", "--other", f"{data}/beta.csv",
-                   "--hist", "formation_energy:-6:2:16", "--output-dir", f"{out}/curate"],
-        "similarity": ["similarity", "--spectra", f"{data}/spectra", "--sort",
-                       "--output-dir", f"{out}/similarity"],
-        "ce-fit": ["ce-fit", "--configs", f"{data}/configs.csv",
-                   "--clusters", f"{data}/clusters.json", "--group", f"{data}/group.json",
-                   "--degree", "1,2,3", "--max-features", "20", "--output-dir", f"{out}/ce"],
-        "complexity": ["complexity", "--sisso", "rung=2,dim=3,bias"],
-        "estimate workflow": ["estimate", "workflow", "--structures", "30000", "--settings", "9",
-                              "--files-per-run", "41", "--mb-per-run", "30"],
-        "estimate training": ["estimate", "training", "--steps", "2000000",
-                              "--t-batch", "0.0010", "--t-grad", "0.0023"],
-        "estimate nas": ["estimate", "nas", "--archs", "2000", "--hours", "20", "--price", "3"],
-    }
 
 
 @pytest.mark.parametrize("statement", ["import matscale", "import matscale.cli"])
@@ -299,7 +288,7 @@ def numpy_loads(tmp_path_factory):
 ])
 def test_each_subcommand_loads_only_what_it_runs(demo, numpy_loads, tmp_path, command,
                                                  absent, present):
-    loaded = modules_at_exit(tmp_path, RUN_CLI, *demo_argv(demo, tmp_path)[command])
+    loaded = modules_at_exit(tmp_path, RUN_CLI, *run_demo.commands(demo, tmp_path)[command])
     # numpy 1.x imports numpy.ma and numpy.random with numpy itself
     assert not (absent - ((NUMPY_MA | NUMPY_RANDOM) & numpy_loads)) & loaded
     assert present <= loaded
@@ -391,7 +380,7 @@ def test_main_never_freezes_the_heap(demo, tmp_path, monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(cli, "gc", SimpleNamespace(
         disable=lambda: calls.append("disable"), freeze=lambda: calls.append("freeze")))
-    for argv in demo_argv(demo, tmp_path).values():
+    for argv in run_demo.commands(demo, tmp_path).values():
         assert cli.main(argv) == 0
     assert cli.main(["curate", "--input", str(tmp_path / "absent.csv")]) == 2
     assert calls == []
@@ -408,11 +397,11 @@ def test_cli_process_writes_what_main_writes(demo, tmp_path, capsys):
     # stdout to a pipe is block-buffered, so it must be flushed before that
     env = {name: value for name, value in _env().items() if name != "PYTHONUNBUFFERED"}
     process, in_process = tmp_path / "process", tmp_path / "in_process"
-    argv = demo_argv(demo, process)["curate"]
+    argv = run_demo.commands(demo, process)["curate"]
     result = subprocess.run([sys.executable, "-m", "matscale.cli", *argv], env=env,
                             capture_output=True, text=True)
     assert (result.returncode, result.stderr) == (0, "")
-    assert cli.main(demo_argv(demo, in_process)["curate"]) == 0
+    assert cli.main(run_demo.commands(demo, in_process)["curate"]) == 0
     out = capsys.readouterr().out
     assert result.stdout == out.replace(str(in_process), str(process))
     assert _files(process / "curate") == _files(in_process / "curate")
@@ -435,7 +424,7 @@ def test_main_leaves_the_environment_unchanged(demo, tmp_path, capsys):
         for name in cli.BLAS_THREAD_ENV:
             os.environ.pop(name, None)
         before = dict(os.environ)
-        for argv in demo_argv(demo, tmp_path).values():
+        for argv in run_demo.commands(demo, tmp_path).values():
             assert cli.main(argv) == 0
             assert dict(os.environ) == before
     capsys.readouterr()
